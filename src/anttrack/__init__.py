@@ -50,6 +50,7 @@ from .traffic import (
     InfectionState,
     NotInfected,
     Packet,
+    RouteMemo,
     TrafficRates,
     generate_tick_traffic,
 )

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,15 +44,19 @@ def parse_scenario(text: str, base_dir: Path) -> dict:
     """Parse the flat key-value scenario format into a raw dict.
 
     Repeatable keys: ``edge a b`` and ``infect_at tick node``.  The key
-    ``infected`` takes a space-separated node list.  Unknown keys are
-    rejected by name.
+    ``infected`` takes a space-separated node list.  Unknown and repeated
+    keys are rejected by name.
     """
     data: dict = {"edges": [], "infect_at": [], "base_dir": base_dir}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *rest = line.split()
+        if key in seen and key not in ("edge", "infect_at"):
+            raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
             if key == "edge":
                 a, b = (int(x) for x in rest)
@@ -67,8 +72,6 @@ def parse_scenario(text: str, base_dir: Path) -> dict:
             elif key == "infected":
                 data["infected"] = [int(x) for x in rest]
             elif key in _SCALAR_KEYS:
-                if key in data:
-                    raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
                 (value,) = rest
                 data[key] = _SCALAR_KEYS[key](value)
             else:
@@ -231,8 +234,9 @@ def cmd_sweep(args) -> int:
     seeds = _expand_seeds(args.seeds)
     configs = [build_config(data, seed) for seed in seeds]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, configs))
     else:
         results = [_sweep_one(c) for c in configs]
@@ -320,6 +324,8 @@ def render_trace(events: list[PheromoneEvent], params: PheromoneParams) -> str:
 
 
 def cmd_trace(args) -> int:
+    if args.packets < 1:
+        raise ScenarioError(f"--packets must be >= 1, got {args.packets}")
     try:
         params = PheromoneParams(increase=args.inc, decay=args.dec)
     except ValueError as exc:

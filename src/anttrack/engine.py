@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step, collect_declarations
 from .detection import DetectorModel
 from .pheromone import PheromoneField, PheromoneParams
 from .topology import NetworkTopology
-from .traffic import InfectionState, TrafficRates, generate_tick_traffic
+from .traffic import InfectionState, RouteMemo, TrafficRates, generate_tick_traffic
 from .transport import InFlight, advance_confirmations, advance_packets
 
 
@@ -76,7 +75,6 @@ class Metrics:
     first_declaration_tick: dict[int, int] = field(default_factory=dict)
     all_identified_tick: int | None = None
     false_declarations: list[tuple[int, int]] = field(default_factory=list)
-    confirmation_hops_per_tick: list[int] = field(default_factory=list)
     infection_tick: dict[int, int] = field(default_factory=dict)
 
 
@@ -100,10 +98,9 @@ class EventLog:
 
 
 def _field_digest(pheromones: PheromoneField) -> str:
-    h = hashlib.sha1()
-    for (u, v), st in pheromones.items():
-        h.update(struct.pack("<iid", u, v, st.value))
-    return h.hexdigest()[:16]
+    """First 16 hex digits of the SHA-1 over the ``<iid`` (u, v, value)
+    records of every touched direction, in (u, v) order."""
+    return hashlib.sha1(pheromones.records()).hexdigest()[:16]
 
 
 def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
@@ -120,6 +117,7 @@ def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
     pending_infections = sorted(config.scripted_infections)
 
     pheromones = PheromoneField(topo)
+    routes = RouteMemo(topo)
     inflight = InFlight()
     ants = [
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
@@ -137,7 +135,7 @@ def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
             infection.infect(node, tick)
 
         new_packets = generate_tick_traffic(
-            topo, infection, config.rates, traffic_rng, next_packet_id
+            topo, infection, config.rates, traffic_rng, next_packet_id, routes
         )
         next_packet_id += len(new_packets)
         for pkt in new_packets:
@@ -150,7 +148,6 @@ def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
         updates = advance_confirmations(inflight, pheromones, config.params)
         for u, v, kind, value in updates:
             log.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
-        metrics.confirmation_hops_per_tick.append(len(updates))
 
         spawned, outcomes = advance_packets(inflight, topo, config.detector, detect_rng)
         for out in outcomes:

@@ -5,15 +5,21 @@ confirmation events: a detected-attack confirmation adds a fixed boost, a
 clean confirmation multiplies the whole value by a decay factor.  The value
 is algebraically the sum, over past bad events, of boost * decay^(number of
 clean events seen since that bad event).  The live representation is the
-O(1) running value; the literal sum is kept only in history mode, where it
-doubles as an independent cross-check.
+O(1) running value: one ``PheromoneState`` for a single direction, one
+float per directed connection in a ``PheromoneField``.  The literal sum is
+kept only in history mode, where it doubles as an independent cross-check.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+
+
+_RECORD = struct.Struct("<iid")
 
 
 class NotAConnection(Exception):
@@ -35,12 +41,12 @@ class PheromoneParams:
     threshold: float = 10.0
 
     def __post_init__(self):
-        if self.increase <= 0:
-            raise ValueError(f"increase must be > 0, got {self.increase}")
+        if not (math.isfinite(self.increase) and self.increase > 0):
+            raise ValueError(f"increase (inc) must be finite and > 0, got {self.increase}")
         if not 0 < self.decay < 1:
-            raise ValueError(f"decay must be in (0, 1), got {self.decay}")
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+            raise ValueError(f"decay (dec) must be in (0, 1), got {self.decay}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
 @dataclass
@@ -106,56 +112,64 @@ def closed_form_value(events, params: PheromoneParams) -> float:
 
 
 class PheromoneField:
-    """Directed pheromone states for every connection of a topology.
+    """Directed pheromone values for every connection of a topology.
 
-    Both directions of a connection are independent.  Directions that were
-    never touched read as zero without materializing state, so read paths
-    cannot perturb the field.
+    One float per directed connection, at the topology's CSR edge id, in a
+    single ``array('d')``.  Both directions of a connection are independent.
+    Reads never mark a direction, so read paths cannot perturb the field.
+
+    Beside each value the field keeps the direction's FIELD-digest record,
+    ``struct.pack("<iid", u, v, value)``, repacked on every write; it is
+    empty until a confirmation first crosses the direction, so it also marks
+    the touched directions, including those whose value is still 0.0.
     """
 
-    def __init__(self, topology, track_history: bool = False):
-        self._topology = topology
-        self._track_history = track_history
-        self._states: dict[tuple[int, int], PheromoneState] = {}
+    def __init__(self, topology):
+        self._ids = topology.edge_ids
+        self._values = array("d", bytes(8 * len(self._ids)))
+        self._records = [b""] * len(self._ids)
 
-    def _check_connection(self, from_node: int, to_node: int) -> None:
-        if not self._topology.has_edge(from_node, to_node):
-            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
-
-    def state(self, from_node: int, to_node: int) -> PheromoneState:
-        """State for a direction, created on first use."""
-        self._check_connection(from_node, to_node)
-        key = (from_node, to_node)
-        st = self._states.get(key)
-        if st is None:
-            st = PheromoneState(track_history=self._track_history)
-            self._states[key] = st
-        return st
+    # the (u, v) -> id probe is inlined in the three methods below, which run
+    # once per confirmation hop or agent read
 
     def apply_good(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
-        st = self.state(from_node, to_node)
-        st.apply_good(params)
-        return st.value
+        """A clean confirmation crossed the direction: decay its value."""
+        i = self._ids.get((from_node, to_node))
+        if i is None:
+            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
+        value = self._values[i] = self._values[i] * params.decay
+        self._records[i] = _RECORD.pack(from_node, to_node, value)
+        return value
 
     def apply_bad(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
-        st = self.state(from_node, to_node)
-        st.apply_bad(params)
-        return st.value
+        """A detected-attack confirmation crossed the direction: boost it."""
+        i = self._ids.get((from_node, to_node))
+        if i is None:
+            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
+        value = self._values[i] = self._values[i] + params.increase
+        self._records[i] = _RECORD.pack(from_node, to_node, value)
+        return value
 
     def read_level(self, from_node: int, to_node: int) -> float:
         """Current value for a direction; 0.0 if never touched."""
-        self._check_connection(from_node, to_node)
-        st = self._states.get((from_node, to_node))
-        return st.value if st is not None else 0.0
+        i = self._ids.get((from_node, to_node))
+        if i is None:
+            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
+        return self._values[i]
 
     def above_threshold(self, from_node: int, to_node: int, params: PheromoneParams) -> bool:
         """Strictly greater than the threshold; the boundary is not a track."""
         return self.read_level(from_node, to_node) > params.threshold
 
-    def items(self):
-        """Touched (direction, state) pairs in sorted direction order."""
-        return sorted(self._states.items())
+    def records(self) -> bytes:
+        """Digest records of every touched direction, in (u, v) order."""
+        return b"".join(self._records)
 
     def snapshot(self) -> dict[tuple[int, int], float]:
         """Copy of all touched direction values."""
-        return {k: st.value for k, st in self._states.items()}
+        return {key: self._values[i] for key, i in self._ids.items() if self._records[i]}
+
+    @property
+    def bytes_per_direction(self) -> int:
+        """Storage of one directed connection's value."""
+        return self._values.itemsize

@@ -42,15 +42,25 @@ class SameNode(TopologyError):
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Immutable undirected simple graph with sorted adjacency lists."""
+    """Immutable undirected simple graph with sorted adjacency lists.
+
+    Each directed connection (u, v) has an id in CSR order: node u's
+    connections take consecutive ids in the order of its sorted neighbours,
+    after those of every smaller node, so ids follow (u, v) order and run
+    from 0 to 2E - 1.  ``edge_ids`` maps (u, v) to its id.
+    """
 
     node_count: int
     edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...]
-    # distance tables from each destination, filled lazily by shortest_route
-    _dist_cache: dict[int, list[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    edge_ids: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ids: dict[tuple[int, int], int] = {}
+        for u, ns in enumerate(self.adjacency):
+            for v in ns:
+                ids[u, v] = len(ids)
+        object.__setattr__(self, "edge_ids", ids)
 
     @classmethod
     def from_edges(cls, node_count: int, edge_pairs) -> NetworkTopology:
@@ -72,51 +82,16 @@ class NetworkTopology:
             neighbors[b].add(a)
         adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
         topo = cls(node_count, frozenset(edges), adjacency)
-        unreachable = topo._unreachable_from(0)
+        unreachable = [v for v, d in enumerate(_hop_distances(topo, 0)) if d < 0]
         if unreachable:
-            raise DisconnectedGraph(f"nodes unreachable from node 0: {sorted(unreachable)}")
+            raise DisconnectedGraph(f"nodes unreachable from node 0: {unreachable}")
         return topo
 
-    def _unreachable_from(self, start: int) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return set(range(self.node_count)) - seen
-
     def has_edge(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key in self.edges
+        return (a, b) in self.edge_ids
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self.adjacency[node]
-
-    def _dist_from(self, dst: int) -> list[int]:
-        """Hop distances of every node to dst (BFS, cached per destination)."""
-        cached = self._dist_cache.get(dst)
-        if cached is not None:
-            return cached
-        dist = [-1] * self.node_count
-        dist[dst] = 0
-        frontier = [dst]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in self.adjacency[u]:
-                    if dist[v] < 0:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        self._dist_cache[dst] = dist
-        return dist
 
 
 def load_topology(text: str) -> NetworkTopology:
@@ -159,17 +134,44 @@ def dump_topology(topo: NetworkTopology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def shortest_route(topo: NetworkTopology, src: int, dst: int) -> Route:
+def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:
+    """Hop distance of every node to dst (breadth-first search)."""
+    dist = [-1] * topo.node_count
+    dist[dst] = 0
+    frontier = [dst]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in topo.adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def shortest_route(
+    topo: NetworkTopology, src: int, dst: int, distances: dict[int, list[int]] | None = None
+) -> Route:
     """Minimum-hop route from src to dst.
 
     Among equal-length routes the lexicographically smallest hop sequence is
     returned, which makes routing (and thus reverse paths) deterministic.
+    ``distances``, if given, caches the hop-distance table of each
+    destination across calls; its owner decides how long the tables live.
     """
     if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
         raise NoRoute(f"invalid endpoints ({src}, {dst})")
     if src == dst:
         raise SameNode(f"route requested from node {src} to itself")
-    dist = topo._dist_from(dst)
+    if distances is None:
+        dist = _hop_distances(topo, dst)
+    else:
+        dist = distances.get(dst)
+        if dist is None:
+            dist = distances[dst] = _hop_distances(topo, dst)
     if dist[src] < 0:
         raise NoRoute(f"no path from {src} to {dst}")
     hops = [src]

@@ -65,6 +65,30 @@ class TrafficRates:
             raise ValueError("attack_packets_per_infected_per_tick must be >= 1")
 
 
+class RouteMemo:
+    """Routes memoised per (src, dst), and the per-destination hop-distance
+    tables they were computed from, for one run.
+
+    The engine creates one per run and drops it when the run returns, so a
+    topology shared by many runs (a sweep holds every seed's config) keeps
+    no tables alive.  Routes are computed lazily: only pairs some packet
+    takes, and only the distance tables of their destinations.
+    """
+
+    def __init__(self, topology: NetworkTopology):
+        self._topology = topology
+        self._routes: dict[tuple[int, int], Route] = {}
+        self._distances: dict[int, list[int]] = {}
+
+    def route(self, src: int, dst: int) -> Route:
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[src, dst] = shortest_route(
+                self._topology, src, dst, self._distances
+            )
+        return route
+
+
 def _random_other(rng: random.Random, node_count: int, exclude: int) -> int:
     # exactly one draw regardless of outcome, so the stream stays aligned
     d = rng.randrange(node_count - 1)
@@ -77,25 +101,30 @@ def generate_tick_traffic(
     rates: TrafficRates,
     rng: random.Random,
     first_id: int,
+    routes: RouteMemo | None = None,
 ) -> list[Packet]:
     """Packets entering the network this tick.
 
     Good packets come first with uniform random distinct endpoints, then each
     infected node (ascending id) emits its attack packets toward uniform
     random other nodes.  Every packet starts at position 0 on its
-    minimum-hop route.  Ids are assigned sequentially from first_id.
+    minimum-hop route, taken from ``routes`` when the caller keeps one
+    across ticks.  Ids are assigned sequentially from first_id.
     """
+    if routes is None:
+        routes = RouteMemo(topology)
+    route = routes.route
     n = topology.node_count
     packets: list[Packet] = []
     pid = first_id
     for _ in range(rates.good_packets_per_tick):
         src = rng.randrange(n)
         dst = _random_other(rng, n, src)
-        packets.append(Packet(pid, src, dst, False, shortest_route(topology, src, dst)))
+        packets.append(Packet(pid, src, dst, False, route(src, dst)))
         pid += 1
     for node in sorted(infection.infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
             dst = _random_other(rng, n, node)
-            packets.append(Packet(pid, node, dst, True, shortest_route(topology, node, dst)))
+            packets.append(Packet(pid, node, dst, True, route(node, dst)))
             pid += 1
     return packets

@@ -61,7 +61,9 @@ def test_track_following_to_declaration(path3):
 def test_greedy_follows_strongest_edge(star10):
     field = PheromoneField(star10)
     field.apply_bad(0, 4, PARAMS)  # 20
-    field.state(0, 7).value = 15.0
+    field.apply_bad(0, 7, PARAMS)
+    for _ in range(5):
+        field.apply_good(0, 7, PARAMS)  # 20 * 0.95**5 ~ 15.48, also above threshold
     ant = AntState(0, location=0)
     action = ant_step(ant, star10, field, PARAMS, random.Random(0), tick=0)
     assert action == Move(4)
@@ -172,8 +174,11 @@ def test_trajectory_deterministic(grid4x4):
 
 def test_proportional_choice_weights_levels(star10):
     field = PheromoneField(star10)
-    field.state(0, 1).value = 1000.0
-    field.state(0, 2).value = 11.0
+    for _ in range(50):
+        field.apply_bad(0, 1, PARAMS)  # 1000
+    field.apply_bad(0, 2, PARAMS)
+    for _ in range(11):
+        field.apply_good(0, 2, PARAMS)  # 20 * 0.95**11 ~ 11.37
     counts = Counter()
     for seed in range(300):
         ant = AntState(0, location=0)

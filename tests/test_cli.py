@@ -1,10 +1,12 @@
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
 import pytest
 
+from anttrack import cli
 from anttrack.cli import main
 from anttrack.pheromone import PheromoneEvent, PheromoneParams, closed_form_value
 from anttrack.cli import trace_events
@@ -59,6 +61,34 @@ def test_unknown_key_names_it(tmp_path, capsys):
     scenario = write_scenario(tmp_path, "nodes 2\nedge 0 1\nfoo 3\n")
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
     assert "foo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, lines",
+    [
+        ("infected", "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\ninfected 3\ninfected 4\n"),
+        ("nodes", "nodes 2\nnodes 2\nedge 0 1\n"),
+        ("random_topology", "random_topology 5 0.1\nrandom_topology 6 0.1\n"),
+    ],
+)
+def test_repeated_key_names_it(tmp_path, capsys, key, lines):
+    scenario = write_scenario(tmp_path, lines)
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert f"duplicate key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [("inc=inf", "inc"), ("inc=nan", "inc"), ("dec=nan", "dec"), ("threshold=inf", "threshold")],
+)
+def test_non_finite_parameter_rejected(tmp_path, capsys, override, key):
+    scenario = small_scenario(tmp_path)
+    code = main(
+        ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", override]
+    )
+    assert code == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 def test_unknown_override_key_rejected(tmp_path, capsys):
@@ -138,6 +168,14 @@ def test_trace_fig1_values(tmp_path):
     assert math.isclose(rows[100][1], 0.6167902989543368, rel_tol=1e-8)
     assert {kind for kind, _ in rows.values()} == {"good", "bad"}
     assert [i for i, (kind, _) in rows.items() if kind == "bad"] == [3, 10, 15]
+
+
+@pytest.mark.parametrize("packets", ["0", "-5"])
+def test_trace_packets_must_be_positive(tmp_path, capsys, packets):
+    out = tmp_path / "fig2.csv"
+    assert main(["trace", "--mode", "fig2", "--packets", packets, "--out", str(out)]) == 2
+    assert "--packets" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_fig1_byte_identical(tmp_path):
@@ -235,6 +273,35 @@ def test_sweep_parallel_matches_serial(tmp_path):
     ) == 0
     for name in ["aggregate.csv"] + [f"metrics_seed{s}.csv" for s in range(1, 5)]:
         assert (serial / name).read_text() == (parallel / name).read_text()
+
+
+@pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, 2), (8, 64, 3), (8, 2, 2), (1, 64, None)])
+def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
+    # record the pool size instead of starting any worker process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..3",
+                 "--jobs", str(jobs), "--set", "max_ticks=10"])
+    assert code == 0
+    assert sizes == ([] if expected is None else [expected])
+    assert (out / "metrics_seed3.csv").exists()
 
 
 def test_sweep_bad_seed_token(tmp_path, capsys):

@@ -1,0 +1,35 @@
+"""Golden outputs: `anttrack run` on the pinned scenarios must reproduce
+these files byte for byte (sha256, first 16 hex digits).
+
+A change that alters a hash changes observable behaviour and must say why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from anttrack.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN = {
+    "default75": ("b2801059cd88c465", "5a1d452445585edf", 303_221),
+    "reinfection75": ("7c8a6cc262771c81", "b6d6ab1651f50355", 184_095),
+    "star10": ("b1e08f66a4d85297", "18cb4f5fd68f60f3", 5_883),
+}
+
+
+def sha256_prefix(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_run_outputs_match_golden_hashes(scenario, tmp_path):
+    events_hash, metrics_hash, log_lines = GOLDEN[scenario]
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(SCENARIOS / f"{scenario}.scn"), "--out", str(out)]) == 0
+    events = (out / "events.log").read_bytes()
+    assert events.count(b"\n") == log_lines
+    assert sha256_prefix(events) == events_hash
+    assert sha256_prefix((out / "metrics.csv").read_bytes()) == metrics_hash

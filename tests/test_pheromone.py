@@ -1,8 +1,12 @@
+import hashlib
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
+from anttrack.engine import _field_digest
 from anttrack.pheromone import (
     NotAConnection,
     PheromoneEvent,
@@ -48,6 +52,11 @@ def test_params_defaults():
         {"decay": 1.0},
         {"decay": 1.5},
         {"threshold": 0.0},
+        {"increase": math.inf},
+        {"increase": math.nan},
+        {"decay": math.nan},
+        {"threshold": math.inf},
+        {"threshold": math.nan},
     ],
 )
 def test_params_validation(kwargs):
@@ -239,3 +248,64 @@ def test_threshold_is_strict(path3):
     assert not field.above_threshold(0, 1, params10)
     field.apply_bad(0, 1, DEFAULTS)
     assert field.above_threshold(0, 1, DEFAULTS)
+
+
+def test_good_only_direction_is_touched_at_zero(path3):
+    field = PheromoneField(path3)
+    empty = _field_digest(field)
+    field.apply_good(1, 2, DEFAULTS)
+    assert field.read_level(1, 2) == 0.0
+    assert field.snapshot() == {(1, 2): 0.0}
+    assert _field_digest(field) == digest_oracle({(1, 2): 0.0}) != empty
+
+
+def digest_oracle(levels: dict[tuple[int, int], float]) -> str:
+    """The FIELD digest by its definition: SHA-1 over the sorted records."""
+    h = hashlib.sha1()
+    for (u, v), value in sorted(levels.items()):
+        h.update(struct.pack("<iid", u, v, value))
+    return h.hexdigest()[:16]
+
+
+@st.composite
+def field_scripts(draw):
+    """A small connected graph, update parameters, and a sequence of
+    good/bad writes and reads over its directed connections."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges |= draw(st.sets(pair, max_size=8))
+    directions = sorted(edges | {(b, a) for a, b in edges})
+    params = PheromoneParams(
+        increase=draw(st.floats(min_value=0.5, max_value=100.0)),
+        decay=draw(st.floats(min_value=0.05, max_value=0.99)),
+    )
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(["good", "bad", "read"]), st.sampled_from(directions)),
+        max_size=60,
+    ))
+    return NetworkTopology.from_edges(n, sorted(edges)), params, ops
+
+
+@given(field_scripts())
+def test_field_and_digest_match_dict_oracle(script):
+    topo, params, ops = script
+    field = PheromoneField(topo)
+    levels: dict[tuple[int, int], float] = {}
+    for op, (u, v) in ops:
+        if op == "read":
+            before = _field_digest(field)
+            assert field.read_level(u, v) == levels.get((u, v), 0.0)
+            assert _field_digest(field) == before
+            continue
+        if op == "bad":
+            levels[u, v] = levels.get((u, v), 0.0) + params.increase
+            assert field.apply_bad(u, v, params) == levels[u, v]
+        else:
+            levels[u, v] = levels.get((u, v), 0.0) * params.decay
+            assert field.apply_good(u, v, params) == levels[u, v]
+        assert _field_digest(field) == digest_oracle(levels)
+    assert field.snapshot() == levels
+    for key in topo.edge_ids:
+        assert field.read_level(*key) == levels.get(key, 0.0)
+    assert _field_digest(field) == digest_oracle(levels)

@@ -172,6 +172,23 @@ def test_route_lexicographically_smallest():
                 assert shortest_route(topo, src, dst) == min(all_min_paths(src, dst))
 
 
+def test_edge_ids_number_directions_in_sorted_order():
+    topo = generate_random_topology(30, 0.1, random.Random(3))
+    directions = sorted(topo.edges | {(b, a) for a, b in topo.edges})
+    assert list(topo.edge_ids) == directions
+    assert list(topo.edge_ids.values()) == list(range(len(directions)))
+    assert all(topo.has_edge(a, b) for a, b in directions)
+    assert not topo.has_edge(0, 0)
+
+
+def test_route_distance_tables_are_cached_by_the_caller():
+    topo = grid_topology(4, 4)
+    distances = {}
+    for src, dst in [(0, 15), (3, 15), (15, 0)]:
+        assert shortest_route(topo, src, dst, distances) == shortest_route(topo, src, dst)
+    assert sorted(distances) == [0, 15]
+
+
 def test_reverse_route_examples():
     assert reverse_route((0, 1, 2)) == (2, 1, 0)
     assert reverse_route((0, 1)) == (1, 0)

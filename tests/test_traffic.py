@@ -8,6 +8,7 @@ from anttrack.traffic import (
     AlreadyInfected,
     InfectionState,
     NotInfected,
+    RouteMemo,
     TrafficRates,
     generate_tick_traffic,
 )
@@ -55,6 +56,20 @@ def test_packets_carry_shortest_routes(grid4x4):
         assert pkt.position == 0
         assert pkt.source != pkt.destination
         assert pkt.route == shortest_route(grid4x4, pkt.source, pkt.destination)
+
+
+def test_route_memo_keeps_traffic_unchanged(grid4x4):
+    infection = InfectionState()
+    infection.infect(0, 0)
+    rates = TrafficRates(good_packets_per_tick=10, attack_packets_per_infected_per_tick=3)
+    memo = RouteMemo(grid4x4)
+    rng_memo, rng_fresh = random.Random(4), random.Random(4)
+    for tick in range(20):
+        assert generate_tick_traffic(grid4x4, infection, rates, rng_memo, 0, memo) == (
+            generate_tick_traffic(grid4x4, infection, rates, rng_fresh, 0)
+        )
+    route = memo.route(0, 15)
+    assert memo.route(0, 15) is route == shortest_route(grid4x4, 0, 15)
 
 
 def test_identical_seeds_identical_traffic():
