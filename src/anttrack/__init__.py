@@ -7,11 +7,10 @@ value trails above a threshold and declare the node where a trail ends as
 infected.
 """
 
-from .ant import AntMode, AntState, Declare, Move, ant_step, collect_declarations
-from .detection import DetectorModel, Verdict, inspect_at_hop
+from .ant import AntMode, AntState, ant_step
+from .detection import DetectorModel, inspect_at_hop
 from .engine import (
     BandwidthStats,
-    EventLog,
     InvalidConfig,
     Metrics,
     SimulationConfig,
@@ -40,15 +39,12 @@ from .topology import (
     SelfLoop,
     TopologyError,
     dump_topology,
-    is_valid_route,
     load_topology,
-    reverse_route,
     shortest_route,
 )
 from .traffic import (
     AlreadyInfected,
     InfectionState,
-    NotInfected,
     Packet,
     RouteMemo,
     TrafficRates,

@@ -18,7 +18,7 @@ trail does allow stepping back.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .pheromone import PheromoneField, PheromoneParams
@@ -30,26 +30,12 @@ class AntMode(Enum):
     TRACKING = "tracking"
 
 
-@dataclass(frozen=True)
-class Move:
-    to: int
-
-
-@dataclass(frozen=True)
-class Declare:
-    node: int
-
-
-AntAction = Move | Declare
-
-
 @dataclass
 class AntState:
     ant_id: int
     location: int
     mode: AntMode = AntMode.WANDERING
     last_edge: tuple[int, int] | None = None
-    declarations: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _qualifying_edges(
@@ -97,25 +83,24 @@ def ant_step(
     pheromones: PheromoneField,
     params: PheromoneParams,
     rng: random.Random,
-    tick: int,
     choice: str = "greedy",
-) -> AntAction:
-    """Advance the agent one decision step and mutate its state.
+) -> int | None:
+    """Advance the agent one decision step and mutate its state; return the
+    node declared infected, or None if the agent moved.
 
     Wandering with no qualifying connection: move to a uniform random
     neighbor.  Wandering with qualifying connections: switch to tracking and
     follow one.  Tracking with qualifying connections: keep following.
     Tracking with none: declare the current node infected and resume
-    wandering.
+    wandering, staying put for this step.
     """
     tracking = ant.mode is AntMode.TRACKING
     hot = _qualifying_edges(ant, topology, pheromones, params)
     if not hot:
         if tracking:
-            ant.declarations.append((ant.location, tick))
             ant.mode = AntMode.WANDERING
             ant.last_edge = None
-            return Declare(ant.location)
+            return ant.location
         neighbors = topology.neighbors(ant.location)
         nxt = neighbors[rng.randrange(len(neighbors))]
     else:
@@ -123,11 +108,4 @@ def ant_step(
         ant.mode = AntMode.TRACKING
     ant.last_edge = (ant.location, nxt)
     ant.location = nxt
-    return Move(nxt)
-
-
-def collect_declarations(ant: AntState) -> list[tuple[int, int]]:
-    """Drain pending (node, tick) declarations."""
-    out = ant.declarations
-    ant.declarations = []
-    return out
+    return None

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -167,20 +168,21 @@ def _load_scenario_file(path: Path, overrides: list[str]) -> dict:
 
 
 def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
-    """Write all output files, removing everything written on failure."""
-    written: list[Path] = []
+    """Write all output files: each goes to a temp file beside its target,
+    and the temp files replace their targets only once every one is
+    complete.  On a failure while writing, the temp files are removed and
+    existing outputs keep their old contents."""
+    temps: list[Path] = []
     try:
         for path, content in outputs:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content, encoding="utf-8")
-            written.append(path)
-    except OSError:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            temps[-1].write_text(content, encoding="utf-8")
+        for tmp, (path, _) in zip(temps, outputs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> str:
@@ -217,7 +219,8 @@ def cmd_run(args) -> int:
     _write_outputs(
         [
             (out_dir / "metrics.csv", engine.metrics_to_csv(metrics)),
-            (out_dir / "events.log", log.render()),
+            # a run logs a FIELD line every tick, so the log is never empty
+            (out_dir / "events.log", "\n".join(log) + "\n"),
             (out_dir / "summary.txt", _summary_text(config, metrics)),
         ]
     )
@@ -243,20 +246,19 @@ def cmd_sweep(args) -> int:
 
     out_dir = Path(args.out)
     outputs = []
-    rows = ["seed,all_identified_tick,latency_median,latency_min,latency_max"]
-    latencies = []
+    rows = [
+        "seed,all_identified_tick,median_all_identified_tick,min_all_identified_tick,"
+        "max_all_identified_tick,never_identified"
+    ]
+    ticks = []
     for seed, metrics in zip(seeds, results):
         outputs.append((out_dir / f"metrics_seed{seed}.csv", engine.metrics_to_csv(metrics)))
         tick = metrics.all_identified_tick
-        rows.append(f"{seed},{'' if tick is None else tick},,,")
-        if tick is not None:
-            latencies.append(tick)
-    if latencies:
-        rows.append(
-            f"summary,,{statistics.median(latencies):g},{min(latencies)},{max(latencies)}"
-        )
-    else:
-        rows.append("summary,,,,")
+        rows.append(f"{seed},{'' if tick is None else tick},,,,")
+        ticks.append(math.inf if tick is None else tick)
+    # a seed that never identified every infected node counts as infinite
+    stats = (statistics.median(ticks), min(ticks), max(ticks))
+    rows.append(f"summary,,{','.join(f'{x:.15g}' for x in stats)},{ticks.count(math.inf)}")
     outputs.append((out_dir / "aggregate.csv", "\n".join(rows) + "\n"))
     _write_outputs(outputs)
     return 0

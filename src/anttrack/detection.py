@@ -9,15 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 from .traffic import Packet
-
-
-class Verdict(Enum):
-    CLEAN_DELIVERED = "clean_delivered"
-    MALICIOUS_DETECTED = "malicious_detected"
-    MALICIOUS_MISSED = "malicious_missed"
 
 
 @dataclass(frozen=True)
@@ -36,21 +29,14 @@ class DetectorModel:
 
 def inspect_at_hop(
     packet: Packet, node: int, detector: DetectorModel, rng: random.Random
-) -> Verdict | None:
-    """Detector verdict for a packet arriving at a hop.
+) -> bool:
+    """True if the detector at a hop flags the packet arriving there.
 
     Malicious packets face one detection draw at every hop after the source.
     Clean packets are only judged at their destination, where a single
     false-positive draw may flag them; at intermediate hops they pass
-    without a draw and the verdict is None.
+    without a draw.
     """
-    at_destination = node == packet.destination
     if packet.malicious:
-        if rng.random() < detector.detect_prob:
-            return Verdict.MALICIOUS_DETECTED
-        return Verdict.MALICIOUS_MISSED
-    if not at_destination:
-        return None
-    if rng.random() < detector.false_positive_prob:
-        return Verdict.MALICIOUS_DETECTED
-    return Verdict.CLEAN_DELIVERED
+        return rng.random() < detector.detect_prob
+    return node == packet.destination and rng.random() < detector.false_positive_prob

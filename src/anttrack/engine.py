@@ -4,9 +4,10 @@ Intra-tick order is fixed: (1) scripted infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
 (inspections; confirmations spawned here first move next tick), (5) field
 digest, (6) agent steps against the now-stable field in ant_id order,
-(7) declaration collection.  A run is a pure function of its config: the
-master seed derives independent substreams per role, so traffic and
-detection randomness do not depend on how many agents are deployed.
+(7) the tick's declarations, in ant_id order.  A run is a pure function of
+its config: the master seed derives independent substreams per role, so
+traffic and detection randomness do not depend on how many agents are
+deployed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .ant import AntState, ant_step, collect_declarations
+from .ant import AntState, ant_step
 from .detection import DetectorModel
 from .pheromone import PheromoneField, PheromoneParams
 from .topology import NetworkTopology
@@ -78,33 +79,15 @@ class Metrics:
     infection_tick: dict[int, int] = field(default_factory=dict)
 
 
-class EventLog:
-    """Append-only, tick-stamped record lines (PHERO/ANT/DECL/PKT/FIELD)."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def append(self, line: str) -> None:
-        self.lines.append(line)
-
-    def render(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-    def __iter__(self):
-        return iter(self.lines)
-
-    def __len__(self):
-        return len(self.lines)
-
-
 def _field_digest(pheromones: PheromoneField) -> str:
     """First 16 hex digits of the SHA-1 over the ``<iid`` (u, v, value)
     records of every touched direction, in (u, v) order."""
     return hashlib.sha1(pheromones.records()).hexdigest()[:16]
 
 
-def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
-    """Execute max_ticks ticks of the scenario and return what happened."""
+def run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
+    """Execute max_ticks ticks of the scenario and return its metrics and
+    event log: tick-stamped PKT/PHERO/FIELD/ANT/DECL record lines."""
     config.validate()
     topo = config.topology
     traffic_rng = derive_rng(config.seed, "traffic")
@@ -123,10 +106,8 @@ def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    log = EventLog()
+    log: list[str] = []
     metrics = Metrics()
-    declared_true: set[int] = set()
-    declared_false: set[int] = set()
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -156,26 +137,24 @@ def run(config: SimulationConfig) -> tuple[Metrics, EventLog]:
 
         log.append(f"FIELD,{tick},{_field_digest(pheromones)}")
 
+        declared: list[tuple[int, int]] = []
         for ant in ants:
-            ant_step(
-                ant, topo, pheromones, config.params,
-                ant_rngs[ant.ant_id], tick, config.ant_choice,
+            node = ant_step(
+                ant, topo, pheromones, config.params, ant_rngs[ant.ant_id], config.ant_choice
             )
             log.append(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}")
+            if node is not None:
+                declared.append((ant.ant_id, node))
 
-        for ant in ants:
-            for node, dtick in collect_declarations(ant):
-                log.append(f"DECL,{dtick},{ant.ant_id},{node}")
-                if node in infection.infected:
-                    if node not in declared_true:
-                        declared_true.add(node)
-                        metrics.first_declaration_tick[node] = dtick
-                elif node not in declared_false:
-                    declared_false.add(node)
-                    metrics.false_declarations.append((node, dtick))
+        for ant_id, node in declared:
+            log.append(f"DECL,{tick},{ant_id},{node}")
+            if node in infection.infected:
+                metrics.first_declaration_tick.setdefault(node, tick)
+            elif node not in (n for n, _ in metrics.false_declarations):
+                metrics.false_declarations.append((node, tick))
 
     metrics.infection_tick = dict(infection.infection_tick)
-    if infection.infected and infection.infected <= declared_true:
+    if infection.infected and infection.infected <= metrics.first_declaration_tick.keys():
         metrics.all_identified_tick = max(
             metrics.first_declaration_tick[n] for n in infection.infected
         )
@@ -217,7 +196,7 @@ class BandwidthStats:
         return self.ant_moves + self.declarations
 
 
-def compute_bandwidth_stats(log: EventLog) -> dict[int, BandwidthStats]:
+def compute_bandwidth_stats(log: list[str]) -> dict[int, BandwidthStats]:
     """Per-tick traffic accounting recovered from the event log."""
     stats: dict[int, BandwidthStats] = {}
     for line in log:

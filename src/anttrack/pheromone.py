@@ -7,7 +7,7 @@ is algebraically the sum, over past bad events, of boost * decay^(number of
 clean events seen since that bad event).  The live representation is the
 O(1) running value: one ``PheromoneState`` for a single direction, one
 float per directed connection in a ``PheromoneField``.  The literal sum is
-kept only in history mode, where it doubles as an independent cross-check.
+``closed_form_value``, the independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -51,45 +51,17 @@ class PheromoneParams:
 
 @dataclass
 class PheromoneState:
-    """Running pheromone value for one direction of a connection.
-
-    With ``track_history`` the state also records, per bad event, how many
-    good events arrived while it was the latest bad; the exposed
-    ``goods_since`` list feeds the closed-form cross-check.
-    """
+    """Running pheromone value for one direction of a connection."""
 
     value: float = 0.0
-    bad_count: int = 0
-    track_history: bool = False
-    # good count at the time of each bad event, plus the running good total;
-    # goods_since is reconstructed from these in O(b) instead of being
-    # incremented element-wise on every good event
-    _good_marks: list[int] = field(default_factory=list, repr=False)
-    _good_total: int = field(default=0, repr=False)
 
     def apply_good(self, params: PheromoneParams) -> None:
         """A clean confirmation traversed this direction: decay the value."""
         self.value *= params.decay
-        if self.track_history:
-            self._good_total += 1
 
     def apply_bad(self, params: PheromoneParams) -> None:
         """A detected-attack confirmation traversed this direction."""
         self.value += params.increase
-        self.bad_count += 1
-        if self.track_history:
-            self._good_marks.append(self._good_total)
-
-    @property
-    def goods_since(self) -> list[int]:
-        """Good events seen after each bad event (history mode only)."""
-        if not self.track_history:
-            raise ValueError("state was not built with track_history=True")
-        return [self._good_total - mark for mark in self._good_marks]
-
-    def live_bytes(self) -> bytes:
-        """Serialized live state: the running value alone."""
-        return struct.pack("<d", self.value)
 
 
 def closed_form_value(events, params: PheromoneParams) -> float:
@@ -156,10 +128,6 @@ class PheromoneField:
         if i is None:
             raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
         return self._values[i]
-
-    def above_threshold(self, from_node: int, to_node: int, params: PheromoneParams) -> bool:
-        """Strictly greater than the threshold; the boundary is not a track."""
-        return self.read_level(from_node, to_node) > params.threshold
 
     def records(self) -> bytes:
         """Digest records of every touched direction, in (u, v) order."""

@@ -188,14 +188,3 @@ def shortest_route(
                 break
     return tuple(hops)
 
-
-def reverse_route(route: Route) -> Route:
-    """Reversed hop sequence; valid because edges are undirected."""
-    return tuple(reversed(route))
-
-
-def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
-    """True if route is a simple path over existing connections."""
-    if len(route) < 2 or len(set(route)) != len(route):
-        return False
-    return all(topo.has_edge(a, b) for a, b in zip(route, route[1:]))

@@ -17,10 +17,6 @@ class AlreadyInfected(Exception):
     pass
 
 
-class NotInfected(Exception):
-    pass
-
-
 @dataclass
 class Packet:
     id: int
@@ -43,12 +39,6 @@ class InfectionState:
             raise AlreadyInfected(f"node {node} is already infected")
         self.infected.add(node)
         self.infection_tick[node] = tick
-
-    def disinfect(self, node: int) -> None:
-        if node not in self.infected:
-            raise NotInfected(f"node {node} is not infected")
-        self.infected.remove(node)
-        del self.infection_tick[node]
 
 
 @dataclass(frozen=True)
@@ -101,18 +91,16 @@ def generate_tick_traffic(
     rates: TrafficRates,
     rng: random.Random,
     first_id: int,
-    routes: RouteMemo | None = None,
+    routes: RouteMemo,
 ) -> list[Packet]:
     """Packets entering the network this tick.
 
     Good packets come first with uniform random distinct endpoints, then each
     infected node (ascending id) emits its attack packets toward uniform
     random other nodes.  Every packet starts at position 0 on its
-    minimum-hop route, taken from ``routes`` when the caller keeps one
-    across ticks.  Ids are assigned sequentially from first_id.
+    minimum-hop route, taken from ``routes``, which the caller keeps across
+    ticks.  Ids are assigned sequentially from first_id.
     """
-    if routes is None:
-        routes = RouteMemo(topology)
     route = routes.route
     n = topology.node_count
     packets: list[Packet] = []

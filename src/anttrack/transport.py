@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .detection import DetectorModel, Verdict, inspect_at_hop
+from .detection import DetectorModel, inspect_at_hop
 from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from .topology import NetworkTopology, Route
 from .traffic import Packet
@@ -50,7 +50,7 @@ def advance_packets(
     detector: DetectorModel,
     rng: random.Random,
 ) -> tuple[list[ConfirmationPacket], list[PacketOutcome]]:
-    """Move every packet one hop and run the detector at the new hop.
+    """Advance every packet one hop and run the detector at the new hop.
 
     Detection removes the packet and spawns a bad confirmation from the
     detecting node back over the reversed traversed prefix.  Delivery
@@ -65,8 +65,7 @@ def advance_packets(
     for pkt in state.packets:
         pkt.position += 1
         node = pkt.route[pkt.position]
-        verdict = inspect_at_hop(pkt, node, detector, rng)
-        if verdict is Verdict.MALICIOUS_DETECTED:
+        if inspect_at_hop(pkt, node, detector, rng):
             back = tuple(reversed(pkt.route[: pkt.position + 1]))
             spawned.append(ConfirmationPacket(PheromoneEvent.BAD, back, pkt.id))
             outcomes.append(PacketOutcome(pkt.id, "detected", node))
@@ -84,7 +83,7 @@ def advance_packets(
 def advance_confirmations(
     state: InFlight, pheromones: PheromoneField, params: PheromoneParams
 ) -> list[tuple[int, int, PheromoneEvent, float]]:
-    """Move every confirmation one hop, updating the pheromone state of the
+    """Advance every confirmation one hop, updating the pheromone state of the
     directed connection it traverses.  Returns one (from, to, kind, new
     value) record per traversal; confirmations that reach the end of their
     route are removed.

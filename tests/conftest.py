@@ -1,6 +1,6 @@
 import pytest
 
-from anttrack.topology import NetworkTopology
+from anttrack.topology import NetworkTopology, Route
 
 
 def path_topology(n: int) -> NetworkTopology:
@@ -21,6 +21,18 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
             if r + 1 < rows:
                 edges.append((node, node + cols))
     return NetworkTopology.from_edges(rows * cols, edges)
+
+
+def reverse_route(route: Route) -> Route:
+    """Reversed hop sequence; valid because edges are undirected."""
+    return tuple(reversed(route))
+
+
+def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
+    """True if route is a simple path over existing connections."""
+    if len(route) < 2 or len(set(route)) != len(route):
+        return False
+    return all(topo.has_edge(a, b) for a, b in zip(route, route[1:]))
 
 
 @pytest.fixture

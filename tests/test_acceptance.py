@@ -242,18 +242,21 @@ def test_criterion_7_storage_bound_after_long_run():
     )
     from anttrack.pheromone import PheromoneField
     from anttrack.transport import InFlight, advance_confirmations, advance_packets
-    from anttrack.traffic import InfectionState, generate_tick_traffic
+    from anttrack.traffic import InfectionState, RouteMemo, generate_tick_traffic
 
     # run and inspect the live field directly
     infection = InfectionState()
     infection.infect(4, 0)
     field = PheromoneField(config.topology)
     inflight = InFlight()
+    routes = RouteMemo(config.topology)
     traffic_rng = derive_rng(config.seed, "traffic")
     detect_rng = derive_rng(config.seed, "detect")
     next_id = 0
     for _ in range(config.max_ticks):
-        packets = generate_tick_traffic(config.topology, infection, config.rates, traffic_rng, next_id)
+        packets = generate_tick_traffic(
+            config.topology, infection, config.rates, traffic_rng, next_id, routes
+        )
         next_id += len(packets)
         inflight.packets.extend(packets)
         advance_confirmations(inflight, field, config.params)
@@ -283,7 +286,7 @@ def test_criterion_8_bandwidth_accounting(default_run):
 def test_criterion_9_determinism(default_run):
     metrics_a, log_a = default_run
     metrics_b, log_b = run(default75_config(seed=42))
-    assert log_a.render() == log_b.render()
+    assert log_a == log_b
     assert metrics_to_csv(metrics_a) == metrics_to_csv(metrics_b)
     report(9, f"byte-identical metrics and {len(log_a)}-line event log on repeat run")
 

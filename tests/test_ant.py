@@ -1,14 +1,7 @@
 import random
 from collections import Counter
 
-from anttrack.ant import (
-    AntMode,
-    AntState,
-    Declare,
-    Move,
-    ant_step,
-    collect_declarations,
-)
+from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams
 from anttrack.topology import NetworkTopology
 
@@ -27,11 +20,10 @@ def test_wandering_on_clean_graph_moves_randomly():
     counts = Counter()
     for seed in range(200):
         ant = AntState(0, location=0)
-        action = ant_step(ant, topo, field, PARAMS, random.Random(seed), tick=0)
-        assert isinstance(action, Move)
+        assert ant_step(ant, topo, field, PARAMS, random.Random(seed)) is None
         assert ant.mode is AntMode.WANDERING
-        assert action.to in topo.neighbors(0)
-        counts[action.to] += 1
+        assert ant.location in topo.neighbors(0)
+        counts[ant.location] += 1
     assert set(counts) == {1, 3}  # both neighbors get picked
 
 
@@ -42,20 +34,18 @@ def test_track_following_to_declaration(path3):
     ant = AntState(0, location=2)
     rng = random.Random(0)
 
-    action = ant_step(ant, path3, field, PARAMS, rng, tick=5)
-    assert action == Move(1)
+    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant.location == 1
     assert ant.mode is AntMode.TRACKING
 
-    action = ant_step(ant, path3, field, PARAMS, rng, tick=6)
-    assert action == Move(0)
+    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant.location == 0
     assert ant.mode is AntMode.TRACKING
 
-    action = ant_step(ant, path3, field, PARAMS, rng, tick=7)
-    assert action == Declare(0)
+    assert ant_step(ant, path3, field, PARAMS, rng) == 0
+    assert ant.location == 0
     assert ant.mode is AntMode.WANDERING
     assert ant.last_edge is None
-    assert collect_declarations(ant) == [(0, 7)]
-    assert collect_declarations(ant) == []
 
 
 def test_greedy_follows_strongest_edge(star10):
@@ -65,8 +55,8 @@ def test_greedy_follows_strongest_edge(star10):
     for _ in range(5):
         field.apply_good(0, 7, PARAMS)  # 20 * 0.95**5 ~ 15.48, also above threshold
     ant = AntState(0, location=0)
-    action = ant_step(ant, star10, field, PARAMS, random.Random(0), tick=0)
-    assert action == Move(4)
+    assert ant_step(ant, star10, field, PARAMS, random.Random(0)) is None
+    assert ant.location == 4
 
 
 def test_tie_breaks_to_smallest_neighbor(star10):
@@ -74,8 +64,8 @@ def test_tie_breaks_to_smallest_neighbor(star10):
     field.apply_bad(0, 6, PARAMS)
     field.apply_bad(0, 2, PARAMS)
     ant = AntState(0, location=0)
-    action = ant_step(ant, star10, field, PARAMS, random.Random(0), tick=0)
-    assert action == Move(2)
+    assert ant_step(ant, star10, field, PARAMS, random.Random(0)) is None
+    assert ant.location == 2
 
 
 def test_tracking_ignores_reverse_of_arrival_edge(path3):
@@ -83,15 +73,13 @@ def test_tracking_ignores_reverse_of_arrival_edge(path3):
     field.apply_bad(1, 0, PARAMS)
     field.apply_bad(0, 1, PARAMS)  # trail in both directions between 0 and 1
     ant = AntState(0, location=1, mode=AntMode.TRACKING, last_edge=(2, 1))
-    action = ant_step(ant, path3, field, PARAMS, random.Random(0), tick=3)
-    assert action == Move(0)
-    action = ant_step(ant, path3, field, PARAMS, random.Random(0), tick=4)
+    assert ant_step(ant, path3, field, PARAMS, random.Random(0)) is None
+    assert ant.location == 0
     # at 0 the only hot edge points back where the ant came from: trail ends
-    assert action == Declare(0)
+    assert ant_step(ant, path3, field, PARAMS, random.Random(0)) == 0
     # a tracking ant whose only hot edge is its own arrival edge also stops
     ant = AntState(1, location=1, mode=AntMode.TRACKING, last_edge=(0, 1))
-    action = ant_step(ant, path3, field, PARAMS, random.Random(0), tick=5)
-    assert action == Declare(1)
+    assert ant_step(ant, path3, field, PARAMS, random.Random(0)) == 1
 
 
 def test_arrival_edge_masks_trail_in_any_mode():
@@ -100,11 +88,13 @@ def test_arrival_edge_masks_trail_in_any_mode():
     field.apply_bad(1, 0, PARAMS)
     # a freshly placed ant has no arrival edge and sees the trail
     ant = AntState(0, location=1)
-    assert ant_step(ant, topo, field, PARAMS, random.Random(0), tick=0) == Move(0)
+    assert ant_step(ant, topo, field, PARAMS, random.Random(0)) is None
+    assert ant.location == 0
     assert ant.mode is AntMode.TRACKING
     # an ant that just came from node 0 does not, and keeps wandering
     ant = AntState(1, location=1, last_edge=(0, 1))
-    assert ant_step(ant, topo, field, PARAMS, random.Random(0), tick=0) == Move(0)
+    assert ant_step(ant, topo, field, PARAMS, random.Random(0)) is None
+    assert ant.location == 0
     assert ant.mode is AntMode.WANDERING
 
 
@@ -115,12 +105,12 @@ def test_declared_hotspot_does_not_recapture_through_same_edge(path3):
     field.apply_bad(1, 0, PARAMS)
     ant = AntState(0, location=1)
     rng = random.Random(0)
-    assert ant_step(ant, path3, field, PARAMS, rng, tick=0) == Move(0)
-    assert ant_step(ant, path3, field, PARAMS, rng, tick=1) == Declare(0)
-    assert ant_step(ant, path3, field, PARAMS, rng, tick=2) == Move(1)
-    action = ant_step(ant, path3, field, PARAMS, rng, tick=3)
+    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant_step(ant, path3, field, PARAMS, rng) == 0
+    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant.location == 1
+    assert ant_step(ant, path3, field, PARAMS, rng) is None
     assert ant.mode is AntMode.WANDERING
-    assert isinstance(action, Move)
 
 
 def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
@@ -136,13 +126,12 @@ def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
     for tick in range(500):
         was_tracking = ant.mode is AntMode.TRACKING
         loc = ant.location
-        action = ant_step(ant, grid4x4, field, PARAMS, rng, tick)
-        if isinstance(action, Move):
+        if ant_step(ant, grid4x4, field, PARAMS, rng) is None:
             if was_tracking and prev_move is not None:
-                assert (loc, action.to) != (prev_move[1], prev_move[0]), (
+                assert (loc, ant.location) != (prev_move[1], prev_move[0]), (
                     f"tracking backtrack at tick {tick}"
                 )
-            prev_move = (loc, action.to)
+            prev_move = (loc, ant.location)
         else:
             prev_move = None
 
@@ -154,8 +143,8 @@ def test_ants_never_modify_pheromones(grid4x4):
     before = field.snapshot()
     ant = AntState(0, location=2)
     rng = random.Random(4)
-    for tick in range(200):
-        ant_step(ant, grid4x4, field, PARAMS, rng, tick)
+    for _ in range(200):
+        ant_step(ant, grid4x4, field, PARAMS, rng)
     assert field.snapshot() == before
 
 
@@ -166,7 +155,10 @@ def test_trajectory_deterministic(grid4x4):
     def trajectory(seed):
         ant = AntState(0, location=0)
         rng = random.Random(seed)
-        return [ant_step(ant, grid4x4, field, PARAMS, rng, t) for t in range(100)]
+        return [
+            (ant_step(ant, grid4x4, field, PARAMS, rng), ant.location, ant.mode)
+            for _ in range(100)
+        ]
 
     assert trajectory(5) == trajectory(5)
     assert trajectory(5) != trajectory(6)
@@ -182,8 +174,7 @@ def test_proportional_choice_weights_levels(star10):
     counts = Counter()
     for seed in range(300):
         ant = AntState(0, location=0)
-        action = ant_step(
-            ant, star10, field, PARAMS, random.Random(seed), tick=0, choice="proportional"
-        )
-        counts[action.to] += 1
+        ant_step(ant, star10, field, PARAMS, random.Random(seed), choice="proportional")
+        counts[ant.location] += 1
     assert counts[1] > counts[2] > 0
+

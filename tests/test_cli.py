@@ -2,6 +2,7 @@ import math
 import os
 import re
 import stat
+import statistics
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,31 @@ def test_unwritable_output_dir(tmp_path):
         blocked.chmod(stat.S_IRWXU)
 
 
+def test_failed_write_keeps_existing_outputs(tmp_path, monkeypatch):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert not before["metrics.csv"].endswith(b",,\n")  # node 3 was declared
+    write_text = Path.write_text
+    calls = []
+
+    def fail_second_write(self, data, *args, **kwargs):
+        # the second file gets half its content, then the disk fills up
+        calls.append(self)
+        if len(calls) == 2:
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_second_write)
+    # a one-tick run declares nothing, so every output file would change
+    code = main(["run", "--scenario", str(scenario), "--out", str(out), "--set", "max_ticks=1"])
+    assert code == 3
+    assert len(calls) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_trace_fig1_values(tmp_path):
     out = tmp_path / "fig1.csv"
     assert main(["trace", "--mode", "fig1", "--out", str(out)]) == 0
@@ -232,6 +258,12 @@ def test_trace_custom_params(tmp_path):
     ) == 2
 
 
+AGGREGATE_HEADER = (
+    "seed,all_identified_tick,median_all_identified_tick,min_all_identified_tick,"
+    "max_all_identified_tick,never_identified"
+)
+
+
 def test_sweep_single_seed_matches_run(tmp_path):
     scenario = small_scenario(tmp_path)
     sweep_out = tmp_path / "sweep"
@@ -240,8 +272,10 @@ def test_sweep_single_seed_matches_run(tmp_path):
     assert main(["run", "--scenario", str(scenario), "--out", str(run_out), "--seed", "7"]) == 0
     assert (sweep_out / "metrics_seed7.csv").read_text() == (run_out / "metrics.csv").read_text()
     agg = (sweep_out / "aggregate.csv").read_text().strip().split("\n")
-    assert agg[0] == "seed,all_identified_tick,latency_median,latency_min,latency_max"
+    assert agg[0] == AGGREGATE_HEADER
     assert len(agg) == 3  # header, one seed, summary
+    tick = agg[1].split(",")[1]
+    assert agg[2] == f"summary,,{tick},{tick},{tick},0"
 
 
 def test_sweep_range_and_aggregate(tmp_path):
@@ -249,18 +283,30 @@ def test_sweep_range_and_aggregate(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..5"]) == 0
     agg = (out / "aggregate.csv").read_text().strip().split("\n")
+    assert agg[0] == AGGREGATE_HEADER
     assert len(agg) == 7  # header + 5 seeds + summary
     summary = agg[-1].split(",")
-    assert summary[0] == "summary"
+    assert summary[:2] == ["summary", ""]
     ticks = []
     for row in agg[1:-1]:
-        seed, tick, *_ = row.split(",")
+        seed, tick, *stats = row.split(",")
+        assert stats == ["", "", "", ""]
         assert (out / f"metrics_seed{seed}.csv").exists()
-        if tick:
-            ticks.append(int(tick))
-    if ticks:
-        assert float(summary[3]) == min(ticks)
-        assert float(summary[4]) == max(ticks)
+        ticks.append(math.inf if tick == "" else int(tick))
+    assert float(summary[2]) == statistics.median(ticks)
+    assert float(summary[3]) == min(ticks)
+    assert float(summary[4]) == max(ticks)
+    assert int(summary[5]) == ticks.count(math.inf)
+
+
+def test_sweep_counts_never_identified_seeds_as_infinite(tmp_path):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..3",
+                 "--set", "max_ticks=1"])
+    assert code == 0
+    agg = (out / "aggregate.csv").read_text().strip().split("\n")
+    assert agg[1:] == ["1,,,,,", "2,,,,,", "3,,,,,", "summary,,inf,inf,inf,3"]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

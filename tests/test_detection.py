@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from anttrack.detection import DetectorModel, Verdict, inspect_at_hop
+from anttrack.detection import DetectorModel, inspect_at_hop
 from anttrack.traffic import Packet
 
 
@@ -21,37 +21,44 @@ def test_detector_validation(prob):
 
 def test_certain_detection_at_first_hop():
     detector = DetectorModel(detect_prob=1.0)
-    verdict = inspect_at_hop(make_packet(True), 1, detector, random.Random(0))
-    assert verdict is Verdict.MALICIOUS_DETECTED
+    assert inspect_at_hop(make_packet(True), 1, detector, random.Random(0)) is True
 
 
 def test_clean_packet_delivered():
     detector = DetectorModel(false_positive_prob=0.0)
     pkt = make_packet(False)
-    assert inspect_at_hop(pkt, 1, detector, random.Random(0)) is None
-    assert inspect_at_hop(pkt, 2, detector, random.Random(0)) is Verdict.CLEAN_DELIVERED
+    assert inspect_at_hop(pkt, 1, detector, random.Random(0)) is False
+    assert inspect_at_hop(pkt, 2, detector, random.Random(0)) is False
 
 
 def test_zero_detect_prob_always_misses():
     detector = DetectorModel(detect_prob=0.0)
     pkt = make_packet(True)
     for node in (1, 2):
-        assert inspect_at_hop(pkt, node, detector, random.Random(0)) is Verdict.MALICIOUS_MISSED
+        assert inspect_at_hop(pkt, node, detector, random.Random(0)) is False
 
 
 def test_false_positive_flags_at_delivery():
     detector = DetectorModel(false_positive_prob=1.0)
     pkt = make_packet(False)
-    assert inspect_at_hop(pkt, 1, detector, random.Random(0)) is None
-    assert inspect_at_hop(pkt, 2, detector, random.Random(0)) is Verdict.MALICIOUS_DETECTED
+    assert inspect_at_hop(pkt, 1, detector, random.Random(0)) is False
+    assert inspect_at_hop(pkt, 2, detector, random.Random(0)) is True
 
 
 def test_intermediate_clean_hop_consumes_no_randomness():
     detector = DetectorModel(false_positive_prob=0.5)
     rng = random.Random(42)
     before = rng.getstate()
-    inspect_at_hop(make_packet(False), 1, detector, rng)
+    assert inspect_at_hop(make_packet(False), 1, detector, rng) is False
     assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("prob", [0.0, 1.0])
+def test_malicious_hop_consumes_one_draw(prob):
+    rng, reference = random.Random(42), random.Random(42)
+    inspect_at_hop(make_packet(True), 1, DetectorModel(detect_prob=prob), rng)
+    reference.random()
+    assert rng.getstate() == reference.getstate()
 
 
 def test_detection_hop_deterministic_per_seed():
@@ -63,7 +70,7 @@ def test_detection_hop_deterministic_per_seed():
         for _ in range(50):
             pkt = make_packet(True)
             for node in (1, 2):
-                if inspect_at_hop(pkt, node, detector, rng) is Verdict.MALICIOUS_DETECTED:
+                if inspect_at_hop(pkt, node, detector, rng):
                     hops.append(node)
                     break
             else:
@@ -82,8 +89,7 @@ def test_detected_fraction_matches_probability():
     rng = random.Random(123)
     pkt = Packet(0, source=0, destination=1, malicious=True, route=(0, 1))
     detected = sum(
-        inspect_at_hop(pkt, 1, detector, rng) is Verdict.MALICIOUS_DETECTED
-        for _ in range(n)
+        inspect_at_hop(pkt, 1, detector, rng) for _ in range(n)
     )
     bound = 3 * math.sqrt(q * (1 - q) / n)
     assert abs(detected / n - q) <= bound

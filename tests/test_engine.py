@@ -58,10 +58,10 @@ def test_three_node_golden_run():
 def test_run_is_deterministic():
     m1, log1 = run(small_config())
     m2, log2 = run(small_config())
-    assert log1.render() == log2.render()
+    assert log1 == log2
     assert metrics_to_csv(m1) == metrics_to_csv(m2)
     _, log3 = run(small_config(seed=43))
-    assert log1.render() != log3.render()
+    assert log1 != log3
 
 
 def test_zero_ants_no_declarations_field_still_evolves():

@@ -12,14 +12,12 @@ from anttrack.topology import (
     SameNode,
     SelfLoop,
     dump_topology,
-    is_valid_route,
     load_topology,
-    reverse_route,
     shortest_route,
 )
 from anttrack.engine import generate_random_topology
 
-from conftest import grid_topology, path_topology
+from conftest import grid_topology, is_valid_route, path_topology, reverse_route
 
 
 def bfs_distance(topo: NetworkTopology, src: int, dst: int) -> int:
@@ -203,3 +201,25 @@ def test_reverse_route_involution(hops):
 def test_reversed_route_still_valid(path10):
     route = shortest_route(path10, 0, 9)
     assert is_valid_route(path10, reverse_route(route))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph of at most 12 nodes: a random spanning tree plus
+    extra edges."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges |= draw(st.sets(pair, max_size=20))
+    return NetworkTopology.from_edges(n, sorted(edges))
+
+
+@given(connected_graphs())
+def test_route_matches_networkx_oracle(topo):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph(sorted(topo.edges))
+    for src in range(topo.node_count):
+        for dst in range(topo.node_count):
+            if src != dst:
+                oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
+                assert shortest_route(topo, src, dst) == oracle

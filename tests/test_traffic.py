@@ -7,11 +7,15 @@ from anttrack.topology import shortest_route
 from anttrack.traffic import (
     AlreadyInfected,
     InfectionState,
-    NotInfected,
     RouteMemo,
     TrafficRates,
     generate_tick_traffic,
 )
+
+
+def fresh_traffic(topology, infection, rates, rng, first_id):
+    """One tick of traffic routed through a memo of its own."""
+    return generate_tick_traffic(topology, infection, rates, rng, first_id, RouteMemo(topology))
 
 
 def test_rates_validation():
@@ -23,7 +27,7 @@ def test_rates_validation():
 
 def test_no_traffic(path10):
     rates = TrafficRates(good_packets_per_tick=0, attack_packets_per_infected_per_tick=1)
-    packets = generate_tick_traffic(path10, InfectionState(), rates, random.Random(0), 0)
+    packets = fresh_traffic(path10, InfectionState(), rates, random.Random(0), 0)
     assert packets == []
 
 
@@ -31,7 +35,7 @@ def test_attack_packet_counts(path10):
     infection = InfectionState()
     infection.infect(4, 0)
     rates = TrafficRates(good_packets_per_tick=0, attack_packets_per_infected_per_tick=2)
-    packets = generate_tick_traffic(path10, infection, rates, random.Random(0), 0)
+    packets = fresh_traffic(path10, infection, rates, random.Random(0), 0)
     assert len(packets) == 2
     assert all(p.malicious and p.source == 4 for p in packets)
 
@@ -41,7 +45,7 @@ def test_generation_order_and_ids(star10):
     infection.infect(7, 0)
     infection.infect(2, 0)
     rates = TrafficRates(good_packets_per_tick=3, attack_packets_per_infected_per_tick=2)
-    packets = generate_tick_traffic(star10, infection, rates, random.Random(5), 10)
+    packets = fresh_traffic(star10, infection, rates, random.Random(5), 10)
     assert [p.id for p in packets] == list(range(10, 17))
     assert [p.malicious for p in packets] == [False] * 3 + [True] * 4
     # infected nodes emit in ascending node order
@@ -52,7 +56,7 @@ def test_packets_carry_shortest_routes(grid4x4):
     infection = InfectionState()
     infection.infect(0, 0)
     rates = TrafficRates(good_packets_per_tick=20, attack_packets_per_infected_per_tick=3)
-    for pkt in generate_tick_traffic(grid4x4, infection, rates, random.Random(3), 0):
+    for pkt in fresh_traffic(grid4x4, infection, rates, random.Random(3), 0):
         assert pkt.position == 0
         assert pkt.source != pkt.destination
         assert pkt.route == shortest_route(grid4x4, pkt.source, pkt.destination)
@@ -66,7 +70,7 @@ def test_route_memo_keeps_traffic_unchanged(grid4x4):
     rng_memo, rng_fresh = random.Random(4), random.Random(4)
     for tick in range(20):
         assert generate_tick_traffic(grid4x4, infection, rates, rng_memo, 0, memo) == (
-            generate_tick_traffic(grid4x4, infection, rates, rng_fresh, 0)
+            fresh_traffic(grid4x4, infection, rates, rng_fresh, 0)
         )
     route = memo.route(0, 15)
     assert memo.route(0, 15) is route == shortest_route(grid4x4, 0, 15)
@@ -78,16 +82,16 @@ def test_identical_seeds_identical_traffic():
     infection = InfectionState()
     infection.infect(3, 0)
     rates = TrafficRates(good_packets_per_tick=8, attack_packets_per_infected_per_tick=2)
-    a = generate_tick_traffic(topo, infection, rates, random.Random(77), 0)
-    b = generate_tick_traffic(topo, infection, rates, random.Random(77), 0)
+    a = fresh_traffic(topo, infection, rates, random.Random(77), 0)
+    b = fresh_traffic(topo, infection, rates, random.Random(77), 0)
     assert a == b
-    c = generate_tick_traffic(topo, infection, rates, random.Random(78), 0)
+    c = fresh_traffic(topo, infection, rates, random.Random(78), 0)
     assert a != c
 
 
 def test_good_packets_never_malicious(path10):
     rates = TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=1)
-    packets = generate_tick_traffic(path10, InfectionState(), rates, random.Random(9), 0)
+    packets = fresh_traffic(path10, InfectionState(), rates, random.Random(9), 0)
     assert len(packets) == 50
     assert not any(p.malicious for p in packets)
 
@@ -97,7 +101,7 @@ def test_malicious_sources_are_infected(star10):
     for node in (1, 5):
         infection.infect(node, 0)
     rates = TrafficRates(good_packets_per_tick=10, attack_packets_per_infected_per_tick=3)
-    for pkt in generate_tick_traffic(star10, infection, rates, random.Random(2), 0):
+    for pkt in fresh_traffic(star10, infection, rates, random.Random(2), 0):
         if pkt.malicious:
             assert pkt.source in infection.infected
 
@@ -115,23 +119,3 @@ def test_double_infect_rejected():
     with pytest.raises(AlreadyInfected):
         infection.infect(3, 5)
 
-
-def test_disinfect():
-    infection = InfectionState()
-    infection.infect(3, 0)
-    infection.disinfect(3)
-    assert infection.infected == set()
-    assert infection.infection_tick == {}
-
-
-def test_disinfect_missing_rejected():
-    with pytest.raises(NotInfected):
-        InfectionState().disinfect(7)
-
-
-def test_reinfection_after_disinfect():
-    infection = InfectionState()
-    infection.infect(3, 0)
-    infection.disinfect(3)
-    infection.infect(3, 100)
-    assert infection.infection_tick[3] == 100

@@ -4,7 +4,13 @@ from collections import Counter
 
 from anttrack.detection import DetectorModel
 from anttrack.pheromone import PheromoneEvent, PheromoneField, PheromoneParams
-from anttrack.traffic import InfectionState, Packet, TrafficRates, generate_tick_traffic
+from anttrack.traffic import (
+    InfectionState,
+    Packet,
+    RouteMemo,
+    TrafficRates,
+    generate_tick_traffic,
+)
 from anttrack.transport import (
     ConfirmationPacket,
     InFlight,
@@ -126,13 +132,14 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
     rates = TrafficRates(good_packets_per_tick=6, attack_packets_per_infected_per_tick=2)
     field = PheromoneField(grid4x4)
     state = InFlight()
+    routes = RouteMemo(grid4x4)
 
     spawned_ids = []
     confirm_ids = []
     next_id = 0
     for tick in range(60):
         if tick < 40:  # stop injecting so everything drains
-            packets = generate_tick_traffic(grid4x4, infection, rates, rng, next_id)
+            packets = generate_tick_traffic(grid4x4, infection, rates, rng, next_id, routes)
             next_id += len(packets)
             spawned_ids.extend(p.id for p in packets)
             state.packets.extend(packets)
