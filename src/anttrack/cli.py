@@ -12,6 +12,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import engine
@@ -235,7 +236,8 @@ def _sweep_one(config: engine.SimulationConfig) -> engine.Metrics:
 def cmd_sweep(args) -> int:
     data = _load_scenario_file(Path(args.scenario), args.set or [])
     seeds = _expand_seeds(args.seeds)
-    configs = [build_config(data, seed) for seed in seeds]
+    # a sweep keeps only the metrics, so its runs build no event log
+    configs = [replace(build_config(data, seed), log=False) for seed in seeds]
 
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:

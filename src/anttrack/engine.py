@@ -3,11 +3,11 @@
 Intra-tick order is fixed: (1) scripted infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
 (inspections; confirmations spawned here first move next tick), (5) field
-digest, (6) agent steps against the now-stable field in ant_id order,
-(7) the tick's declarations, in ant_id order.  A run is a pure function of
-its config: the master seed derives independent substreams per role, so
-traffic and detection randomness do not depend on how many agents are
-deployed.
+digest, in runs that build the event log, (6) agent steps against the
+now-stable field in ant_id order, (7) the tick's declarations, in ant_id
+order.  A run is a pure function of its config: the master seed derives
+independent substreams per role, so traffic and detection randomness do
+not depend on how many agents are deployed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ def derive_rng(master_seed: int, tag: str) -> random.Random:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One run's inputs.  ``log`` says whether ``run`` builds the event log:
+    with ``log=False`` it formats no record line and computes no FIELD
+    digest, and returns ``None`` in place of the log.  The metrics are the
+    same either way."""
+
     topology: NetworkTopology
     params: PheromoneParams = PheromoneParams()
     rates: TrafficRates = TrafficRates()
@@ -46,6 +51,7 @@ class SimulationConfig:
     max_ticks: int = 1000
     seed: int = 0
     ant_choice: str = "greedy"
+    log: bool = True
 
     def validate(self) -> None:
         n = self.topology.node_count
@@ -85,9 +91,10 @@ def _field_digest(pheromones: PheromoneField) -> str:
     return hashlib.sha1(pheromones.records()).hexdigest()[:16]
 
 
-def run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
+def run(config: SimulationConfig) -> tuple[Metrics, list[str] | None]:
     """Execute max_ticks ticks of the scenario and return its metrics and
-    event log: tick-stamped PKT/PHERO/FIELD/ANT/DECL record lines."""
+    event log: tick-stamped PKT/PHERO/FIELD/ANT/DECL record lines, or
+    ``None`` when ``config.log`` is false."""
     config.validate()
     topo = config.topology
     traffic_rng = derive_rng(config.seed, "traffic")
@@ -106,7 +113,7 @@ def run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    log: list[str] = []
+    log: list[str] | None = [] if config.log else None
     metrics = Metrics()
     next_packet_id = 0
 
@@ -119,35 +126,39 @@ def run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
             topo, infection, config.rates, traffic_rng, next_packet_id, routes
         )
         next_packet_id += len(new_packets)
-        for pkt in new_packets:
-            log.append(
-                f"PKT,{tick},spawn,{pkt.id},{pkt.source},{pkt.destination},"
-                f"{1 if pkt.malicious else 0}"
-            )
+        if log is not None:
+            for pkt in new_packets:
+                log.append(
+                    f"PKT,{tick},spawn,{pkt.id},{pkt.source},{pkt.destination},"
+                    f"{1 if pkt.malicious else 0}"
+                )
         inflight.packets.extend(new_packets)
 
         updates = advance_confirmations(inflight, pheromones, config.params)
-        for u, v, kind, value in updates:
-            log.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
+        if log is not None:
+            for u, v, kind, value in updates:
+                log.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
 
         spawned, outcomes = advance_packets(inflight, topo, config.detector, detect_rng)
-        for out in outcomes:
-            log.append(f"PKT,{tick},{out.event},{out.packet_id},{out.node}")
         inflight.confirmations.extend(spawned)
-
-        log.append(f"FIELD,{tick},{_field_digest(pheromones)}")
+        if log is not None:
+            for out in outcomes:
+                log.append(f"PKT,{tick},{out.event},{out.packet_id},{out.node}")
+            log.append(f"FIELD,{tick},{_field_digest(pheromones)}")
 
         declared: list[tuple[int, int]] = []
         for ant in ants:
             node = ant_step(
                 ant, topo, pheromones, config.params, ant_rngs[ant.ant_id], config.ant_choice
             )
-            log.append(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}")
+            if log is not None:
+                log.append(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}")
             if node is not None:
                 declared.append((ant.ant_id, node))
 
         for ant_id, node in declared:
-            log.append(f"DECL,{tick},{ant_id},{node}")
+            if log is not None:
+                log.append(f"DECL,{tick},{ant_id},{node}")
             if node in infection.infected:
                 metrics.first_declaration_tick.setdefault(node, tick)
             elif node not in (n for n, _ in metrics.false_declarations):

@@ -42,7 +42,7 @@ def report(criterion: int, detail: str) -> None:
     print(f"\ncriterion {criterion}: PASS — {detail}")
 
 
-def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000):
+def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000, log=True):
     topology = generate_random_topology(75, 0.02, derive_rng(seed, "topology"))
     return SimulationConfig(
         topology=topology,
@@ -52,6 +52,7 @@ def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000):
         scripted_infections=scripted,
         max_ticks=max_ticks,
         seed=seed,
+        log=log,
     )
 
 
@@ -198,6 +199,7 @@ def test_criterion_4_identification_on_fixtures():
                 initial_infected=frozenset({infected}),
                 max_ticks=1000,
                 seed=seed,
+                log=False,
             )
             metrics, _ = run(config)
             assert metrics.false_declarations == [], (name, seed)
@@ -210,7 +212,9 @@ def test_criterion_4_identification_on_fixtures():
 
 def test_criterion_5_identification_latency_ballpark():
     start = time.monotonic()
-    ticks = [run(default75_config(seed)) [0].all_identified_tick for seed in range(1, 21)]
+    ticks = [
+        run(default75_config(seed, log=False))[0].all_identified_tick for seed in range(1, 21)
+    ]
     elapsed = time.monotonic() - start
     median = median_with_failures(ticks)
     assert 10 <= median <= 200
@@ -222,7 +226,7 @@ def test_criterion_5_identification_latency_ballpark():
 def test_criterion_6_reinfection_latency_ballpark():
     latencies = []
     for seed in range(1, 21):
-        metrics, _ = run(default75_config(seed, scripted=((300, 40),), max_ticks=600))
+        metrics, _ = run(default75_config(seed, scripted=((300, 40),), max_ticks=600, log=False))
         declared = metrics.first_declaration_tick.get(40)
         latencies.append(None if declared is None else declared - 300)
     median = median_with_failures(latencies)

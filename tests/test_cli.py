@@ -321,10 +321,9 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / name).read_text() == (parallel / name).read_text()
 
 
-@pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, 2), (8, 64, 3), (8, 2, 2), (1, 64, None)])
-def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
-    # record the pool size instead of starting any worker process
-    sizes = []
+def in_process_pool(sizes: list[int]) -> type:
+    """A stand-in for ProcessPoolExecutor that appends its size to ``sizes``
+    and maps in this process, so no worker process starts."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -339,7 +338,13 @@ def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+@pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, 2), (8, 64, 3), (8, 2, 2), (1, 64, None)])
+def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     scenario = small_scenario(tmp_path)
     out = tmp_path / "sweep"
@@ -348,6 +353,32 @@ def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
     assert code == 0
     assert sizes == ([] if expected is None else [expected])
     assert (out / "metrics_seed3.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, jobs):
+    configs = []
+    real_run = cli.engine.run
+
+    def recording_run(config):
+        configs.append(config)
+        return real_run(config)
+
+    sizes = []
+    monkeypatch.setattr(cli.engine, "run", recording_run)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    scenario = small_scenario(tmp_path)
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
+                 "--seeds", "1..3", "--jobs", str(jobs), "--set", "max_ticks=10"])
+    assert code == 0
+    assert sizes == ([] if jobs == 1 else [2])
+    assert [(c.seed, c.log) for c in configs] == [(1, False), (2, False), (3, False)]
+
+    configs.clear()
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    assert [c.log for c in configs] == [True]
+    assert (tmp_path / "run" / "events.log").stat().st_size > 0
 
 
 def test_sweep_bad_seed_token(tmp_path, capsys):

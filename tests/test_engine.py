@@ -1,7 +1,12 @@
+import gc
 import random
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from anttrack import cli
 from anttrack.detection import DetectorModel
 from anttrack.engine import (
     InvalidConfig,
@@ -14,9 +19,29 @@ from anttrack.engine import (
 )
 from anttrack.pheromone import PheromoneParams
 from anttrack.topology import NetworkTopology
-from anttrack.traffic import TrafficRates
+from anttrack.traffic import RouteMemo, TrafficRates
 
 from conftest import path_topology, star_topology
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def scenario_config(name, overrides=()):
+    path = SCENARIOS / f"{name}.scn"
+    data = cli.parse_scenario(path.read_text(encoding="utf-8"), path.parent)
+    cli.apply_overrides(data, overrides)
+    return cli.build_config(data)
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while fn runs, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_config(**overrides):
@@ -138,6 +163,59 @@ def test_all_identified_recomputed_for_late_infection():
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfig):
         run(tiny_config(**overrides))
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("star10", []),
+        ("reinfection75", ["max_ticks=400"]),
+        ("default75", ["max_ticks=150"]),
+        ("default75", ["max_ticks=150", "ant_choice=proportional"]),
+        ("default75", ["max_ticks=300", "detect_prob=0.5", "false_positive_prob=0.02"]),
+    ],
+)
+def test_log_free_run_has_the_same_metrics(scenario, overrides):
+    config = scenario_config(scenario, overrides)
+    logged, log = run(config)
+    quiet, no_log = run(replace(config, log=False))
+    assert log
+    assert no_log is None
+    assert quiet == logged
+
+
+def test_log_free_run_memory_stays_flat():
+    """A log-free default75 run peaks at the same memory over 4N ticks as
+    over N, give or take what the route memo adds.
+
+    Beyond its inputs, a log-free run holds three things. The route memo
+    holds at most one route per ordered node pair (75 x 74 here) and one
+    distance table per destination. The in-flight set holds only packets
+    and confirmations younger than the network's diameter, since each moves
+    one hop per tick and traffic enters at a fixed rate. The metrics hold at
+    most one entry per node. Between N and 4N ticks, then, the peak can grow
+    by no more than the part of the memo still unfilled at N, which is less
+    than a full memo (about 1.2 MB, measured below; the run grows by about
+    0.4 MB). A logged run keeps every record line, about 300 lines or 25 kB
+    of strings per tick, so its peak still grows with max_ticks: by about
+    15 MB over the 3N extra ticks here. Streaming the log to a file is out
+    of scope.
+    """
+    n = 200
+    config = scenario_config("default75")
+    topo = config.topology
+
+    def fill_memo():
+        memo = RouteMemo(topo)
+        for src in range(topo.node_count):
+            for dst in range(topo.node_count):
+                if src != dst:
+                    memo.route(src, dst)
+
+    full_memo = traced_peak(fill_memo)
+    peak_n = traced_peak(lambda: run(replace(config, max_ticks=n, log=False)))
+    peak_4n = traced_peak(lambda: run(replace(config, max_ticks=4 * n, log=False)))
+    assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
 
 
 def test_log_ticks_monotone():
