@@ -6,6 +6,8 @@ connection pointing at the source.  Wandering agents hit those trails,
 follow them down, and declare the node where the trail ends.
 """
 
+import io
+
 from anttrack import (
     NetworkTopology,
     SimulationConfig,
@@ -26,6 +28,7 @@ for r in range(4):
 topology = NetworkTopology.from_edges(16, edges)
 
 INFECTED = 5
+events = io.StringIO()
 config = SimulationConfig(
     topology=topology,
     rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
@@ -33,8 +36,10 @@ config = SimulationConfig(
     initial_infected=frozenset({INFECTED}),
     max_ticks=200,
     seed=11,
+    log=events.write,
 )
-metrics, log = run(config)
+metrics = run(config)
+log = events.getvalue().splitlines()
 
 ##############################################################################
 # The metrics say when the node was found; the log says how.

@@ -5,6 +5,7 @@ recovered from the event log, and how little the agents themselves add to
 network traffic: one hop per agent per tick plus the declaration reports.
 """
 
+import io
 import statistics
 
 from anttrack import (
@@ -18,6 +19,7 @@ from anttrack import (
 
 SEED = 42
 topology = generate_random_topology(75, 0.02, derive_rng(SEED, "topology"))
+events = io.StringIO()
 config = SimulationConfig(
     topology=topology,
     rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
@@ -25,10 +27,12 @@ config = SimulationConfig(
     initial_infected=frozenset({5, 23, 61}),
     max_ticks=1000,
     seed=SEED,
+    log=events.write,
 )
 print(f"topology: 75 nodes, {len(topology.edges)} connections, seed {SEED}")
 
-metrics, log = run(config)
+metrics = run(config)
+log = events.getvalue().splitlines()
 
 ##############################################################################
 # Identification results.

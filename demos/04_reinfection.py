@@ -28,7 +28,7 @@ for seed in range(1, 11):
         max_ticks=600,
         seed=seed,
     )
-    metrics, _ = run(config)
+    metrics = run(config)
     declared = metrics.first_declaration_tick.get(NEW_NODE)
     latency = None if declared is None else declared - AT_TICK
     latencies.append(latency)

@@ -11,6 +11,7 @@ import math
 import os
 import statistics
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -168,18 +169,29 @@ def _load_scenario_file(path: Path, overrides: list[str]) -> dict:
     return data
 
 
-def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
+def _temp_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = ()) -> None:
     """Write all output files: each goes to a temp file beside its target,
     and the temp files replace their targets only once every one is
-    complete.  On a failure while writing, the temp files are removed and
-    existing outputs keep their old contents."""
+    complete.  ``staged`` names further targets whose temp files the caller
+    has already written in full; they are replaced along with the rest.  On
+    a failure while writing, the temp files are removed and existing
+    outputs keep their old contents.  Two outputs with one target are
+    rejected before anything is written."""
+    targets = [path for path, _ in outputs] + list(staged)
+    shared = sorted(str(path) for path, k in Counter(targets).items() if k > 1)
+    if shared:
+        raise ValueError(f"outputs share a target path: {shared}")
     temps: list[Path] = []
     try:
         for path, content in outputs:
             path.parent.mkdir(parents=True, exist_ok=True)
-            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            temps.append(_temp_path(path))
             temps[-1].write_text(content, encoding="utf-8")
-        for tmp, (path, _) in zip(temps, outputs):
+        for tmp, path in zip(temps + [_temp_path(p) for p in staged], targets):
             os.replace(tmp, path)
     finally:
         for tmp in temps:
@@ -215,36 +227,39 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 def cmd_run(args) -> int:
     data = _load_scenario_file(Path(args.scenario), args.set or [])
     config = build_config(data, args.seed)
-    metrics, log = engine.run(config)
     out_dir = Path(args.out)
-    _write_outputs(
-        [
-            (out_dir / "metrics.csv", engine.metrics_to_csv(metrics)),
-            # a run logs a FIELD line every tick, so the log is never empty
-            (out_dir / "events.log", "\n".join(log) + "\n"),
-            (out_dir / "summary.txt", _summary_text(config, metrics)),
-        ]
-    )
+    events = out_dir / "events.log"
+    events_tmp = _temp_path(events)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        # the log streams to its temp file one tick at a time
+        with open(events_tmp, "w", encoding="utf-8", buffering=1 << 16) as f:
+            metrics = engine.run(replace(config, log=f.write))
+        _write_outputs(
+            [
+                (out_dir / "metrics.csv", engine.metrics_to_csv(metrics)),
+                (out_dir / "summary.txt", _summary_text(config, metrics)),
+            ],
+            staged=(events,),
+        )
+    finally:
+        events_tmp.unlink(missing_ok=True)
     return 0
 
 
-def _sweep_one(config: engine.SimulationConfig) -> engine.Metrics:
-    metrics, _ = engine.run(config)
-    return metrics
-
-
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
     data = _load_scenario_file(Path(args.scenario), args.set or [])
     seeds = _expand_seeds(args.seeds)
-    # a sweep keeps only the metrics, so its runs build no event log
-    configs = [replace(build_config(data, seed), log=False) for seed in seeds]
+    configs = [build_config(data, seed) for seed in seeds]
 
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, configs))
+            results = list(pool.map(engine.run, configs))
     else:
-        results = [_sweep_one(c) for c in configs]
+        results = [engine.run(c) for c in configs]
 
     out_dir = Path(args.out)
     outputs = []
@@ -283,6 +298,9 @@ def _expand_seeds(tokens: list[str]) -> list[int]:
                 seeds.append(int(tok))
             except ValueError:
                 raise ScenarioError(f"bad seed {tok!r}")
+    repeated = sorted(seed for seed, k in Counter(seeds).items() if k > 1)
+    if repeated:
+        raise ScenarioError(f"seeds given more than once: {repeated}")
     return seeds
 
 

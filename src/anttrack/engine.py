@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
@@ -36,10 +37,11 @@ def derive_rng(master_seed: int, tag: str) -> random.Random:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One run's inputs.  ``log`` says whether ``run`` builds the event log:
-    with ``log=False`` it formats no record line and computes no FIELD
-    digest, and returns ``None`` in place of the log.  The metrics are the
-    same either way."""
+    """One run's inputs.  ``log`` is where the event log goes: ``run`` calls
+    it once at the end of each tick with that tick's record lines, each
+    newline-terminated, and keeps none of them.  With ``log=None`` it formats
+    no record line and computes no FIELD digest.  The metrics are the same
+    either way."""
 
     topology: NetworkTopology
     params: PheromoneParams = PheromoneParams()
@@ -51,7 +53,7 @@ class SimulationConfig:
     max_ticks: int = 1000
     seed: int = 0
     ant_choice: str = "greedy"
-    log: bool = True
+    log: Callable[[str], object] | None = None
 
     def validate(self) -> None:
         n = self.topology.node_count
@@ -61,6 +63,8 @@ class SimulationConfig:
             raise InvalidConfig(f"ant_count must be >= 0, got {self.ant_count}")
         if self.ant_choice not in ("greedy", "proportional"):
             raise InvalidConfig(f"ant_choice must be greedy or proportional, got {self.ant_choice!r}")
+        if self.log is not None and not callable(self.log):
+            raise InvalidConfig(f"log must be a callable or None, got {self.log!r}")
         bad = [x for x in self.initial_infected if not 0 <= x < n]
         if bad:
             raise InvalidConfig(f"initial_infected nodes out of range: {sorted(bad)}")
@@ -91,10 +95,10 @@ def _field_digest(pheromones: PheromoneField) -> str:
     return hashlib.sha1(pheromones.records()).hexdigest()[:16]
 
 
-def run(config: SimulationConfig) -> tuple[Metrics, list[str] | None]:
-    """Execute max_ticks ticks of the scenario and return its metrics and
-    event log: tick-stamped PKT/PHERO/FIELD/ANT/DECL record lines, or
-    ``None`` when ``config.log`` is false."""
+def run(config: SimulationConfig) -> Metrics:
+    """Execute max_ticks ticks of the scenario and return its metrics.  With
+    ``config.log`` set, each tick's tick-stamped PKT/PHERO/FIELD/ANT/DECL
+    record lines go to it as one string at the end of that tick."""
     config.validate()
     topo = config.topology
     traffic_rng = derive_rng(config.seed, "traffic")
@@ -113,7 +117,8 @@ def run(config: SimulationConfig) -> tuple[Metrics, list[str] | None]:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    log: list[str] | None = [] if config.log else None
+    # the current tick's record lines, or None when the run keeps no log
+    lines: list[str] | None = [] if config.log is not None else None
     metrics = Metrics()
     next_packet_id = 0
 
@@ -126,50 +131,54 @@ def run(config: SimulationConfig) -> tuple[Metrics, list[str] | None]:
             topo, infection, config.rates, traffic_rng, next_packet_id, routes
         )
         next_packet_id += len(new_packets)
-        if log is not None:
+        if lines is not None:
             for pkt in new_packets:
-                log.append(
+                lines.append(
                     f"PKT,{tick},spawn,{pkt.id},{pkt.source},{pkt.destination},"
                     f"{1 if pkt.malicious else 0}"
                 )
         inflight.packets.extend(new_packets)
 
         updates = advance_confirmations(inflight, pheromones, config.params)
-        if log is not None:
+        if lines is not None:
             for u, v, kind, value in updates:
-                log.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
+                lines.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
 
         spawned, outcomes = advance_packets(inflight, topo, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
-        if log is not None:
+        if lines is not None:
             for out in outcomes:
-                log.append(f"PKT,{tick},{out.event},{out.packet_id},{out.node}")
-            log.append(f"FIELD,{tick},{_field_digest(pheromones)}")
+                lines.append(f"PKT,{tick},{out.event},{out.packet_id},{out.node}")
+            lines.append(f"FIELD,{tick},{_field_digest(pheromones)}")
 
         declared: list[tuple[int, int]] = []
         for ant in ants:
             node = ant_step(
                 ant, topo, pheromones, config.params, ant_rngs[ant.ant_id], config.ant_choice
             )
-            if log is not None:
-                log.append(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}")
+            if lines is not None:
+                lines.append(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}")
             if node is not None:
                 declared.append((ant.ant_id, node))
 
         for ant_id, node in declared:
-            if log is not None:
-                log.append(f"DECL,{tick},{ant_id},{node}")
+            if lines is not None:
+                lines.append(f"DECL,{tick},{ant_id},{node}")
             if node in infection.infected:
                 metrics.first_declaration_tick.setdefault(node, tick)
             elif node not in (n for n, _ in metrics.false_declarations):
                 metrics.false_declarations.append((node, tick))
+
+        if lines is not None:
+            config.log("\n".join(lines) + "\n")
+            lines.clear()
 
     metrics.infection_tick = dict(infection.infection_tick)
     if infection.infected and infection.infected <= metrics.first_declaration_tick.keys():
         metrics.all_identified_tick = max(
             metrics.first_declaration_tick[n] for n in infection.infected
         )
-    return metrics, log
+    return metrics
 
 
 def generate_random_topology(

@@ -1,5 +1,9 @@
+import io
+from dataclasses import replace
+
 import pytest
 
+from anttrack.engine import Metrics, SimulationConfig, run
 from anttrack.topology import NetworkTopology, Route
 
 
@@ -33,6 +37,14 @@ def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
     if len(route) < 2 or len(set(route)) != len(route):
         return False
     return all(topo.has_edge(a, b) for a, b in zip(route, route[1:]))
+
+
+def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
+    """Run with the event log streamed into memory; the metrics and the
+    log's record lines."""
+    log = io.StringIO()
+    metrics = run(replace(config, log=log.write))
+    return metrics, log.getvalue().splitlines()
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from anttrack.pheromone import (
 )
 from anttrack.traffic import TrafficRates
 
-from conftest import grid_topology, path_topology, star_topology
+from conftest import grid_topology, logged_run, path_topology, star_topology
 
 GOOD, BAD = PheromoneEvent.GOOD, PheromoneEvent.BAD
 DEFAULTS = PheromoneParams()
@@ -42,7 +42,7 @@ def report(criterion: int, detail: str) -> None:
     print(f"\ncriterion {criterion}: PASS — {detail}")
 
 
-def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000, log=True):
+def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000):
     topology = generate_random_topology(75, 0.02, derive_rng(seed, "topology"))
     return SimulationConfig(
         topology=topology,
@@ -52,13 +52,12 @@ def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000, log=True):
         scripted_infections=scripted,
         max_ticks=max_ticks,
         seed=seed,
-        log=log,
     )
 
 
 @pytest.fixture(scope="module")
 def default_run():
-    return run(default75_config(seed=42))
+    return logged_run(default75_config(seed=42))
 
 
 def median_with_failures(values):
@@ -199,9 +198,8 @@ def test_criterion_4_identification_on_fixtures():
                 initial_infected=frozenset({infected}),
                 max_ticks=1000,
                 seed=seed,
-                log=False,
             )
-            metrics, _ = run(config)
+            metrics = run(config)
             assert metrics.false_declarations == [], (name, seed)
             assert metrics.first_declaration_tick.keys() == {infected}, (name, seed)
             ticks.append(metrics.first_declaration_tick[infected])
@@ -213,7 +211,7 @@ def test_criterion_4_identification_on_fixtures():
 def test_criterion_5_identification_latency_ballpark():
     start = time.monotonic()
     ticks = [
-        run(default75_config(seed, log=False))[0].all_identified_tick for seed in range(1, 21)
+        run(default75_config(seed)).all_identified_tick for seed in range(1, 21)
     ]
     elapsed = time.monotonic() - start
     median = median_with_failures(ticks)
@@ -226,7 +224,7 @@ def test_criterion_5_identification_latency_ballpark():
 def test_criterion_6_reinfection_latency_ballpark():
     latencies = []
     for seed in range(1, 21):
-        metrics, _ = run(default75_config(seed, scripted=((300, 40),), max_ticks=600, log=False))
+        metrics = run(default75_config(seed, scripted=((300, 40),), max_ticks=600))
         declared = metrics.first_declaration_tick.get(40)
         latencies.append(None if declared is None else declared - 300)
     median = median_with_failures(latencies)
@@ -289,7 +287,7 @@ def test_criterion_8_bandwidth_accounting(default_run):
 
 def test_criterion_9_determinism(default_run):
     metrics_a, log_a = default_run
-    metrics_b, log_b = run(default75_config(seed=42))
+    metrics_b, log_b = logged_run(default75_config(seed=42))
     assert log_a == log_b
     assert metrics_to_csv(metrics_a) == metrics_to_csv(metrics_b)
     report(9, f"byte-identical metrics and {len(log_a)}-line event log on repeat run")
@@ -297,7 +295,7 @@ def test_criterion_9_determinism(default_run):
 
 def test_criterion_10_agents_do_not_perturb_the_field(default_run):
     _, log_with = default_run
-    _, log_without = run(default75_config(seed=42, ant_count=0))
+    _, log_without = logged_run(default75_config(seed=42, ant_count=0))
     field_with = [line for line in log_with if line.startswith("FIELD,")]
     field_without = [line for line in log_without if line.startswith("FIELD,")]
     assert len(field_with) == 1000

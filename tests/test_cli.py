@@ -183,6 +183,31 @@ def test_failed_write_keeps_existing_outputs(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["events.log", "metrics.csv", "summary.txt"]
+    real_step = cli.engine.ant_step
+    calls = []
+    temps_seen = []
+
+    def fail_150th_step(*args, **kwargs):
+        # two agents, so this is tick 74 of 120, with the log streaming
+        calls.append(1)
+        if len(calls) == 150:
+            temps_seen.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
+            raise OSError("disk went away")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli.engine, "ant_step", fail_150th_step)
+    assert main(["run", "--scenario", str(scenario), "--out", str(out), "--seed", "8"]) == 3
+    assert len(calls) == 150
+    assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_trace_fig1_values(tmp_path):
     out = tmp_path / "fig1.csv"
     assert main(["trace", "--mode", "fig1", "--out", str(out)]) == 0
@@ -373,12 +398,49 @@ def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, j
                  "--seeds", "1..3", "--jobs", str(jobs), "--set", "max_ticks=10"])
     assert code == 0
     assert sizes == ([] if jobs == 1 else [2])
-    assert [(c.seed, c.log) for c in configs] == [(1, False), (2, False), (3, False)]
+    assert [(c.seed, c.log) for c in configs] == [(1, None), (2, None), (3, None)]
 
     configs.clear()
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
-    assert [c.log for c in configs] == [True]
+    assert len(configs) == 1 and callable(configs[0].log)
     assert (tmp_path / "run" / "events.log").stat().st_size > 0
+
+
+@pytest.mark.parametrize("seeds", [["1", "1"], ["1..2", "2"]])
+def test_sweep_repeated_seed_rejected(tmp_path, monkeypatch, capsys, seeds):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", *seeds]) == 2
+    assert "seeds given more than once: [" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2",
+                 "--jobs", jobs])
+    assert code == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+def test_write_outputs_rejects_a_shared_target(tmp_path):
+    target = tmp_path / "out" / "a.csv"
+    with pytest.raises(ValueError, match="share a target"):
+        cli._write_outputs([(target, "first\n"), (tmp_path / "out" / "b.csv", "b\n"),
+                            (target, "second\n")])
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="share a target"):
+        cli._write_outputs([(target, "first\n")], staged=(target,))
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_bad_seed_token(tmp_path, capsys):

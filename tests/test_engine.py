@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from anttrack.pheromone import PheromoneParams
 from anttrack.topology import NetworkTopology
 from anttrack.traffic import RouteMemo, TrafficRates
 
-from conftest import path_topology, star_topology
+from conftest import logged_run, path_topology, star_topology
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -71,7 +72,7 @@ def small_config(**overrides):
 
 
 def test_three_node_golden_run():
-    metrics, _ = run(tiny_config())
+    metrics = run(tiny_config())
     # pinned from the seeded run: attack trail edges above threshold from
     # tick 1, then the ant needs a fresh-direction arrival at node 1 before
     # it can walk the trail down to node 0
@@ -81,16 +82,16 @@ def test_three_node_golden_run():
 
 
 def test_run_is_deterministic():
-    m1, log1 = run(small_config())
-    m2, log2 = run(small_config())
+    m1, log1 = logged_run(small_config())
+    m2, log2 = logged_run(small_config())
     assert log1 == log2
     assert metrics_to_csv(m1) == metrics_to_csv(m2)
-    _, log3 = run(small_config(seed=43))
+    _, log3 = logged_run(small_config(seed=43))
     assert log1 != log3
 
 
 def test_zero_ants_no_declarations_field_still_evolves():
-    metrics, log = run(small_config(ant_count=0, max_ticks=50))
+    metrics, log = logged_run(small_config(ant_count=0, max_ticks=50))
     assert metrics.first_declaration_tick == {}
     assert metrics.all_identified_tick is None
     assert any(line.startswith("PHERO,") for line in log)
@@ -99,7 +100,7 @@ def test_zero_ants_no_declarations_field_still_evolves():
 
 def test_field_evolution_independent_of_ants():
     def field_lines(ant_count):
-        _, log = run(small_config(ant_count=ant_count, max_ticks=60))
+        _, log = logged_run(small_config(ant_count=ant_count, max_ticks=60))
         return [line for line in log if line.startswith("FIELD,")]
 
     assert field_lines(0) == field_lines(3)
@@ -111,14 +112,14 @@ def test_declaration_never_precedes_infection():
         scripted_infections=((40, 8),),
         max_ticks=400,
     )
-    metrics, _ = run(config)
+    metrics = run(config)
     for node, dtick in metrics.first_declaration_tick.items():
         assert dtick >= metrics.infection_tick[node]
 
 
 def test_scripted_infection_starts_attacks_at_tick():
     config = small_config(initial_infected=frozenset(), scripted_infections=((30, 6),))
-    _, log = run(config)
+    _, log = logged_run(config)
     attack_spawns = [
         line.split(",") for line in log
         if line.startswith("PKT,") and line.endswith(",1") and ",spawn," in line
@@ -142,7 +143,7 @@ def test_all_identified_recomputed_for_late_infection():
         max_ticks=400,
         seed=42,
     )
-    metrics, _ = run(config)
+    metrics = run(config)
     assert set(metrics.first_declaration_tick) == {4, 8}
     assert metrics.all_identified_tick == max(metrics.first_declaration_tick.values())
     assert metrics.first_declaration_tick[8] >= 60
@@ -158,6 +159,7 @@ def test_all_identified_recomputed_for_late_infection():
         {"scripted_infections": ((-1, 1),)},
         {"scripted_infections": ((5, 0),)},  # node 0 already infected
         {"ant_choice": "sideways"},
+        {"log": True},
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -177,11 +179,23 @@ def test_invalid_configs_rejected(overrides):
 )
 def test_log_free_run_has_the_same_metrics(scenario, overrides):
     config = scenario_config(scenario, overrides)
-    logged, log = run(config)
-    quiet, no_log = run(replace(config, log=False))
+    assert config.log is None
+    logged, log = logged_run(config)
     assert log
-    assert no_log is None
-    assert quiet == logged
+    assert run(config) == logged
+
+
+def full_memo_peak(topo):
+    """Peak bytes of a route memo holding a route for every node pair."""
+
+    def fill_memo():
+        memo = RouteMemo(topo)
+        for src in range(topo.node_count):
+            for dst in range(topo.node_count):
+                if src != dst:
+                    memo.route(src, dst)
+
+    return traced_peak(fill_memo)
 
 
 def test_log_free_run_memory_stays_flat():
@@ -196,37 +210,85 @@ def test_log_free_run_memory_stays_flat():
     most one entry per node. Between N and 4N ticks, then, the peak can grow
     by no more than the part of the memo still unfilled at N, which is less
     than a full memo (about 1.2 MB, measured below; the run grows by about
-    0.4 MB). A logged run keeps every record line, about 300 lines or 25 kB
-    of strings per tick, so its peak still grows with max_ticks: by about
-    15 MB over the 3N extra ticks here. Streaming the log to a file is out
-    of scope.
+    0.4 MB). A logged run adds only one tick's record lines, which
+    test_logged_run_memory_stays_flat checks.
     """
     n = 200
     config = scenario_config("default75")
-    topo = config.topology
-
-    def fill_memo():
-        memo = RouteMemo(topo)
-        for src in range(topo.node_count):
-            for dst in range(topo.node_count):
-                if src != dst:
-                    memo.route(src, dst)
-
-    full_memo = traced_peak(fill_memo)
-    peak_n = traced_peak(lambda: run(replace(config, max_ticks=n, log=False)))
-    peak_4n = traced_peak(lambda: run(replace(config, max_ticks=4 * n, log=False)))
+    peak_n = traced_peak(lambda: run(replace(config, max_ticks=n)))
+    peak_4n = traced_peak(lambda: run(replace(config, max_ticks=4 * n)))
+    full_memo = full_memo_peak(config.topology)
     assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
 
 
+def test_logged_run_memory_stays_flat(tmp_path):
+    """``anttrack run`` on default75, event log included, peaks at the same
+    memory over 4N ticks as over N, within the bound of the log-free test.
+
+    The run hands each tick's record lines (about 300 lines, 25 kB of
+    strings) to the events.log temp file as one string and keeps none of
+    them, so what a logged run adds to a log-free one is one tick's lines
+    and the file's buffer, whatever max_ticks is (the peak grows by about
+    0.3 MB here, as the route memo fills). Holding the whole log and
+    joining it for the write would add about 40 kB per tick, or 12 MB over
+    the 3N extra ticks.
+    """
+    n = 100
+    scenario = SCENARIOS / "default75.scn"
+
+    def cli_run(ticks):
+        out = tmp_path / f"ticks{ticks}"
+        argv = ["run", "--scenario", str(scenario), "--out", str(out), "--set", f"max_ticks={ticks}"]
+        assert cli.main(argv) == 0
+
+    peak_n = traced_peak(lambda: cli_run(n))
+    peak_4n = traced_peak(lambda: cli_run(4 * n))
+    full_memo = full_memo_peak(scenario_config("default75").topology)
+    assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
+
+
+def test_streamed_log_conserves_records():
+    """The log reaches its writer as one newline-terminated chunk per tick,
+    holding only that tick's records: one FIELD line, one ANT line per
+    agent, and one spawn per packet the traffic rates give for the nodes
+    infected by then.  Each packet id is spawned once and ends at most
+    once."""
+    config = small_config(scripted_infections=((40, 7),), max_ticks=120)
+    rates = config.rates
+    chunks = []
+    run(replace(config, log=chunks.append))
+    assert len(chunks) == config.max_ticks
+    spawned, ended = Counter(), Counter()
+    for tick, chunk in enumerate(chunks):
+        assert chunk.endswith("\n")
+        records = [line.split(",") for line in chunk.splitlines()]
+        assert {int(r[1]) for r in records} == {tick}
+        tags = Counter(r[0] for r in records)
+        assert tags["FIELD"] == 1
+        assert tags["ANT"] == config.ant_count
+        infected = len(config.initial_infected) + sum(
+            t <= tick for t, _ in config.scripted_infections
+        )
+        spawns = [r[3] for r in records if r[0] == "PKT" and r[2] == "spawn"]
+        assert len(spawns) == (
+            rates.good_packets_per_tick + rates.attack_packets_per_infected_per_tick * infected
+        )
+        spawned.update(spawns)
+        ended.update(r[3] for r in records if r[0] == "PKT" and r[2] in ("detected", "delivered"))
+    assert set(spawned.values()) == {1}
+    assert set(ended) <= set(spawned)
+    assert set(ended.values()) == {1}
+
+
 def test_log_ticks_monotone():
-    _, log = run(small_config(max_ticks=40))
+    _, log = logged_run(small_config(max_ticks=40))
     ticks = [int(line.split(",", 2)[1]) for line in log]
     assert ticks == sorted(ticks)
 
 
 def test_bandwidth_accounting():
     config = small_config(max_ticks=60)
-    _, log = run(config)
+    _, log = logged_run(config)
     stats = compute_bandwidth_stats(log)
     assert set(stats) == set(range(60))
     for tick, row in stats.items():
@@ -239,7 +301,7 @@ def test_bandwidth_accounting():
 
 
 def test_metrics_csv_shape():
-    metrics, _ = run(small_config(max_ticks=200))
+    metrics = run(small_config(max_ticks=200))
     csv_text = metrics_to_csv(metrics)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "node,infected_tick,declared_tick,latency"
@@ -295,7 +357,7 @@ def test_random_topology_validation():
 def test_repeated_declarations_deduplicate_to_earliest():
     # trails persist after a declaration, so ants re-declare; the metrics
     # keep only the earliest tick while the log keeps every event
-    metrics, log = run(small_config(max_ticks=300))
+    metrics, log = logged_run(small_config(max_ticks=300))
     decl_ticks = [
         int(line.split(",")[1])
         for line in log
@@ -306,7 +368,7 @@ def test_repeated_declarations_deduplicate_to_earliest():
 
 
 def test_bad_deposits_point_only_at_the_attack_source():
-    metrics, log = run(small_config(max_ticks=300))
+    metrics, log = logged_run(small_config(max_ticks=300))
     bad_targets = set()
     for line in log:
         if line.startswith("PHERO,"):
@@ -334,6 +396,6 @@ def test_identification_on_star():
         max_ticks=200,
         seed=3,
     )
-    metrics, _ = run(config)
+    metrics = run(config)
     assert 4 in metrics.first_declaration_tick
     assert metrics.false_declarations == []
