@@ -7,16 +7,25 @@ standard traces: a short burst of three attacks, and a steady stream where
 every fifth packet is an attack.
 """
 
-from anttrack import PheromoneEvent, PheromoneParams, PheromoneState, closed_form_value
+from anttrack import (
+    NetworkTopology,
+    PheromoneEvent,
+    PheromoneField,
+    PheromoneParams,
+    closed_form_value,
+)
 
 params = PheromoneParams()  # boost 20, decay 0.95, trail threshold 10
 print(f"params: boost +{params.increase}, decay x{params.decay}, threshold {params.threshold}")
+
+# The traces follow one direction, 0 -> 1, of the field on a two-node network.
+pair = NetworkTopology.from_edges(2, [(0, 1)])
 
 ##############################################################################
 # Short-term behaviour: 100 packets, attacks detected at packets 3, 10, 15.
 # The value jumps on each attack and decays geometrically in between.
 
-state = PheromoneState()
+field = PheromoneField(pair)
 events = [
     PheromoneEvent.BAD if i in (3, 10, 15) else PheromoneEvent.GOOD
     for i in range(1, 101)
@@ -24,16 +33,16 @@ events = [
 print("\npacket  value   (first 20 packets, then checkpoints)")
 for i, ev in enumerate(events, 1):
     if ev is PheromoneEvent.BAD:
-        state.apply_bad(params)
+        value = field.apply_bad(0, 1, params)
     else:
-        state.apply_good(params)
+        value = field.apply_good(0, 1, params)
     if i <= 20 or i in (50, 100):
         marker = " <- attack" if ev is PheromoneEvent.BAD else ""
-        print(f"{i:6d}  {state.value:8.4f}{marker}")
+        print(f"{i:6d}  {value:8.4f}{marker}")
 
 # The incremental updates are O(1) per event.  The same number also has a
 # closed form: a sum over past attacks of boost * decay^(clean events since).
-print(f"\nincremental end value:  {state.value:.12f}")
+print(f"\nincremental end value:  {value:.12f}")
 print(f"closed-form end value:  {closed_form_value(events, params):.12f}")
 
 ##############################################################################
@@ -46,12 +55,12 @@ fixed_point = params.increase / (1.0 - params.decay**4)
 print(f"\npredicted post-attack limit: {fixed_point:.4f}")
 print(f"predicted pre-attack trough: {fixed_point - params.increase:.4f}")
 
-state = PheromoneState()
+field = PheromoneField(pair)
 for i in range(1, 201):
     if i % 5 == 0:
-        state.apply_bad(params)
+        value = field.apply_bad(0, 1, params)
         if i % 50 == 0:
-            print(f"packet {i:3d}: post-attack value {state.value:.4f}")
+            print(f"packet {i:3d}: post-attack value {value:.4f}")
     else:
-        state.apply_good(params)
-print(f"final trough (packet 199 value, before the next attack): {state.value * params.decay:.4f}")
+        value = field.apply_good(0, 1, params)
+print(f"final trough (packet 199 value, before the next attack): {value * params.decay:.4f}")

@@ -11,7 +11,6 @@ import statistics
 from anttrack import (
     SimulationConfig,
     TrafficRates,
-    compute_bandwidth_stats,
     derive_rng,
     generate_random_topology,
     run,
@@ -48,10 +47,17 @@ print(f"false declarations: {len(metrics.false_declarations)}")
 # surrounding confirmation protocol; the agents add only their own hops
 # and the declaration reports.
 
-stats = compute_bandwidth_stats(log)
-agent_hops = [row.ant_moves for row in stats.values()]
-confirm_hops = [row.confirmation_hops for row in stats.values()]
-reports = sum(row.declarations for row in stats.values())
+agent_hops = [0] * config.max_ticks
+confirm_hops = [0] * config.max_ticks
+reports = 0
+for line in log:
+    tag, tick, _ = line.split(",", 2)
+    if tag == "ANT":
+        agent_hops[int(tick)] += 1
+    elif tag == "PHERO":
+        confirm_hops[int(tick)] += 1
+    elif tag == "DECL":
+        reports += 1
 print(f"\nagent hops per tick: always {min(agent_hops)} (= number of agents)")
 print(f"declaration reports over the whole run: {reports}")
 print(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import engine
 from .detection import DetectorModel
-from .pheromone import PheromoneEvent, PheromoneParams, PheromoneState
+from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from .topology import NetworkTopology, TopologyError, load_topology
 from .traffic import TrafficRates
 
@@ -47,8 +47,8 @@ def parse_scenario(text: str, base_dir: Path) -> dict:
     """Parse the flat key-value scenario format into a raw dict.
 
     Repeatable keys: ``edge a b`` and ``infect_at tick node``.  The key
-    ``infected`` takes a space-separated node list.  Unknown and repeated
-    keys are rejected by name.
+    ``infected`` takes a space-separated node list; ``build_config`` rejects
+    a node listed twice.  Unknown and repeated keys are rejected by name.
     """
     data: dict = {"edges": [], "infect_at": [], "base_dir": base_dir}
     seen: set[str] = set()
@@ -147,13 +147,18 @@ def build_config(data: dict, seed_override: int | None = None) -> engine.Simulat
     except ValueError as exc:
         raise ScenarioError(str(exc))
 
+    infected = data.get("infected", [])
+    repeated = sorted(node for node, k in Counter(infected).items() if k > 1)
+    if repeated:
+        raise ScenarioError(f"infected lists nodes more than once: {repeated}")
+
     config = engine.SimulationConfig(
         topology=topology,
         params=params,
         rates=rates,
         detector=detector,
         ant_count=data.get("ant_count", 3),
-        initial_infected=frozenset(data.get("infected", [])),
+        initial_infected=frozenset(infected),
         scripted_infections=tuple(sorted(data["infect_at"])),
         max_ticks=data.get("max_ticks", 1000),
         seed=seed,
@@ -333,15 +338,16 @@ def trace_events(mode: str, packets: int, custom: str | None) -> list[PheromoneE
 
 
 def render_trace(events: list[PheromoneEvent], params: PheromoneParams) -> str:
-    """CSV trace of the running value after each event, 9 significant digits."""
-    state = PheromoneState()
+    """CSV trace of the value of direction 0 -> 1 of a field on the
+    two-node topology 0-1 after each event, 9 significant digits."""
+    field = PheromoneField(NetworkTopology.from_edges(2, [(0, 1)]))
     rows = ["packet_index,kind,af_value"]
     for i, ev in enumerate(events, 1):
         if ev is PheromoneEvent.BAD:
-            state.apply_bad(params)
+            value = field.apply_bad(0, 1, params)
         else:
-            state.apply_good(params)
-        rows.append(f"{i},{ev.value},{state.value:.9g}")
+            value = field.apply_good(0, 1, params)
+        rows.append(f"{i},{ev.value},{value:.9g}")
     return "\n".join(rows) + "\n"
 
 

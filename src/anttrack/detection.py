@@ -39,4 +39,4 @@ def inspect_at_hop(
     """
     if packet.malicious:
         return rng.random() < detector.detect_prob
-    return node == packet.destination and rng.random() < detector.false_positive_prob
+    return node == packet.route[-1] and rng.random() < detector.false_positive_prob

@@ -21,7 +21,7 @@ from .ant import AntState, ant_step
 from .detection import DetectorModel
 from .pheromone import PheromoneField, PheromoneParams
 from .topology import NetworkTopology
-from .traffic import InfectionState, RouteMemo, TrafficRates, generate_tick_traffic
+from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from .transport import InFlight, advance_confirmations, advance_packets
 
 
@@ -57,6 +57,10 @@ class SimulationConfig:
 
     def validate(self) -> None:
         n = self.topology.node_count
+        if n < 2:
+            # every packet needs a destination other than its source, and
+            # every agent a neighbour to move to
+            raise InvalidConfig(f"node_count must be >= 2, got {n}")
         if self.max_ticks <= 0:
             raise InvalidConfig(f"max_ticks must be > 0, got {self.max_ticks}")
         if self.ant_count < 0:
@@ -81,7 +85,8 @@ class SimulationConfig:
 
 @dataclass
 class Metrics:
-    """Identification outcomes of one run."""
+    """Identification outcomes of one run.  ``infection_tick`` is also the
+    run's infected set: ``run`` adds each node as it is infected."""
 
     first_declaration_tick: dict[int, int] = field(default_factory=dict)
     all_identified_tick: int | None = None
@@ -105,9 +110,10 @@ def run(config: SimulationConfig) -> Metrics:
     detect_rng = derive_rng(config.seed, "detect")
     ant_rngs = [derive_rng(config.seed, f"ant-{i}") for i in range(config.ant_count)]
 
-    infection = InfectionState()
+    metrics = Metrics()
+    infected = metrics.infection_tick
     for node in sorted(config.initial_infected):
-        infection.infect(node, 0)
+        infected[node] = 0
     pending_infections = sorted(config.scripted_infections)
 
     pheromones = PheromoneField(topo)
@@ -119,22 +125,21 @@ def run(config: SimulationConfig) -> Metrics:
     ]
     # the current tick's record lines, or None when the run keeps no log
     lines: list[str] | None = [] if config.log is not None else None
-    metrics = Metrics()
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
         while pending_infections and pending_infections[0][0] <= tick:
             _, node = pending_infections.pop(0)
-            infection.infect(node, tick)
+            infected[node] = tick
 
         new_packets = generate_tick_traffic(
-            topo, infection, config.rates, traffic_rng, next_packet_id, routes
+            topo, infected, config.rates, traffic_rng, next_packet_id, routes
         )
         next_packet_id += len(new_packets)
         if lines is not None:
             for pkt in new_packets:
                 lines.append(
-                    f"PKT,{tick},spawn,{pkt.id},{pkt.source},{pkt.destination},"
+                    f"PKT,{tick},spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},"
                     f"{1 if pkt.malicious else 0}"
                 )
         inflight.packets.extend(new_packets)
@@ -164,7 +169,7 @@ def run(config: SimulationConfig) -> Metrics:
         for ant_id, node in declared:
             if lines is not None:
                 lines.append(f"DECL,{tick},{ant_id},{node}")
-            if node in infection.infected:
+            if node in infected:
                 metrics.first_declaration_tick.setdefault(node, tick)
             elif node not in (n for n, _ in metrics.false_declarations):
                 metrics.false_declarations.append((node, tick))
@@ -173,11 +178,8 @@ def run(config: SimulationConfig) -> Metrics:
             config.log("\n".join(lines) + "\n")
             lines.clear()
 
-    metrics.infection_tick = dict(infection.infection_tick)
-    if infection.infected and infection.infected <= metrics.first_declaration_tick.keys():
-        metrics.all_identified_tick = max(
-            metrics.first_declaration_tick[n] for n in infection.infected
-        )
+    if infected and infected.keys() <= metrics.first_declaration_tick.keys():
+        metrics.all_identified_tick = max(metrics.first_declaration_tick[n] for n in infected)
     return metrics
 
 
@@ -201,37 +203,6 @@ def generate_random_topology(
             if (a, b) not in edges and rng.random() < extra_edge_prob:
                 edges.add((a, b))
     return NetworkTopology.from_edges(node_count, sorted(edges))
-
-
-@dataclass
-class BandwidthStats:
-    ant_moves: int = 0
-    declarations: int = 0
-    confirmation_hops: int = 0
-
-    @property
-    def agent_total(self) -> int:
-        """Traffic attributable to the agents themselves; confirmations are
-        part of the surrounding confirmation protocol, not agent overhead."""
-        return self.ant_moves + self.declarations
-
-
-def compute_bandwidth_stats(log: list[str]) -> dict[int, BandwidthStats]:
-    """Per-tick traffic accounting recovered from the event log."""
-    stats: dict[int, BandwidthStats] = {}
-    for line in log:
-        tag, tick_s, _ = line.split(",", 2)
-        tick = int(tick_s)
-        per_tick = stats.get(tick)
-        if per_tick is None:
-            per_tick = stats[tick] = BandwidthStats()
-        if tag == "ANT":
-            per_tick.ant_moves += 1
-        elif tag == "DECL":
-            per_tick.declarations += 1
-        elif tag == "PHERO":
-            per_tick.confirmation_hops += 1
-    return stats
 
 
 def metrics_to_csv(metrics: Metrics) -> str:

@@ -5,9 +5,9 @@ confirmation events: a detected-attack confirmation adds a fixed boost, a
 clean confirmation multiplies the whole value by a decay factor.  The value
 is algebraically the sum, over past bad events, of boost * decay^(number of
 clean events seen since that bad event).  The live representation is the
-O(1) running value: one ``PheromoneState`` for a single direction, one
-float per directed connection in a ``PheromoneField``.  The literal sum is
-``closed_form_value``, the independent cross-check.
+O(1) running value, one float per directed connection in a
+``PheromoneField``; it holds the only implementation of the update rule.
+The literal sum is ``closed_form_value``, the independent cross-check.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ class PheromoneParams:
             raise ValueError(f"decay (dec) must be in (0, 1), got {self.decay}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
-
-
-@dataclass
-class PheromoneState:
-    """Running pheromone value for one direction of a connection."""
-
-    value: float = 0.0
-
-    def apply_good(self, params: PheromoneParams) -> None:
-        """A clean confirmation traversed this direction: decay the value."""
-        self.value *= params.decay
-
-    def apply_bad(self, params: PheromoneParams) -> None:
-        """A detected-attack confirmation traversed this direction."""
-        self.value += params.increase
 
 
 def closed_form_value(events, params: PheromoneParams) -> float:
@@ -132,10 +117,6 @@ class PheromoneField:
     def records(self) -> bytes:
         """Digest records of every touched direction, in (u, v) order."""
         return b"".join(self._records)
-
-    def snapshot(self) -> dict[tuple[int, int], float]:
-        """Copy of all touched direction values."""
-        return {key: self._values[i] for key, i in self._ids.items() if self._records[i]}
 
     @property
     def bytes_per_direction(self) -> int:

@@ -87,9 +87,6 @@ class NetworkTopology:
             raise DisconnectedGraph(f"nodes unreachable from node 0: {unreachable}")
         return topo
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self.edge_ids
-
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self.adjacency[node]
 
@@ -125,13 +122,6 @@ def load_topology(text: str) -> NetworkTopology:
     if node_count is None:
         raise MalformedSpec("missing 'nodes <N>' line")
     return NetworkTopology.from_edges(node_count, pairs)
-
-
-def dump_topology(topo: NetworkTopology) -> str:
-    """Render a topology back to the line-oriented file format."""
-    lines = [f"nodes {topo.node_count}"]
-    lines.extend(f"edge {a} {b}" for a, b in sorted(topo.edges))
-    return "\n".join(lines) + "\n"
 
 
 def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:

@@ -1,44 +1,27 @@
 """Per-tick traffic generation: background packets plus attack packets from
 infected nodes.
 
-Infection itself is scripted; a malicious packet reaching a node never
-infects it, which keeps the ground truth exact for metrics.
+Infection itself is scripted by the engine; a malicious packet reaching a
+node never infects it, which keeps the ground truth exact for metrics.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .topology import NetworkTopology, Route, shortest_route
 
 
-class AlreadyInfected(Exception):
-    pass
-
-
 @dataclass
 class Packet:
+    """A packet in flight; it travels from ``route[0]`` to ``route[-1]``."""
+
     id: int
-    source: int
-    destination: int
     malicious: bool
     route: Route
     position: int = 0
-
-
-@dataclass
-class InfectionState:
-    """Which nodes are infected, and since which tick."""
-
-    infected: set[int] = field(default_factory=set)
-    infection_tick: dict[int, int] = field(default_factory=dict)
-
-    def infect(self, node: int, tick: int) -> None:
-        if node in self.infected:
-            raise AlreadyInfected(f"node {node} is already infected")
-        self.infected.add(node)
-        self.infection_tick[node] = tick
 
 
 @dataclass(frozen=True)
@@ -87,7 +70,7 @@ def _random_other(rng: random.Random, node_count: int, exclude: int) -> int:
 
 def generate_tick_traffic(
     topology: NetworkTopology,
-    infection: InfectionState,
+    infected: Iterable[int],
     rates: TrafficRates,
     rng: random.Random,
     first_id: int,
@@ -95,9 +78,9 @@ def generate_tick_traffic(
 ) -> list[Packet]:
     """Packets entering the network this tick.
 
-    Good packets come first with uniform random distinct endpoints, then each
-    infected node (ascending id) emits its attack packets toward uniform
-    random other nodes.  Every packet starts at position 0 on its
+    Good packets come first with uniform random distinct endpoints, then
+    each node of ``infected`` (ascending id) emits its attack packets toward
+    uniform random other nodes.  Every packet starts at position 0 on its
     minimum-hop route, taken from ``routes``, which the caller keeps across
     ticks.  Ids are assigned sequentially from first_id.
     """
@@ -108,11 +91,11 @@ def generate_tick_traffic(
     for _ in range(rates.good_packets_per_tick):
         src = rng.randrange(n)
         dst = _random_other(rng, n, src)
-        packets.append(Packet(pid, src, dst, False, route(src, dst)))
+        packets.append(Packet(pid, False, route(src, dst)))
         pid += 1
-    for node in sorted(infection.infected):
+    for node in sorted(infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
             dst = _random_other(rng, n, node)
-            packets.append(Packet(pid, node, dst, True, route(node, dst)))
+            packets.append(Packet(pid, True, route(node, dst)))
             pid += 1
     return packets

@@ -23,7 +23,6 @@ from .traffic import Packet
 class ConfirmationPacket:
     kind: PheromoneEvent
     route: Route
-    for_packet: int
     position: int = 0
 
 
@@ -64,15 +63,16 @@ def advance_packets(
     outcomes: list[PacketOutcome] = []
     for pkt in state.packets:
         pkt.position += 1
-        node = pkt.route[pkt.position]
+        route = pkt.route
+        node = route[pkt.position]
         if inspect_at_hop(pkt, node, detector, rng):
-            back = tuple(reversed(pkt.route[: pkt.position + 1]))
-            spawned.append(ConfirmationPacket(PheromoneEvent.BAD, back, pkt.id))
+            back = tuple(reversed(route[: pkt.position + 1]))
+            spawned.append(ConfirmationPacket(PheromoneEvent.BAD, back))
             outcomes.append(PacketOutcome(pkt.id, "detected", node))
             continue
-        if node == pkt.destination:
-            back = tuple(reversed(pkt.route))
-            spawned.append(ConfirmationPacket(PheromoneEvent.GOOD, back, pkt.id))
+        if node == route[-1]:
+            back = tuple(reversed(route))
+            spawned.append(ConfirmationPacket(PheromoneEvent.GOOD, back))
             outcomes.append(PacketOutcome(pkt.id, "delivered", node))
             continue
         survivors.append(pkt)

@@ -1,9 +1,11 @@
 import io
-from dataclasses import replace
+import struct
+from dataclasses import dataclass, replace
 
 import pytest
 
 from anttrack.engine import Metrics, SimulationConfig, run
+from anttrack.pheromone import PheromoneField
 from anttrack.topology import NetworkTopology, Route
 
 
@@ -36,7 +38,16 @@ def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
     """True if route is a simple path over existing connections."""
     if len(route) < 2 or len(set(route)) != len(route):
         return False
-    return all(topo.has_edge(a, b) for a, b in zip(route, route[1:]))
+    return all((a, b) in topo.edge_ids for a, b in zip(route, route[1:]))
+
+
+def touched_levels(field: PheromoneField) -> dict[tuple[int, int], float]:
+    """Value of every direction a confirmation has crossed: the directions
+    from the field's digest records, each value from ``read_level``."""
+    return {
+        (u, v): field.read_level(u, v)
+        for u, v, _ in struct.iter_unpack("<iid", field.records())
+    }
 
 
 def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
@@ -45,6 +56,38 @@ def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
     log = io.StringIO()
     metrics = run(replace(config, log=log.write))
     return metrics, log.getvalue().splitlines()
+
+
+@dataclass
+class BandwidthStats:
+    ant_moves: int = 0
+    declarations: int = 0
+    confirmation_hops: int = 0
+
+    @property
+    def agent_total(self) -> int:
+        """Traffic attributable to the agents themselves; confirmations are
+        part of the surrounding confirmation protocol, not agent overhead."""
+        return self.ant_moves + self.declarations
+
+
+def compute_bandwidth_stats(log: list[str]) -> dict[int, BandwidthStats]:
+    """Per-tick traffic accounting recovered from the event log's record
+    lines: the oracle for what the agents and confirmations cost."""
+    stats: dict[int, BandwidthStats] = {}
+    for line in log:
+        tag, tick_s, _ = line.split(",", 2)
+        tick = int(tick_s)
+        per_tick = stats.get(tick)
+        if per_tick is None:
+            per_tick = stats[tick] = BandwidthStats()
+        if tag == "ANT":
+            per_tick.ant_moves += 1
+        elif tag == "DECL":
+            per_tick.declarations += 1
+        elif tag == "PHERO":
+            per_tick.confirmation_hops += 1
+    return stats
 
 
 @pytest.fixture

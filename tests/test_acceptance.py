@@ -18,7 +18,6 @@ import pytest
 from anttrack.cli import main, render_trace, trace_events
 from anttrack.engine import (
     SimulationConfig,
-    compute_bandwidth_stats,
     derive_rng,
     generate_random_topology,
     metrics_to_csv,
@@ -26,13 +25,20 @@ from anttrack.engine import (
 )
 from anttrack.pheromone import (
     PheromoneEvent,
+    PheromoneField,
     PheromoneParams,
-    PheromoneState,
     closed_form_value,
 )
 from anttrack.traffic import TrafficRates
 
-from conftest import grid_topology, logged_run, path_topology, star_topology
+from conftest import (
+    compute_bandwidth_stats,
+    grid_topology,
+    logged_run,
+    path_topology,
+    star_topology,
+    touched_levels,
+)
 
 GOOD, BAD = PheromoneEvent.GOOD, PheromoneEvent.BAD
 DEFAULTS = PheromoneParams()
@@ -66,6 +72,9 @@ def median_with_failures(values):
 
 
 def test_criterion_1_incremental_matches_closed_form_oracle():
+    # the field the engine runs, on the two-node topology 0-1; each sequence
+    # updates direction 0 -> 1 of a fresh field
+    pair = path_topology(2)
     rng = random.Random(20260810)
     start = time.monotonic()
     sequences = 1000
@@ -79,11 +88,12 @@ def test_criterion_1_incremental_matches_closed_form_oracle():
             BAD if rng.random() < p_bad else GOOD for _ in range(rng.randrange(10001))
         ]
         total_events += len(events)
-        state = PheromoneState()
+        field = PheromoneField(pair)
+        apply_bad, apply_good = field.apply_bad, field.apply_good
         for ev in events:
-            state.apply_bad(params) if ev is BAD else state.apply_good(params)
+            apply_bad(0, 1, params) if ev is BAD else apply_good(0, 1, params)
         oracle = closed_form_value(events, params)
-        assert math.isclose(state.value, oracle, rel_tol=1e-9, abs_tol=1e-300)
+        assert math.isclose(field.read_level(0, 1), oracle, rel_tol=1e-9, abs_tol=1e-300)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     report(1, f"{sequences} sequences, {total_events} events, rel 1e-9, {elapsed:.1f}s")
@@ -242,13 +252,10 @@ def test_criterion_7_storage_bound_after_long_run():
         max_ticks=10_000,
         seed=9,
     )
-    from anttrack.pheromone import PheromoneField
     from anttrack.transport import InFlight, advance_confirmations, advance_packets
-    from anttrack.traffic import InfectionState, RouteMemo, generate_tick_traffic
+    from anttrack.traffic import RouteMemo, generate_tick_traffic
 
     # run and inspect the live field directly
-    infection = InfectionState()
-    infection.infect(4, 0)
     field = PheromoneField(config.topology)
     inflight = InFlight()
     routes = RouteMemo(config.topology)
@@ -257,14 +264,14 @@ def test_criterion_7_storage_bound_after_long_run():
     next_id = 0
     for _ in range(config.max_ticks):
         packets = generate_tick_traffic(
-            config.topology, infection, config.rates, traffic_rng, next_id, routes
+            config.topology, config.initial_infected, config.rates, traffic_rng, next_id, routes
         )
         next_id += len(packets)
         inflight.packets.extend(packets)
         advance_confirmations(inflight, field, config.params)
         spawned, _ = advance_packets(inflight, config.topology, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
-    touched = len(field.snapshot())
+    touched = len(touched_levels(field))
     assert touched, "no connection was ever touched"
     # one float per directed connection, whatever the run length; the
     # criterion's bound is 10,000 bytes

@@ -79,6 +79,28 @@ def test_repeated_key_names_it(tmp_path, capsys, key, lines):
     assert not (tmp_path / "o").exists()
 
 
+def test_one_node_topology_names_it(tmp_path, capsys):
+    # with the default rates, a run would need a packet destination other
+    # than the only node
+    scenario = write_scenario(tmp_path, "nodes 1\n")
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert "node_count must be >= 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "infected_line, overrides",
+    [("infected 1 2 1\n", []), ("", ["--set", "infected=1 2 1"])],
+    ids=["scenario", "override"],
+)
+def test_repeated_infected_node_names_it(tmp_path, capsys, infected_line, overrides):
+    scenario = write_scenario(tmp_path, "nodes 3\nedge 0 1\nedge 1 2\n" + infected_line)
+    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), *overrides]
+    assert main(argv) == 2
+    assert "infected lists nodes more than once: [1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "override, key",
     [("inc=inf", "inc"), ("inc=nan", "inc"), ("dec=nan", "dec"), ("threshold=inf", "threshold")],

@@ -1,0 +1,20 @@
+import ast
+from pathlib import Path
+
+import anttrack
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_import_only_names_the_package_exports():
+    """Every name a demo takes from ``anttrack`` exists at the package top
+    level, found without running the demos."""
+    assert DEMOS
+    imported = set()
+    for demo in DEMOS:
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"), str(demo))):
+            if isinstance(node, ast.ImportFrom) and node.module == "anttrack":
+                imported.update((demo.name, alias.name) for alias in node.names)
+    assert imported
+    missing = sorted((demo, name) for demo, name in imported if not hasattr(anttrack, name))
+    assert missing == []

@@ -8,7 +8,7 @@ from anttrack.traffic import Packet
 
 
 def make_packet(malicious: bool) -> Packet:
-    return Packet(0, source=0, destination=2, malicious=malicious, route=(0, 1, 2))
+    return Packet(0, malicious=malicious, route=(0, 1, 2))
 
 
 @pytest.mark.parametrize("prob", [-0.1, 1.1])
@@ -87,7 +87,7 @@ def test_detected_fraction_matches_probability():
     n = 20_000
     detector = DetectorModel(detect_prob=q)
     rng = random.Random(123)
-    pkt = Packet(0, source=0, destination=1, malicious=True, route=(0, 1))
+    pkt = Packet(0, malicious=True, route=(0, 1))
     detected = sum(
         inspect_at_hop(pkt, 1, detector, rng) for _ in range(n)
     )

@@ -12,7 +12,6 @@ from anttrack.detection import DetectorModel
 from anttrack.engine import (
     InvalidConfig,
     SimulationConfig,
-    compute_bandwidth_stats,
     derive_rng,
     generate_random_topology,
     metrics_to_csv,
@@ -22,7 +21,7 @@ from anttrack.pheromone import PheromoneParams
 from anttrack.topology import NetworkTopology
 from anttrack.traffic import RouteMemo, TrafficRates
 
-from conftest import logged_run, path_topology, star_topology
+from conftest import compute_bandwidth_stats, logged_run, path_topology, star_topology
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -165,6 +164,14 @@ def test_all_identified_recomputed_for_late_infection():
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfig):
         run(tiny_config(**overrides))
+
+
+def test_one_node_topology_rejected():
+    # no packet could draw a destination other than its source, and no agent
+    # could move
+    config = tiny_config(topology=NetworkTopology.from_edges(1, []), ant_count=0)
+    with pytest.raises(InvalidConfig, match="node_count must be >= 2, got 1"):
+        config.validate()
 
 
 @pytest.mark.parametrize(

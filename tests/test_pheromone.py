@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -14,25 +13,40 @@ from anttrack.pheromone import (
     PheromoneEvent,
     PheromoneField,
     PheromoneParams,
-    PheromoneState,
     closed_form_value,
 )
 from anttrack.topology import NetworkTopology
+
+from conftest import touched_levels
 
 GOOD = PheromoneEvent.GOOD
 BAD = PheromoneEvent.BAD
 
 DEFAULTS = PheromoneParams()
+PAIR = NetworkTopology.from_edges(2, [(0, 1)])
+
+
+def bad(field, params=DEFAULTS):
+    return field.apply_bad(0, 1, params)
+
+
+def good(field, params=DEFAULTS):
+    return field.apply_good(0, 1, params)
+
+
+def level(field):
+    return field.read_level(0, 1)
 
 
 def fold(events, params):
-    state = PheromoneState()
+    """A field on the topology 0-1 after the events crossed direction 0 -> 1."""
+    field = PheromoneField(PAIR)
     for ev in events:
         if ev is BAD:
-            state.apply_bad(params)
+            bad(field, params)
         else:
-            state.apply_good(params)
-    return state
+            good(field, params)
+    return field
 
 
 def fig1_events():
@@ -82,33 +96,29 @@ def test_closed_form_fig1_terminal():
 
 
 def test_apply_good_on_zero_stays_zero():
-    state = fold([GOOD] * 5, DEFAULTS)
-    assert state.value == 0.0
+    assert level(fold([GOOD] * 5, DEFAULTS)) == 0.0
 
 
 def test_apply_good_decays():
-    state = fold([BAD, GOOD], DEFAULTS)
-    assert math.isclose(state.value, 19.0, rel_tol=1e-12)
+    assert math.isclose(level(fold([BAD, GOOD], DEFAULTS)), 19.0, rel_tol=1e-12)
 
 
 def test_four_goods_match_closed_form():
     prefix = fig1_events()[:10]  # ends at the second bad: value 34.7018378125
-    state = fold(prefix, DEFAULTS)
-    assert math.isclose(state.value, 34.7018378125, rel_tol=1e-12)
+    field = fold(prefix, DEFAULTS)
+    assert math.isclose(level(field), 34.7018378125, rel_tol=1e-12)
     for _ in range(4):
-        state.apply_good(DEFAULTS)
+        good(field)
     oracle = closed_form_value(prefix + [GOOD] * 4, DEFAULTS)
-    assert math.isclose(state.value, oracle, rel_tol=1e-9)
-    assert math.isclose(state.value, 34.7018378125 * 0.95**4, rel_tol=1e-9)
+    assert math.isclose(level(field), oracle, rel_tol=1e-9)
+    assert math.isclose(level(field), 34.7018378125 * 0.95**4, rel_tol=1e-9)
 
 
 def test_apply_bad_adds_increase_exactly():
-    state = PheromoneState()
-    state.apply_bad(DEFAULTS)
-    assert state.value == 20.0
-    state.value = 14.7018378125
-    state.apply_bad(DEFAULTS)
-    assert math.isclose(state.value, 34.7018378125, rel_tol=1e-12)
+    assert bad(PheromoneField(PAIR)) == 20.0
+    field = fold(fig1_events()[:9], DEFAULTS)  # 20 * 0.95**6 before the second bad
+    assert math.isclose(level(field), 14.7018378125, rel_tol=1e-12)
+    assert math.isclose(bad(field), 34.7018378125, rel_tol=1e-12)
 
 
 def test_fig1_checkpoint_values():
@@ -119,14 +129,12 @@ def test_fig1_checkpoint_values():
         15: 48.26486378476757,
         100: 0.6167902989543368,
     }
-    state = PheromoneState()
+    field = PheromoneField(PAIR)
     for i, ev in enumerate(events, 1):
-        state.apply_bad(DEFAULTS) if ev is BAD else state.apply_good(DEFAULTS)
+        value = bad(field) if ev is BAD else good(field)
         if i in expected:
-            assert math.isclose(state.value, expected[i], rel_tol=1e-9)
-            assert math.isclose(
-                state.value, closed_form_value(events[:i], DEFAULTS), rel_tol=1e-9
-            )
+            assert math.isclose(value, expected[i], rel_tol=1e-9)
+            assert math.isclose(value, closed_form_value(events[:i], DEFAULTS), rel_tol=1e-9)
 
 
 def test_incremental_equals_closed_form_random():
@@ -136,7 +144,7 @@ def test_incremental_equals_closed_form_random():
             increase=rng.uniform(1, 100), decay=rng.uniform(0.5, 0.99)
         )
         events = [BAD if rng.random() < rng.random() else GOOD for _ in range(rng.randrange(500))]
-        got = fold(events, params).value
+        got = level(fold(events, params))
         want = closed_form_value(events, params)
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-300)
 
@@ -148,28 +156,23 @@ def test_history_mode_matches_literal_sum():
     events = [BAD if rng.random() < 0.3 else GOOD for _ in range(300)]
     goods_since = [events[i + 1:].count(GOOD) for i, ev in enumerate(events) if ev is BAD]
     literal = sum(DEFAULTS.increase * DEFAULTS.decay**g for g in goods_since)
-    assert math.isclose(fold(events, DEFAULTS).value, literal, rel_tol=1e-9)
+    assert math.isclose(level(fold(events, DEFAULTS)), literal, rel_tol=1e-9)
 
 
 def test_monotonicity():
     rng = random.Random(11)
-    state = fold([BAD if rng.random() < 0.4 else GOOD for _ in range(100)], DEFAULTS)
-    before = state.value
-    state.apply_bad(DEFAULTS)
-    assert state.value == pytest.approx(before + 20.0)
-    state.apply_good(DEFAULTS)
-    assert 0 < state.value < before + 20.0
+    field = fold([BAD if rng.random() < 0.4 else GOOD for _ in range(100)], DEFAULTS)
+    before = level(field)
+    assert bad(field) == pytest.approx(before + 20.0)
+    assert 0 < good(field) < before + 20.0
 
 
 def test_value_never_negative():
     rng = random.Random(5)
-    state = PheromoneState()
+    field = PheromoneField(PAIR)
     for _ in range(2000):
-        if rng.random() < 0.5:
-            state.apply_bad(DEFAULTS)
-        else:
-            state.apply_good(DEFAULTS)
-        assert state.value >= 0.0
+        value = bad(field) if rng.random() < 0.5 else good(field)
+        assert value >= 0.0
 
 
 def test_periodic_traffic_fixed_point():
@@ -178,16 +181,15 @@ def test_periodic_traffic_fixed_point():
     for k in (2, 5, 10):
         goods = k - 1
         fixed_point = 20.0 / (1.0 - 0.95**goods)
-        state = PheromoneState()
+        field = PheromoneField(PAIR)
         for cycle in range(1000):
-            state.apply_bad(DEFAULTS)
-            post_bad = state.value
+            post_bad = bad(field)
             if cycle == 199:
-                post_bad_200 = state.value
+                post_bad_200 = post_bad
             for _ in range(goods):
-                state.apply_good(DEFAULTS)
+                good(field)
         assert math.isclose(post_bad, fixed_point, rel_tol=1e-9)
-        assert math.isclose(state.value, fixed_point - 20.0, rel_tol=1e-9)
+        assert math.isclose(level(field), fixed_point - 20.0, rel_tol=1e-9)
         if k == 5:
             # 200 cycles already suffice at this decay rate
             assert math.isclose(post_bad_200, fixed_point, rel_tol=1e-9)
@@ -196,10 +198,11 @@ def test_periodic_traffic_fixed_point():
 
 
 def test_live_state_within_storage_bound():
-    # after any number of events the live state is the running value alone
-    state = fold([BAD, GOOD] * 500, DEFAULTS)
-    assert [f.name for f in dataclasses.fields(state)] == ["value"]
-    assert type(state.value) is float
+    # after any number of events a direction's live state is one float
+    field = fold([BAD, GOOD] * 500, DEFAULTS)
+    assert field.bytes_per_direction == 8
+    assert type(level(field)) is float
+    assert touched_levels(field) == {(0, 1): level(field)}
 
 
 def test_field_directional_independence(path3):
@@ -213,7 +216,7 @@ def test_field_untouched_reads_zero(path3):
     field = PheromoneField(path3)
     assert field.read_level(0, 1) == 0.0
     # reading must not materialize state
-    assert field.snapshot() == {}
+    assert touched_levels(field) == {}
 
 
 def test_field_bad_then_good(path3):
@@ -254,7 +257,7 @@ def test_good_only_direction_is_touched_at_zero(path3):
     empty = _field_digest(field)
     field.apply_good(1, 2, DEFAULTS)
     assert field.read_level(1, 2) == 0.0
-    assert field.snapshot() == {(1, 2): 0.0}
+    assert touched_levels(field) == {(1, 2): 0.0}
     assert _field_digest(field) == digest_oracle({(1, 2): 0.0}) != empty
 
 
@@ -304,7 +307,7 @@ def test_field_and_digest_match_dict_oracle(script):
             levels[u, v] = levels.get((u, v), 0.0) * params.decay
             assert field.apply_good(u, v, params) == levels[u, v]
         assert _field_digest(field) == digest_oracle(levels)
-    assert field.snapshot() == levels
+    assert touched_levels(field) == levels
     for key in topo.edge_ids:
         assert field.read_level(*key) == levels.get(key, 0.0)
     assert _field_digest(field) == digest_oracle(levels)

@@ -11,7 +11,6 @@ from anttrack.topology import (
     NoRoute,
     SameNode,
     SelfLoop,
-    dump_topology,
     load_topology,
     shortest_route,
 )
@@ -72,11 +71,6 @@ def test_load_topology_format():
     topo = load_topology(text)
     assert topo.node_count == 3
     assert topo.neighbors(1) == (0, 2)
-
-
-def test_load_topology_roundtrip():
-    topo = grid_topology(3, 3)
-    assert load_topology(dump_topology(topo)).edges == topo.edges
 
 
 @pytest.mark.parametrize(
@@ -175,8 +169,6 @@ def test_edge_ids_number_directions_in_sorted_order():
     directions = sorted(topo.edges | {(b, a) for a, b in topo.edges})
     assert list(topo.edge_ids) == directions
     assert list(topo.edge_ids.values()) == list(range(len(directions)))
-    assert all(topo.has_edge(a, b) for a, b in directions)
-    assert not topo.has_edge(0, 0)
 
 
 def test_route_distance_tables_are_cached_by_the_caller():

@@ -4,13 +4,7 @@ from collections import Counter
 
 from anttrack.detection import DetectorModel
 from anttrack.pheromone import PheromoneEvent, PheromoneField, PheromoneParams
-from anttrack.traffic import (
-    InfectionState,
-    Packet,
-    RouteMemo,
-    TrafficRates,
-    generate_tick_traffic,
-)
+from anttrack.traffic import Packet, RouteMemo, TrafficRates, generate_tick_traffic
 from anttrack.transport import (
     ConfirmationPacket,
     InFlight,
@@ -18,13 +12,15 @@ from anttrack.transport import (
     advance_packets,
 )
 
+from conftest import touched_levels
+
 PARAMS = PheromoneParams()
 
 
 def test_good_packet_walkthrough(path3):
     detector = DetectorModel()
     rng = random.Random(0)
-    state = InFlight(packets=[Packet(0, 0, 2, False, (0, 1, 2))])
+    state = InFlight(packets=[Packet(0, False, (0, 1, 2))])
 
     spawned, outcomes = advance_packets(state, path3, detector, rng)
     assert spawned == [] and outcomes == []
@@ -35,13 +31,13 @@ def test_good_packet_walkthrough(path3):
     assert len(spawned) == 1
     assert spawned[0].kind is PheromoneEvent.GOOD
     assert spawned[0].route == (2, 1, 0)
-    assert spawned[0].for_packet == 0
+    assert outcomes[0].packet_id == 0
     assert outcomes[0].event == "delivered" and outcomes[0].node == 2
 
 
 def test_malicious_detected_at_first_hop(path3):
     detector = DetectorModel(detect_prob=1.0)
-    state = InFlight(packets=[Packet(0, 0, 2, True, (0, 1, 2))])
+    state = InFlight(packets=[Packet(0, True, (0, 1, 2))])
     spawned, outcomes = advance_packets(state, path3, detector, random.Random(0))
     assert state.packets == []
     assert spawned[0].kind is PheromoneEvent.BAD
@@ -51,7 +47,7 @@ def test_malicious_detected_at_first_hop(path3):
 
 def test_malicious_evasion_spawns_good_confirm(path3):
     detector = DetectorModel(detect_prob=0.0)
-    state = InFlight(packets=[Packet(0, 0, 2, True, (0, 1, 2))])
+    state = InFlight(packets=[Packet(0, True, (0, 1, 2))])
     advance_packets(state, path3, detector, random.Random(0))
     spawned, outcomes = advance_packets(state, path3, detector, random.Random(0))
     assert spawned[0].kind is PheromoneEvent.GOOD
@@ -74,7 +70,7 @@ def test_detected_mid_route_confirm_covers_traversed_prefix():
             return 0.0 if self.calls == self.fire_at else 1.0
 
     detector = DetectorModel(detect_prob=0.5)
-    state = InFlight(packets=[Packet(0, 0, 4, True, (0, 1, 2, 3, 4))])
+    state = InFlight(packets=[Packet(0, True, (0, 1, 2, 3, 4))])
     rng = ScriptedRng(fire_at=3)
     spawned = []
     while state.packets:
@@ -87,7 +83,7 @@ def test_detected_mid_route_confirm_covers_traversed_prefix():
 
 def test_false_positive_spawns_bad_confirm_full_route(path3):
     detector = DetectorModel(false_positive_prob=1.0)
-    state = InFlight(packets=[Packet(0, 0, 2, False, (0, 1, 2))])
+    state = InFlight(packets=[Packet(0, False, (0, 1, 2))])
     advance_packets(state, path3, detector, random.Random(0))
     spawned, outcomes = advance_packets(state, path3, detector, random.Random(0))
     assert spawned[0].kind is PheromoneEvent.BAD
@@ -97,7 +93,7 @@ def test_false_positive_spawns_bad_confirm_full_route(path3):
 
 def test_bad_confirm_deposits_along_direction(path3):
     field = PheromoneField(path3)
-    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.BAD, (1, 0), 0)])
+    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.BAD, (1, 0))])
     updates = advance_confirmations(state, field, PARAMS)
     assert updates == [(1, 0, PheromoneEvent.BAD, 20.0)]
     assert field.read_level(1, 0) == 20.0
@@ -109,7 +105,7 @@ def test_good_confirm_decays_each_hop(path3):
     field = PheromoneField(path3)
     field.apply_bad(2, 1, PARAMS)
     field.apply_bad(1, 0, PARAMS)
-    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.GOOD, (2, 1, 0), 0)])
+    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.GOOD, (2, 1, 0))])
 
     updates = advance_confirmations(state, field, PARAMS)
     assert len(updates) == 1 and updates[0][:2] == (2, 1)
@@ -127,40 +123,40 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
     rng = random.Random(31)
     detect_rng = random.Random(32)
     detector = DetectorModel(detect_prob=0.4, false_positive_prob=0.05)
-    infection = InfectionState()
-    infection.infect(5, 0)
     rates = TrafficRates(good_packets_per_tick=6, attack_packets_per_infected_per_tick=2)
     field = PheromoneField(grid4x4)
     state = InFlight()
     routes = RouteMemo(grid4x4)
 
     spawned_ids = []
-    confirm_ids = []
+    ended_ids = []
     next_id = 0
     for tick in range(60):
         if tick < 40:  # stop injecting so everything drains
-            packets = generate_tick_traffic(grid4x4, infection, rates, rng, next_id, routes)
+            packets = generate_tick_traffic(grid4x4, {5}, rates, rng, next_id, routes)
             next_id += len(packets)
             spawned_ids.extend(p.id for p in packets)
             state.packets.extend(packets)
         advance_confirmations(state, field, PARAMS)
-        new_confirms, _ = advance_packets(state, grid4x4, detector, detect_rng)
-        confirm_ids.extend(c.for_packet for c in new_confirms)
+        new_confirms, outcomes = advance_packets(state, grid4x4, detector, detect_rng)
+        # each packet that ends spawns one confirmation
+        assert len(new_confirms) == len(outcomes)
+        ended_ids.extend(out.packet_id for out in outcomes)
         state.confirmations.extend(new_confirms)
 
     assert state.packets == [] and state.confirmations == []
-    assert Counter(confirm_ids) == Counter(spawned_ids)
+    assert Counter(ended_ids) == Counter(spawned_ids)
 
 
 def test_updates_only_on_traversed_directed_edges(star10):
     field = PheromoneField(star10)
     state = InFlight(
         confirmations=[
-            ConfirmationPacket(PheromoneEvent.BAD, (0, 3), 0),
-            ConfirmationPacket(PheromoneEvent.GOOD, (5, 0, 7), 1),
+            ConfirmationPacket(PheromoneEvent.BAD, (0, 3)),
+            ConfirmationPacket(PheromoneEvent.GOOD, (5, 0, 7)),
         ]
     )
     advance_confirmations(state, field, PARAMS)
     advance_confirmations(state, field, PARAMS)
-    touched = set(field.snapshot())
+    touched = set(touched_levels(field))
     assert touched == {(0, 3), (5, 0), (0, 7)}
