@@ -35,7 +35,7 @@ class AntState:
     ant_id: int
     location: int
     mode: AntMode = AntMode.WANDERING
-    last_edge: tuple[int, int] | None = None
+    came_from: int | None = None
 
 
 def _qualifying_edges(
@@ -45,7 +45,7 @@ def _qualifying_edges(
     params: PheromoneParams,
 ) -> list[tuple[int, float]]:
     """(neighbor, level) pairs above threshold, ascending by neighbor id."""
-    banned = ant.last_edge[0] if ant.last_edge is not None else None
+    banned = ant.came_from
     out = []
     for nb in topology.neighbors(ant.location):
         if nb == banned:
@@ -99,13 +99,13 @@ def ant_step(
     if not hot:
         if tracking:
             ant.mode = AntMode.WANDERING
-            ant.last_edge = None
+            ant.came_from = None
             return ant.location
         neighbors = topology.neighbors(ant.location)
         nxt = neighbors[rng.randrange(len(neighbors))]
     else:
         nxt = _pick_edge(hot, rng, choice)
         ant.mode = AntMode.TRACKING
-    ant.last_edge = (ant.location, nxt)
+    ant.came_from = ant.location
     ant.location = nxt
     return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -94,10 +95,11 @@ class Metrics:
     infection_tick: dict[int, int] = field(default_factory=dict)
 
 
-def _field_digest(pheromones: PheromoneField) -> str:
+def _field_digest(records: list[bytes]) -> str:
     """First 16 hex digits of the SHA-1 over the ``<iid`` (u, v, value)
-    records of every touched direction, in (u, v) order."""
-    return hashlib.sha1(pheromones.records()).hexdigest()[:16]
+    records, by edge id, that is in (u, v) order; a direction no
+    confirmation has crossed has an empty record."""
+    return hashlib.sha1(b"".join(records)).hexdigest()[:16]
 
 
 def run(config: SimulationConfig) -> Metrics:
@@ -123,8 +125,14 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    # the current tick's record lines, or None when the run keeps no log
-    lines: list[str] | None = [] if config.log is not None else None
+    # the current tick's record lines, or None when the run keeps no log; a
+    # logged run also keeps each direction's FIELD-digest record by edge id
+    lines: list[str] | None = None
+    if config.log is not None:
+        lines = []
+        ids = topo.edge_ids
+        records = [b""] * len(ids)
+        pack = struct.Struct("<iid").pack
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -148,13 +156,14 @@ def run(config: SimulationConfig) -> Metrics:
         if lines is not None:
             for u, v, kind, value in updates:
                 lines.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
+                records[ids[u, v]] = pack(u, v, value)
 
         spawned, outcomes = advance_packets(inflight, topo, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
         if lines is not None:
             for out in outcomes:
                 lines.append(f"PKT,{tick},{out.event},{out.packet_id},{out.node}")
-            lines.append(f"FIELD,{tick},{_field_digest(pheromones)}")
+            lines.append(f"FIELD,{tick},{_field_digest(records)}")
 
         declared: list[tuple[int, int]] = []
         for ant in ants:

@@ -13,13 +13,9 @@ The literal sum is ``closed_form_value``, the independent cross-check.
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-
-
-_RECORD = struct.Struct("<iid")
 
 
 class NotAConnection(Exception):
@@ -73,18 +69,12 @@ class PheromoneField:
 
     One float per directed connection, at the topology's CSR edge id, in a
     single ``array('d')``.  Both directions of a connection are independent.
-    Reads never mark a direction, so read paths cannot perturb the field.
-
-    Beside each value the field keeps the direction's FIELD-digest record,
-    ``struct.pack("<iid", u, v, value)``, repacked on every write; it is
-    empty until a confirmation first crosses the direction, so it also marks
-    the touched directions, including those whose value is still 0.0.
+    Reads never write, so read paths cannot perturb the field.
     """
 
     def __init__(self, topology):
         self._ids = topology.edge_ids
         self._values = array("d", bytes(8 * len(self._ids)))
-        self._records = [b""] * len(self._ids)
 
     # the (u, v) -> id probe is inlined in the three methods below, which run
     # once per confirmation hop or agent read
@@ -95,7 +85,6 @@ class PheromoneField:
         if i is None:
             raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
         value = self._values[i] = self._values[i] * params.decay
-        self._records[i] = _RECORD.pack(from_node, to_node, value)
         return value
 
     def apply_bad(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
@@ -104,7 +93,6 @@ class PheromoneField:
         if i is None:
             raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
         value = self._values[i] = self._values[i] + params.increase
-        self._records[i] = _RECORD.pack(from_node, to_node, value)
         return value
 
     def read_level(self, from_node: int, to_node: int) -> float:
@@ -113,10 +101,6 @@ class PheromoneField:
         if i is None:
             raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
         return self._values[i]
-
-    def records(self) -> bytes:
-        """Digest records of every touched direction, in (u, v) order."""
-        return b"".join(self._records)
 
     @property
     def bytes_per_direction(self) -> int:

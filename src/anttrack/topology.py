@@ -143,25 +143,22 @@ def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:
 
 
 def shortest_route(
-    topo: NetworkTopology, src: int, dst: int, distances: dict[int, list[int]] | None = None
+    topo: NetworkTopology, src: int, dst: int, distances: dict[int, list[int]]
 ) -> Route:
     """Minimum-hop route from src to dst.
 
     Among equal-length routes the lexicographically smallest hop sequence is
     returned, which makes routing (and thus reverse paths) deterministic.
-    ``distances``, if given, caches the hop-distance table of each
-    destination across calls; its owner decides how long the tables live.
+    ``distances`` caches the hop-distance table of each destination across
+    calls; its owner decides how long the tables live.
     """
     if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
         raise NoRoute(f"invalid endpoints ({src}, {dst})")
     if src == dst:
         raise SameNode(f"route requested from node {src} to itself")
-    if distances is None:
-        dist = _hop_distances(topo, dst)
-    else:
-        dist = distances.get(dst)
-        if dist is None:
-            dist = distances[dst] = _hop_distances(topo, dst)
+    dist = distances.get(dst)
+    if dist is None:
+        dist = distances[dst] = _hop_distances(topo, dst)
     if dist[src] < 0:
         raise NoRoute(f"no path from {src} to {dst}")
     hops = [src]

@@ -1,5 +1,4 @@
 import io
-import struct
 from dataclasses import dataclass, replace
 
 import pytest
@@ -41,13 +40,21 @@ def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
     return all((a, b) in topo.edge_ids for a, b in zip(route, route[1:]))
 
 
-def touched_levels(field: PheromoneField) -> dict[tuple[int, int], float]:
-    """Value of every direction a confirmation has crossed: the directions
-    from the field's digest records, each value from ``read_level``."""
-    return {
-        (u, v): field.read_level(u, v)
-        for u, v, _ in struct.iter_unpack("<iid", field.records())
-    }
+class RecordingField(PheromoneField):
+    """A field that also records in ``written`` every direction a write
+    crossed."""
+
+    def __init__(self, topology: NetworkTopology):
+        super().__init__(topology)
+        self.written: set[tuple[int, int]] = set()
+
+    def apply_good(self, from_node, to_node, params):
+        self.written.add((from_node, to_node))
+        return super().apply_good(from_node, to_node, params)
+
+    def apply_bad(self, from_node, to_node, params):
+        self.written.add((from_node, to_node))
+        return super().apply_bad(from_node, to_node, params)
 
 
 def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:

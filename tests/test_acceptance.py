@@ -32,12 +32,12 @@ from anttrack.pheromone import (
 from anttrack.traffic import TrafficRates
 
 from conftest import (
+    RecordingField,
     compute_bandwidth_stats,
     grid_topology,
     logged_run,
     path_topology,
     star_topology,
-    touched_levels,
 )
 
 GOOD, BAD = PheromoneEvent.GOOD, PheromoneEvent.BAD
@@ -256,7 +256,7 @@ def test_criterion_7_storage_bound_after_long_run():
     from anttrack.traffic import RouteMemo, generate_tick_traffic
 
     # run and inspect the live field directly
-    field = PheromoneField(config.topology)
+    field = RecordingField(config.topology)
     inflight = InFlight()
     routes = RouteMemo(config.topology)
     traffic_rng = derive_rng(config.seed, "traffic")
@@ -271,7 +271,7 @@ def test_criterion_7_storage_bound_after_long_run():
         advance_confirmations(inflight, field, config.params)
         spawned, _ = advance_packets(inflight, config.topology, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
-    touched = len(touched_levels(field))
+    touched = len(field.written)
     assert touched, "no connection was ever touched"
     # one float per directed connection, whatever the run length; the
     # criterion's bound is 10,000 bytes

@@ -5,7 +5,7 @@ from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams
 from anttrack.topology import NetworkTopology
 
-from conftest import path_topology, star_topology, touched_levels
+from conftest import path_topology, star_topology
 
 PARAMS = PheromoneParams()
 
@@ -45,7 +45,7 @@ def test_track_following_to_declaration(path3):
     assert ant_step(ant, path3, field, PARAMS, rng) == 0
     assert ant.location == 0
     assert ant.mode is AntMode.WANDERING
-    assert ant.last_edge is None
+    assert ant.came_from is None
 
 
 def test_greedy_follows_strongest_edge(star10):
@@ -72,13 +72,13 @@ def test_tracking_ignores_reverse_of_arrival_edge(path3):
     field = PheromoneField(path3)
     field.apply_bad(1, 0, PARAMS)
     field.apply_bad(0, 1, PARAMS)  # trail in both directions between 0 and 1
-    ant = AntState(0, location=1, mode=AntMode.TRACKING, last_edge=(2, 1))
+    ant = AntState(0, location=1, mode=AntMode.TRACKING, came_from=2)
     assert ant_step(ant, path3, field, PARAMS, random.Random(0)) is None
     assert ant.location == 0
     # at 0 the only hot edge points back where the ant came from: trail ends
     assert ant_step(ant, path3, field, PARAMS, random.Random(0)) == 0
     # a tracking ant whose only hot edge is its own arrival edge also stops
-    ant = AntState(1, location=1, mode=AntMode.TRACKING, last_edge=(0, 1))
+    ant = AntState(1, location=1, mode=AntMode.TRACKING, came_from=0)
     assert ant_step(ant, path3, field, PARAMS, random.Random(0)) == 1
 
 
@@ -92,7 +92,7 @@ def test_arrival_edge_masks_trail_in_any_mode():
     assert ant.location == 0
     assert ant.mode is AntMode.TRACKING
     # an ant that just came from node 0 does not, and keeps wandering
-    ant = AntState(1, location=1, last_edge=(0, 1))
+    ant = AntState(1, location=1, came_from=0)
     assert ant_step(ant, topo, field, PARAMS, random.Random(0)) is None
     assert ant.location == 0
     assert ant.mode is AntMode.WANDERING
@@ -140,12 +140,12 @@ def test_ants_never_modify_pheromones(grid4x4):
     field = PheromoneField(grid4x4)
     field.apply_bad(5, 6, PARAMS)
     field.apply_bad(9, 5, PARAMS)
-    before = touched_levels(field)
+    before = {key: field.read_level(*key) for key in grid4x4.edge_ids}
     ant = AntState(0, location=2)
     rng = random.Random(4)
     for _ in range(200):
         ant_step(ant, grid4x4, field, PARAMS, rng)
-    assert touched_levels(field) == before
+    assert {key: field.read_level(*key) for key in grid4x4.edge_ids} == before
 
 
 def test_trajectory_deterministic(grid4x4):

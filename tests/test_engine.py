@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -190,6 +192,55 @@ def test_log_free_run_has_the_same_metrics(scenario, overrides):
     logged, log = logged_run(config)
     assert log
     assert run(config) == logged
+
+
+def digest_oracle(levels: dict[tuple[int, int], float]) -> str:
+    """The FIELD digest by its definition: SHA-1 over the sorted records."""
+    h = hashlib.sha1()
+    for (u, v), value in sorted(levels.items()):
+        h.update(struct.pack("<iid", u, v, value))
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        pytest.param("star10", [], id="star10"),
+        pytest.param("reinfection75", ["max_ticks=300"], id="reinfection75"),
+        pytest.param("star10", ["infected="], id="uninfected"),
+        pytest.param(
+            "default75",
+            ["max_ticks=300", "detect_prob=0.5", "false_positive_prob=0.02"],
+            id="noisy",
+        ),
+    ],
+)
+def test_field_lines_match_replayed_phero_records(scenario, overrides):
+    """Each tick's FIELD line is the digest of the levels that the log's
+    PHERO lines up to that tick give when replayed by kind alone (``good``
+    multiplies by dec, ``bad`` adds inc; the printed value is not read).
+    A direction crossed only by clean confirmations is in the digest at 0.0."""
+    config = scenario_config(scenario, overrides)
+    _, log = logged_run(config)
+    levels: dict[tuple[int, int], float] = {}
+    digests = []
+    for line in log:
+        tag, tick, rest = line.split(",", 2)
+        if tag == "PHERO":
+            u, v, kind, _ = rest.split(",")
+            key = int(u), int(v)
+            if kind == "good":
+                levels[key] = levels.get(key, 0.0) * config.params.decay
+            else:
+                assert kind == "bad", line
+                levels[key] = levels.get(key, 0.0) + config.params.increase
+        elif tag == "FIELD":
+            assert rest == digest_oracle(levels), f"tick {tick}"
+            digests.append(rest)
+    assert len(digests) == config.max_ticks
+    if not config.initial_infected:
+        assert levels == dict.fromkeys(config.topology.edge_ids, 0.0)
+        assert digests[-1] != hashlib.sha1(b"").hexdigest()[:16]
 
 
 def full_memo_peak(topo):

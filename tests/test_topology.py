@@ -89,29 +89,29 @@ def test_load_topology_malformed(text):
 
 
 def test_route_on_path(path3):
-    assert shortest_route(path3, 0, 2) == (0, 1, 2)
+    assert shortest_route(path3, 0, 2, {}) == (0, 1, 2)
 
 
 def test_route_tie_break_on_cycle():
     cycle = NetworkTopology.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert shortest_route(cycle, 0, 2) == (0, 1, 2)
+    assert shortest_route(cycle, 0, 2, {}) == (0, 1, 2)
 
 
 def test_route_direct_edge_on_complete_graph():
     complete = NetworkTopology.from_edges(
         4, [(a, b) for a in range(4) for b in range(a + 1, 4)]
     )
-    assert shortest_route(complete, 1, 3) == (1, 3)
+    assert shortest_route(complete, 1, 3, {}) == (1, 3)
 
 
 def test_route_same_node_rejected(path3):
     with pytest.raises(SameNode):
-        shortest_route(path3, 1, 1)
+        shortest_route(path3, 1, 1, {})
 
 
 def test_route_invalid_endpoint_rejected(path3):
     with pytest.raises(NoRoute):
-        shortest_route(path3, 0, 7)
+        shortest_route(path3, 0, 7, {})
 
 
 def test_route_length_matches_bfs_oracle():
@@ -123,7 +123,7 @@ def test_route_length_matches_bfs_oracle():
             for dst in range(n):
                 if src == dst:
                     continue
-                route = shortest_route(topo, src, dst)
+                route = shortest_route(topo, src, dst, {})
                 assert len(route) - 1 == bfs_distance(topo, src, dst)
                 assert is_valid_route(topo, route)
                 assert route[0] == src and route[-1] == dst
@@ -133,7 +133,7 @@ def test_route_deterministic():
     rng = random.Random(99)
     topo = generate_random_topology(20, 0.2, rng)
     for src, dst in [(0, 19), (3, 7), (15, 2)]:
-        assert shortest_route(topo, src, dst) == shortest_route(topo, src, dst)
+        assert shortest_route(topo, src, dst, {}) == shortest_route(topo, src, dst, {})
 
 
 def test_route_lexicographically_smallest():
@@ -161,7 +161,7 @@ def test_route_lexicographically_smallest():
     for src in range(topo.node_count):
         for dst in range(topo.node_count):
             if src != dst:
-                assert shortest_route(topo, src, dst) == min(all_min_paths(src, dst))
+                assert shortest_route(topo, src, dst, {}) == min(all_min_paths(src, dst))
 
 
 def test_edge_ids_number_directions_in_sorted_order():
@@ -175,7 +175,7 @@ def test_route_distance_tables_are_cached_by_the_caller():
     topo = grid_topology(4, 4)
     distances = {}
     for src, dst in [(0, 15), (3, 15), (15, 0)]:
-        assert shortest_route(topo, src, dst, distances) == shortest_route(topo, src, dst)
+        assert shortest_route(topo, src, dst, distances) == shortest_route(topo, src, dst, {})
     assert sorted(distances) == [0, 15]
 
 
@@ -191,7 +191,7 @@ def test_reverse_route_involution(hops):
 
 
 def test_reversed_route_still_valid(path10):
-    route = shortest_route(path10, 0, 9)
+    route = shortest_route(path10, 0, 9, {})
     assert is_valid_route(path10, reverse_route(route))
 
 
@@ -214,4 +214,4 @@ def test_route_matches_networkx_oracle(topo):
         for dst in range(topo.node_count):
             if src != dst:
                 oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
-                assert shortest_route(topo, src, dst) == oracle
+                assert shortest_route(topo, src, dst, {}) == oracle

@@ -12,7 +12,7 @@ from anttrack.transport import (
     advance_packets,
 )
 
-from conftest import touched_levels
+from conftest import RecordingField
 
 PARAMS = PheromoneParams()
 
@@ -149,7 +149,7 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
 
 
 def test_updates_only_on_traversed_directed_edges(star10):
-    field = PheromoneField(star10)
+    field = RecordingField(star10)
     state = InFlight(
         confirmations=[
             ConfirmationPacket(PheromoneEvent.BAD, (0, 3)),
@@ -158,5 +158,4 @@ def test_updates_only_on_traversed_directed_edges(star10):
     )
     advance_confirmations(state, field, PARAMS)
     advance_confirmations(state, field, PARAMS)
-    touched = set(touched_levels(field))
-    assert touched == {(0, 3), (5, 0), (0, 7)}
+    assert field.written == {(0, 3), (5, 0), (0, 7)}
