@@ -12,6 +12,7 @@ import os
 import statistics
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -43,8 +44,35 @@ _SCALAR_KEYS = {
 }
 
 
-def parse_scenario(text: str, base_dir: Path) -> dict:
-    """Parse the flat key-value scenario format into a raw dict.
+def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
+    """Convert one scenario key's value tokens into ``data``."""
+    try:
+        if key == "edge":
+            a, b = (int(x) for x in tokens)
+            data["edges"].append((a, b))
+        elif key == "infect_at":
+            tick, node = (int(x) for x in tokens)
+            data["infect_at"].append((tick, node))
+        elif key == "nodes":
+            (data["nodes"],) = (int(x) for x in tokens)
+        elif key == "random_topology":
+            n, p = tokens
+            data["random_topology"] = (int(n), float(p))
+        elif key == "infected":
+            data["infected"] = [int(x) for x in tokens]
+        elif key in _SCALAR_KEYS:
+            (value,) = tokens
+            data[key] = _SCALAR_KEYS[key](value)
+        else:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+    except (ValueError, TypeError):
+        raise ScenarioError(f"{where}: bad value for {key!r}: {' '.join(tokens)!r}")
+
+
+def parse_scenario(text: str, base_dir: Path, overrides: Iterable[str] = ()) -> dict:
+    """Parse the flat key-value scenario format into a raw dict, then apply
+    ``overrides``: ``key=value`` strings, each replacing the value of
+    ``infected`` or of a scalar key.
 
     Repeatable keys: ``edge a b`` and ``infect_at tick node``.  The key
     ``infected`` takes a space-separated node list; ``build_config`` rejects
@@ -60,53 +88,35 @@ def parse_scenario(text: str, base_dir: Path) -> dict:
         if key in seen and key not in ("edge", "infect_at"):
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        try:
-            if key == "edge":
-                a, b = (int(x) for x in rest)
-                data["edges"].append((a, b))
-            elif key == "infect_at":
-                tick, node = (int(x) for x in rest)
-                data["infect_at"].append((tick, node))
-            elif key == "nodes":
-                (data["nodes"],) = (int(x) for x in rest)
-            elif key == "random_topology":
-                n, p = rest
-                data["random_topology"] = (int(n), float(p))
-            elif key == "infected":
-                data["infected"] = [int(x) for x in rest]
-            elif key in _SCALAR_KEYS:
-                (value,) = rest
-                data[key] = _SCALAR_KEYS[key](value)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, TypeError):
-            raise ScenarioError(f"line {lineno}: bad value for {key!r}: {' '.join(rest)!r}")
-    return data
-
-
-def apply_overrides(data: dict, overrides: list[str]) -> None:
-    """Apply repeatable ``--set key=value`` strings onto a parsed scenario."""
+        _set_key(data, key, rest, f"line {lineno}")
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
             raise ScenarioError(f"override {item!r} is not of the form key=value")
-        if key == "infected":
-            try:
-                data["infected"] = [int(x) for x in value.split()]
-            except ValueError:
-                raise ScenarioError(f"override infected={value!r} is not a node list")
-        elif key in _SCALAR_KEYS:
-            try:
-                data[key] = _SCALAR_KEYS[key](value)
-            except ValueError:
-                raise ScenarioError(f"override {key}={value!r} has the wrong type")
-        else:
-            raise ScenarioError(f"unknown key {key!r}")
+        if key != "infected" and key not in _SCALAR_KEYS:
+            raise ScenarioError(f"override {item!r}: --set takes no key {key!r}")
+        _set_key(data, key, value.split(), f"override {item!r}")
+    return data
+
+
+def _given(data: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the dataclass fields the scenario sets, so the
+    dataclass defaults the rest; ``renamed`` maps a field to its key."""
+    fields = {**{key: key for key in keys}, **renamed}
+    return {name: data[key] for name, key in fields.items() if key in data}
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}")
 
 
 def build_config(data: dict, seed_override: int | None = None) -> engine.SimulationConfig:
     """Turn a parsed scenario into a validated SimulationConfig."""
-    seed = seed_override if seed_override is not None else data.get("seed", 0)
+    seed = data.get("seed", engine.SimulationConfig.seed)
+    seed = seed if seed_override is None else seed_override
 
     sources = [s for s in ("nodes", "topology_file", "random_topology") if s in data]
     if "nodes" not in data and data["edges"]:
@@ -120,8 +130,7 @@ def build_config(data: dict, seed_override: int | None = None) -> engine.Simulat
         if "nodes" in data:
             topology = NetworkTopology.from_edges(data["nodes"], data["edges"])
         elif "topology_file" in data:
-            path = data["base_dir"] / data["topology_file"]
-            topology = load_topology(path.read_text(encoding="utf-8"))
+            topology = load_topology(_read_text(data["base_dir"] / data["topology_file"]))
         else:
             n, p = data["random_topology"]
             topology = engine.generate_random_topology(n, p, engine.derive_rng(seed, "topology"))
@@ -129,25 +138,15 @@ def build_config(data: dict, seed_override: int | None = None) -> engine.Simulat
         raise ScenarioError(f"topology: {exc}")
 
     try:
-        params = PheromoneParams(
-            increase=data.get("inc", 20.0),
-            decay=data.get("dec", 0.95),
-            threshold=data.get("threshold", 10.0),
-        )
+        params = PheromoneParams(**_given(data, "threshold", increase="inc", decay="dec"))
         rates = TrafficRates(
-            good_packets_per_tick=data.get("good_packets_per_tick", 50),
-            attack_packets_per_infected_per_tick=data.get(
-                "attack_packets_per_infected_per_tick", 3
-            ),
+            **_given(data, "good_packets_per_tick", "attack_packets_per_infected_per_tick")
         )
-        detector = DetectorModel(
-            detect_prob=data.get("detect_prob", 1.0),
-            false_positive_prob=data.get("false_positive_prob", 0.0),
-        )
+        detector = DetectorModel(**_given(data, "detect_prob", "false_positive_prob"))
     except ValueError as exc:
         raise ScenarioError(str(exc))
 
-    infected = data.get("infected", [])
+    infected = data.get("infected", ())
     repeated = sorted(node for node, k in Counter(infected).items() if k > 1)
     if repeated:
         raise ScenarioError(f"infected lists nodes more than once: {repeated}")
@@ -157,21 +156,13 @@ def build_config(data: dict, seed_override: int | None = None) -> engine.Simulat
         params=params,
         rates=rates,
         detector=detector,
-        ant_count=data.get("ant_count", 3),
         initial_infected=frozenset(infected),
         scripted_infections=tuple(sorted(data["infect_at"])),
-        max_ticks=data.get("max_ticks", 1000),
         seed=seed,
-        ant_choice=data.get("ant_choice", "greedy"),
+        **_given(data, "ant_count", "max_ticks", "ant_choice"),
     )
     config.validate()
     return config
-
-
-def _load_scenario_file(path: Path, overrides: list[str]) -> dict:
-    data = parse_scenario(path.read_text(encoding="utf-8"), path.parent)
-    apply_overrides(data, overrides)
-    return data
 
 
 def _temp_path(path: Path) -> Path:
@@ -230,7 +221,8 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 
 
 def cmd_run(args) -> int:
-    data = _load_scenario_file(Path(args.scenario), args.set or [])
+    path = Path(args.scenario)
+    data = parse_scenario(_read_text(path), path.parent, args.set or ())
     config = build_config(data, args.seed)
     out_dir = Path(args.out)
     events = out_dir / "events.log"
@@ -255,7 +247,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
-    data = _load_scenario_file(Path(args.scenario), args.set or [])
+    path = Path(args.scenario)
+    data = parse_scenario(_read_text(path), path.parent, args.set or ())
     seeds = _expand_seeds(args.seeds)
     configs = [build_config(data, seed) for seed in seeds]
 
@@ -388,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="emit a pheromone value trace as CSV")
     p_trace.add_argument("--mode", choices=["fig1", "fig2", "custom"], required=True)
     p_trace.add_argument("--events", default=None, help="event string of G/B for custom mode")
-    p_trace.add_argument("--inc", type=float, default=20.0)
-    p_trace.add_argument("--dec", type=float, default=0.95)
+    p_trace.add_argument("--inc", type=float, default=PheromoneParams.increase)
+    p_trace.add_argument("--dec", type=float, default=PheromoneParams.decay)
     p_trace.add_argument("--packets", type=int, default=200)
     p_trace.add_argument("--out", default="trace.csv")
     p_trace.set_defaults(func=cmd_trace)

@@ -2,12 +2,14 @@
 
 Intra-tick order is fixed: (1) scripted infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
-(inspections; confirmations spawned here first move next tick), (5) field
-digest, in runs that build the event log, (6) agent steps against the
-now-stable field in ant_id order, (7) the tick's declarations, in ant_id
-order.  A run is a pure function of its config: the master seed derives
-independent substreams per role, so traffic and detection randomness do
-not depend on how many agents are deployed.
+(inspections; confirmations spawned here first move next tick), (5) agent
+steps against the now-stable field in ant_id order, (6) the tick's
+declarations, in ant_id order.  A run that builds the event log formats
+the tick's records once, at the end of the tick; its FIELD digest is the
+field after packet movement, which the agents leave unchanged.  A run is a
+pure function of its config: the master seed derives independent
+substreams per role, so traffic and detection randomness do not depend on
+how many agents are deployed.
 """
 
 from __future__ import annotations
@@ -102,6 +104,28 @@ def _field_digest(records: list[bytes]) -> str:
     return hashlib.sha1(b"".join(records)).hexdigest()[:16]
 
 
+_pack_record = struct.Struct("<iid").pack
+
+
+def _tick_log(tick, new_packets, updates, outcomes, records, ids, ants, declared) -> str:
+    """One tick's record lines, each newline-terminated, in log order.  Each
+    PHERO update also repacks its direction's FIELD-digest record first.  A
+    step moves only its own ant, so ANT lines read after the last step show
+    each ant's state after its own step."""
+    lines = [
+        f"PKT,{tick},spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
+        for pkt in new_packets
+    ]
+    for u, v, kind, value in updates:
+        lines.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
+        records[ids[u, v]] = _pack_record(u, v, value)
+    lines.extend(f"PKT,{tick},{out.event},{out.packet_id},{out.node}" for out in outcomes)
+    lines.append(f"FIELD,{tick},{_field_digest(records)}")
+    lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
+    lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)
+    return "\n".join(lines) + "\n"
+
+
 def run(config: SimulationConfig) -> Metrics:
     """Execute max_ticks ticks of the scenario and return its metrics.  With
     ``config.log`` set, each tick's tick-stamped PKT/PHERO/FIELD/ANT/DECL
@@ -125,14 +149,8 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    # the current tick's record lines, or None when the run keeps no log; a
-    # logged run also keeps each direction's FIELD-digest record by edge id
-    lines: list[str] | None = None
-    if config.log is not None:
-        lines = []
-        ids = topo.edge_ids
-        records = [b""] * len(ids)
-        pack = struct.Struct("<iid").pack
+    # a logged run keeps each direction's FIELD-digest record by edge id
+    records = [b""] * len(topo.edge_ids) if config.log is not None else None
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -144,48 +162,31 @@ def run(config: SimulationConfig) -> Metrics:
             topo, infected, config.rates, traffic_rng, next_packet_id, routes
         )
         next_packet_id += len(new_packets)
-        if lines is not None:
-            for pkt in new_packets:
-                lines.append(
-                    f"PKT,{tick},spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},"
-                    f"{1 if pkt.malicious else 0}"
-                )
         inflight.packets.extend(new_packets)
 
         updates = advance_confirmations(inflight, pheromones, config.params)
-        if lines is not None:
-            for u, v, kind, value in updates:
-                lines.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
-                records[ids[u, v]] = pack(u, v, value)
 
         spawned, outcomes = advance_packets(inflight, topo, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
-        if lines is not None:
-            for out in outcomes:
-                lines.append(f"PKT,{tick},{out.event},{out.packet_id},{out.node}")
-            lines.append(f"FIELD,{tick},{_field_digest(records)}")
 
         declared: list[tuple[int, int]] = []
         for ant in ants:
             node = ant_step(
                 ant, topo, pheromones, config.params, ant_rngs[ant.ant_id], config.ant_choice
             )
-            if lines is not None:
-                lines.append(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}")
             if node is not None:
                 declared.append((ant.ant_id, node))
 
         for ant_id, node in declared:
-            if lines is not None:
-                lines.append(f"DECL,{tick},{ant_id},{node}")
             if node in infected:
                 metrics.first_declaration_tick.setdefault(node, tick)
             elif node not in (n for n, _ in metrics.false_declarations):
                 metrics.false_declarations.append((node, tick))
 
-        if lines is not None:
-            config.log("\n".join(lines) + "\n")
-            lines.clear()
+        if config.log is not None:
+            config.log(_tick_log(
+                tick, new_packets, updates, outcomes, records, topo.edge_ids, ants, declared
+            ))
 
     if infected and infected.keys() <= metrics.first_declaration_tick.keys():
         metrics.all_identified_tick = max(metrics.first_declaration_tick[n] for n in infected)

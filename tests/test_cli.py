@@ -9,8 +9,10 @@ import pytest
 
 from anttrack import cli
 from anttrack.cli import main
+from anttrack.engine import SimulationConfig
 from anttrack.pheromone import PheromoneEvent, PheromoneParams, closed_form_value
 from anttrack.cli import trace_events
+from anttrack.topology import NetworkTopology
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -154,6 +156,75 @@ def test_invalid_override_value(tmp_path):
     assert main(
         ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", "max_ticks=soon"]
     ) == 2
+
+
+BASE = "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 0 4\n"
+
+# a value other than the default for every key --set accepts
+OVERRIDE_VALUES = {
+    "seed": "5",
+    "ant_count": "2",
+    "inc": "7.5",
+    "dec": "0.5",
+    "threshold": "3.25",
+    "detect_prob": "0.25",
+    "false_positive_prob": "0.125",
+    "good_packets_per_tick": "4",
+    "attack_packets_per_infected_per_tick": "2",
+    "max_ticks": "30",
+    "ant_choice": "proportional",
+    "topology_file": str(SCENARIOS / "star10.topo"),
+    "infected": "1 3",
+}
+
+
+def test_override_keys_are_the_scalar_keys_and_infected():
+    assert set(OVERRIDE_VALUES) == {"infected", *cli._SCALAR_KEYS}
+
+
+@pytest.mark.parametrize("key", sorted(OVERRIDE_VALUES))
+def test_override_equals_scenario_line(tmp_path, key):
+    value = OVERRIDE_VALUES[key]
+    base = "" if key == "topology_file" else BASE
+    line = cli.build_config(cli.parse_scenario(f"{base}{key} {value}\n", tmp_path))
+    override = cli.build_config(cli.parse_scenario(base, tmp_path, [f"{key}={value}"]))
+    assert override == line
+    if key != "topology_file":
+        assert line != cli.build_config(cli.parse_scenario(base, tmp_path))
+
+
+def test_override_replaces_scenario_line(tmp_path):
+    data = cli.parse_scenario(BASE + "max_ticks 7\ninfected 2\n", tmp_path,
+                              ["max_ticks=9", "infected=1 4"])
+    config = cli.build_config(data)
+    assert config.max_ticks == 9 and config.initial_infected == {1, 4}
+
+
+def test_scenario_without_parameters_takes_the_dataclass_defaults(tmp_path):
+    config = cli.build_config(cli.parse_scenario(BASE, tmp_path))
+    topology = NetworkTopology.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert config == SimulationConfig(topology=topology, seed=0)
+
+
+@pytest.mark.parametrize("item", ["nodes=3", "edge=0 1", "infect_at=1 2", "random_topology=5 0.1"])
+def test_override_of_a_structural_key_names_it(tmp_path, capsys, item):
+    scenario = small_scenario(tmp_path)
+    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", item]
+    assert main(argv) == 2
+    assert repr(item.partition("=")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad_file", ["scenario.scn", "net.topo"])
+def test_non_utf8_file_names_it(tmp_path, capsys, bad_file):
+    (tmp_path / "scenario.scn").write_text("topology_file net.topo\n")
+    (tmp_path / "net.topo").write_text("nodes 2\nedge 0 1\n")
+    with open(tmp_path / bad_file, "ab") as f:
+        f.write(b"# \xff\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(tmp_path / "scenario.scn"), "--out", str(out)]) == 2
+    assert str(tmp_path / bad_file) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_scenario_is_io_error(tmp_path):

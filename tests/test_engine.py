@@ -30,9 +30,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def scenario_config(name, overrides=()):
     path = SCENARIOS / f"{name}.scn"
-    data = cli.parse_scenario(path.read_text(encoding="utf-8"), path.parent)
-    cli.apply_overrides(data, overrides)
-    return cli.build_config(data)
+    return cli.build_config(
+        cli.parse_scenario(path.read_text(encoding="utf-8"), path.parent, overrides)
+    )
 
 
 def traced_peak(fn):
