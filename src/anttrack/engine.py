@@ -166,7 +166,7 @@ def run(config: SimulationConfig) -> Metrics:
 
         updates = advance_confirmations(inflight, pheromones, config.params)
 
-        spawned, outcomes = advance_packets(inflight, topo, config.detector, detect_rng)
+        spawned, outcomes = advance_packets(inflight, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
 
         declared: list[tuple[int, int]] = []

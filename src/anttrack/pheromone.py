@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class NotAConnection(Exception):
-    """Queried node pair is not a connection of the topology."""
-
-
 class PheromoneEvent(Enum):
     GOOD = "good"
     BAD = "bad"
@@ -69,38 +65,29 @@ class PheromoneField:
 
     One float per directed connection, at the topology's CSR edge id, in a
     single ``array('d')``.  Both directions of a connection are independent.
-    Reads never write, so read paths cannot perturb the field.
+    Reads never write, so read paths cannot perturb the field.  A node pair
+    that is not a connection raises ``KeyError`` naming the pair.
     """
 
     def __init__(self, topology):
         self._ids = topology.edge_ids
         self._values = array("d", bytes(8 * len(self._ids)))
 
-    # the (u, v) -> id probe is inlined in the three methods below, which run
-    # once per confirmation hop or agent read
-
     def apply_good(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
         """A clean confirmation crossed the direction: decay its value."""
-        i = self._ids.get((from_node, to_node))
-        if i is None:
-            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
+        i = self._ids[from_node, to_node]
         value = self._values[i] = self._values[i] * params.decay
         return value
 
     def apply_bad(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
         """A detected-attack confirmation crossed the direction: boost it."""
-        i = self._ids.get((from_node, to_node))
-        if i is None:
-            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
+        i = self._ids[from_node, to_node]
         value = self._values[i] = self._values[i] + params.increase
         return value
 
     def read_level(self, from_node: int, to_node: int) -> float:
         """Current value for a direction; 0.0 if never touched."""
-        i = self._ids.get((from_node, to_node))
-        if i is None:
-            raise NotAConnection(f"({from_node}, {to_node}) is not a connection")
-        return self._values[i]
+        return self._values[self._ids[from_node, to_node]]
 
     @property
     def bytes_per_direction(self) -> int:

@@ -13,31 +13,7 @@ Route = tuple[int, ...]
 
 
 class TopologyError(Exception):
-    """Base class for topology construction and routing errors."""
-
-
-class MalformedSpec(TopologyError):
-    """Topology description could not be parsed."""
-
-
-class SelfLoop(TopologyError):
-    """An edge connects a node to itself."""
-
-
-class DuplicateEdge(TopologyError):
-    """The same unordered node pair appears twice."""
-
-
-class DisconnectedGraph(TopologyError):
-    """The graph does not connect all nodes."""
-
-
-class NoRoute(TopologyError):
-    """No path exists between the requested nodes."""
-
-
-class SameNode(TopologyError):
-    """Route requested from a node to itself."""
+    """A topology description, edge list or route request is invalid."""
 
 
 @dataclass(frozen=True)
@@ -66,17 +42,17 @@ class NetworkTopology:
     def from_edges(cls, node_count: int, edge_pairs) -> NetworkTopology:
         """Build and validate a topology from (a, b) node pairs."""
         if node_count < 1:
-            raise MalformedSpec(f"node count must be >= 1, got {node_count}")
+            raise TopologyError(f"node count must be >= 1, got {node_count}")
         edges: set[tuple[int, int]] = set()
         neighbors: list[set[int]] = [set() for _ in range(node_count)]
         for a, b in edge_pairs:
             if not (0 <= a < node_count and 0 <= b < node_count):
-                raise MalformedSpec(f"edge ({a}, {b}) references a node outside [0, {node_count})")
+                raise TopologyError(f"edge ({a}, {b}) references a node outside [0, {node_count})")
             if a == b:
-                raise SelfLoop(f"edge ({a}, {b}) is a self-loop")
+                raise TopologyError(f"edge ({a}, {b}) is a self-loop")
             key = (a, b) if a < b else (b, a)
             if key in edges:
-                raise DuplicateEdge(f"edge {key} listed more than once")
+                raise TopologyError(f"edge {key} listed more than once")
             edges.add(key)
             neighbors[a].add(b)
             neighbors[b].add(a)
@@ -84,7 +60,7 @@ class NetworkTopology:
         topo = cls(node_count, frozenset(edges), adjacency)
         unreachable = [v for v, d in enumerate(_hop_distances(topo, 0)) if d < 0]
         if unreachable:
-            raise DisconnectedGraph(f"nodes unreachable from node 0: {unreachable}")
+            raise TopologyError(f"nodes unreachable from node 0: {unreachable}")
         return topo
 
     def neighbors(self, node: int) -> tuple[int, ...]:
@@ -106,21 +82,21 @@ def load_topology(text: str) -> NetworkTopology:
         tokens = line.split()
         if node_count is None:
             if tokens[0] != "nodes" or len(tokens) != 2:
-                raise MalformedSpec(f"line {lineno}: expected 'nodes <N>', got {line!r}")
+                raise TopologyError(f"line {lineno}: expected 'nodes <N>', got {line!r}")
             try:
                 node_count = int(tokens[1])
             except ValueError:
-                raise MalformedSpec(f"line {lineno}: node count {tokens[1]!r} is not an integer")
+                raise TopologyError(f"line {lineno}: node count {tokens[1]!r} is not an integer")
             continue
         if tokens[0] != "edge" or len(tokens) != 3:
-            raise MalformedSpec(f"line {lineno}: expected 'edge <a> <b>', got {line!r}")
+            raise TopologyError(f"line {lineno}: expected 'edge <a> <b>', got {line!r}")
         try:
             a, b = int(tokens[1]), int(tokens[2])
         except ValueError:
-            raise MalformedSpec(f"line {lineno}: edge endpoints must be integers, got {line!r}")
+            raise TopologyError(f"line {lineno}: edge endpoints must be integers, got {line!r}")
         pairs.append((a, b))
     if node_count is None:
-        raise MalformedSpec("missing 'nodes <N>' line")
+        raise TopologyError("missing 'nodes <N>' line")
     return NetworkTopology.from_edges(node_count, pairs)
 
 
@@ -153,14 +129,14 @@ def shortest_route(
     calls; its owner decides how long the tables live.
     """
     if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
-        raise NoRoute(f"invalid endpoints ({src}, {dst})")
+        raise TopologyError(f"invalid endpoints ({src}, {dst})")
     if src == dst:
-        raise SameNode(f"route requested from node {src} to itself")
+        raise TopologyError(f"route requested from node {src} to itself")
     dist = distances.get(dst)
     if dist is None:
         dist = distances[dst] = _hop_distances(topo, dst)
     if dist[src] < 0:
-        raise NoRoute(f"no path from {src} to {dst}")
+        raise TopologyError(f"no path from {src} to {dst}")
     hops = [src]
     cur = src
     d = dist[src]

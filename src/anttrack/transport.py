@@ -1,11 +1,11 @@
 """One-hop-per-tick movement of packets and confirmation packets.
 
 A packet that is detected or delivered spawns exactly one confirmation,
-routed back toward the packet's source over the reversed portion of the
-path it actually traveled.  Confirmations update the directed pheromone
-state of every connection they traverse: bad confirmations boost it, clean
-confirmations decay it.  That direction of travel is what makes the
-resulting trails point at attack sources.
+which walks back toward the packet's source along the packet's own route,
+one hop per tick, from the hop where the packet ended.  Confirmations update
+the directed pheromone state of every connection they traverse: bad
+confirmations boost it, clean confirmations decay it.  That direction of
+travel is what makes the resulting trails point at attack sources.
 """
 
 from __future__ import annotations
@@ -15,15 +15,18 @@ from dataclasses import dataclass, field
 
 from .detection import DetectorModel, inspect_at_hop
 from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
-from .topology import NetworkTopology, Route
+from .topology import Route
 from .traffic import Packet
 
 
 @dataclass
 class ConfirmationPacket:
+    """A confirmation at ``route[position]``, walking back toward
+    ``route[0]``; ``route`` is the ended packet's own route."""
+
     kind: PheromoneEvent
     route: Route
-    position: int = 0
+    position: int
 
 
 @dataclass
@@ -44,19 +47,16 @@ class PacketOutcome:
 
 
 def advance_packets(
-    state: InFlight,
-    topology: NetworkTopology,
-    detector: DetectorModel,
-    rng: random.Random,
+    state: InFlight, detector: DetectorModel, rng: random.Random
 ) -> tuple[list[ConfirmationPacket], list[PacketOutcome]]:
     """Advance every packet one hop and run the detector at the new hop.
 
-    Detection removes the packet and spawns a bad confirmation from the
-    detecting node back over the reversed traversed prefix.  Delivery
-    (including a malicious packet that evaded every check: the destination
-    believes it is clean) removes the packet and spawns a clean confirmation
-    over the full reverse route.  Spawned confirmations are returned, not
-    inserted, so they start moving only on the next tick.
+    Detection removes the packet and spawns a bad confirmation at the
+    detecting node.  Delivery (including a malicious packet that evaded
+    every check: the destination believes it is clean) removes the packet
+    and spawns a clean confirmation at the destination.  Spawned
+    confirmations are returned, not inserted, so they start moving only on
+    the next tick.
     """
     survivors: list[Packet] = []
     spawned: list[ConfirmationPacket] = []
@@ -66,16 +66,14 @@ def advance_packets(
         route = pkt.route
         node = route[pkt.position]
         if inspect_at_hop(pkt, node, detector, rng):
-            back = tuple(reversed(route[: pkt.position + 1]))
-            spawned.append(ConfirmationPacket(PheromoneEvent.BAD, back))
-            outcomes.append(PacketOutcome(pkt.id, "detected", node))
+            kind, event = PheromoneEvent.BAD, "detected"
+        elif node == route[-1]:
+            kind, event = PheromoneEvent.GOOD, "delivered"
+        else:
+            survivors.append(pkt)
             continue
-        if node == route[-1]:
-            back = tuple(reversed(route))
-            spawned.append(ConfirmationPacket(PheromoneEvent.GOOD, back))
-            outcomes.append(PacketOutcome(pkt.id, "delivered", node))
-            continue
-        survivors.append(pkt)
+        spawned.append(ConfirmationPacket(kind, route, pkt.position))
+        outcomes.append(PacketOutcome(pkt.id, event, node))
     state.packets = survivors
     return spawned, outcomes
 
@@ -83,23 +81,23 @@ def advance_packets(
 def advance_confirmations(
     state: InFlight, pheromones: PheromoneField, params: PheromoneParams
 ) -> list[tuple[int, int, PheromoneEvent, float]]:
-    """Advance every confirmation one hop, updating the pheromone state of the
-    directed connection it traverses.  Returns one (from, to, kind, new
-    value) record per traversal; confirmations that reach the end of their
-    route are removed.
+    """Advance every confirmation one hop back along its route, updating the
+    pheromone state of the directed connection it traverses.  Returns one
+    (from, to, kind, new value) record per traversal; confirmations that
+    reach the route's source are removed.
     """
     survivors: list[ConfirmationPacket] = []
     updates: list[tuple[int, int, PheromoneEvent, float]] = []
     for conf in state.confirmations:
         u = conf.route[conf.position]
-        v = conf.route[conf.position + 1]
+        conf.position -= 1
+        v = conf.route[conf.position]
         if conf.kind is PheromoneEvent.BAD:
             new_value = pheromones.apply_bad(u, v, params)
         else:
             new_value = pheromones.apply_good(u, v, params)
         updates.append((u, v, conf.kind, new_value))
-        conf.position += 1
-        if conf.position < len(conf.route) - 1:
+        if conf.position:
             survivors.append(conf)
     state.confirmations = survivors
     return updates

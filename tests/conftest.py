@@ -33,6 +33,12 @@ def reverse_route(route: Route) -> Route:
     return tuple(reversed(route))
 
 
+def confirmation_path(conf) -> Route:
+    """The hops a confirmation has still to visit, from where it is now back
+    to its packet's source."""
+    return conf.route[conf.position::-1]
+
+
 def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
     """True if route is a simple path over existing connections."""
     if len(route) < 2 or len(set(route)) != len(route):
@@ -41,19 +47,19 @@ def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
 
 
 class RecordingField(PheromoneField):
-    """A field that also records in ``written`` every direction a write
-    crossed."""
+    """A field that also records as the keys of ``written`` every direction a
+    write crossed, in the order of each direction's first write."""
 
     def __init__(self, topology: NetworkTopology):
         super().__init__(topology)
-        self.written: set[tuple[int, int]] = set()
+        self.written: dict[tuple[int, int], None] = {}
 
     def apply_good(self, from_node, to_node, params):
-        self.written.add((from_node, to_node))
+        self.written[from_node, to_node] = None
         return super().apply_good(from_node, to_node, params)
 
     def apply_bad(self, from_node, to_node, params):
-        self.written.add((from_node, to_node))
+        self.written[from_node, to_node] = None
         return super().apply_bad(from_node, to_node, params)
 
 

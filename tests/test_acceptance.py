@@ -269,7 +269,7 @@ def test_criterion_7_storage_bound_after_long_run():
         next_id += len(packets)
         inflight.packets.extend(packets)
         advance_confirmations(inflight, field, config.params)
-        spawned, _ = advance_packets(inflight, config.topology, config.detector, detect_rng)
+        spawned, _ = advance_packets(inflight, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
     touched = len(field.written)
     assert touched, "no connection was ever touched"

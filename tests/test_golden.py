@@ -1,5 +1,6 @@
 """Golden outputs: `anttrack run` on the pinned scenarios must reproduce
-these files byte for byte (sha256, first 16 hex digits).
+these files byte for byte (sha256, first 16 hex digits), and `anttrack trace`
+its fig1 and fig2 CSVs (full sha256).
 
 A change that alters a hash changes observable behaviour and must say why.
 """
@@ -33,3 +34,16 @@ def test_run_outputs_match_golden_hashes(scenario, tmp_path):
     assert events.count(b"\n") == log_lines
     assert sha256_prefix(events) == events_hash
     assert sha256_prefix((out / "metrics.csv").read_bytes()) == metrics_hash
+
+
+TRACE_GOLDEN = {
+    "fig1": "7f63821b85c445745f9c8a28f10ef0e35b473473d94c639c62fc27aa1c7604aa",
+    "fig2": "d08ea74c3c36217fe5d0feadd29f75f07f8f1619818e8b4e8664661fe263411e",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_GOLDEN))
+def test_trace_output_matches_golden_hash(mode, tmp_path):
+    out = tmp_path / f"{mode}.csv"
+    assert main(["trace", "--mode", mode, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_GOLDEN[mode]

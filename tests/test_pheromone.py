@@ -1,12 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import (
-    NotAConnection,
     PheromoneEvent,
     PheromoneField,
     PheromoneParams,
@@ -199,7 +199,7 @@ def test_live_state_within_storage_bound():
     field = fold([BAD, GOOD] * 500, DEFAULTS, RecordingField)
     assert field.bytes_per_direction == 8
     assert type(level(field)) is float
-    assert field.written == {(0, 1)}
+    assert field.written.keys() == {(0, 1)}
 
 
 def test_field_directional_independence(path3):
@@ -224,11 +224,22 @@ def test_field_bad_then_good(path3):
 
 
 def test_field_rejects_non_connections(path3):
+    # (0, 2) and (2, 0) join nodes of the path that are not neighbours;
+    # node 3 is outside the topology
     field = PheromoneField(path3)
-    with pytest.raises(NotAConnection):
+    with pytest.raises(KeyError, match=re.escape("(0, 2)")):
         field.read_level(0, 2)
-    with pytest.raises(NotAConnection):
+    with pytest.raises(KeyError, match=re.escape("(2, 0)")):
         field.apply_bad(2, 0, DEFAULTS)
+    with pytest.raises(KeyError, match=re.escape("(0, 2)")):
+        field.apply_good(0, 2, DEFAULTS)
+    with pytest.raises(KeyError, match=re.escape("(2, 3)")):
+        field.read_level(2, 3)
+    with pytest.raises(KeyError, match=re.escape("(3, 2)")):
+        field.apply_bad(3, 2, DEFAULTS)
+    with pytest.raises(KeyError, match=re.escape("(2, 3)")):
+        field.apply_good(2, 3, DEFAULTS)
+    assert all(field.read_level(*key) == 0.0 for key in path3.edge_ids)
 
 
 def test_threshold_is_strict():

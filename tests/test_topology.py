@@ -1,19 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from anttrack.topology import (
-    DisconnectedGraph,
-    DuplicateEdge,
-    MalformedSpec,
-    NetworkTopology,
-    NoRoute,
-    SameNode,
-    SelfLoop,
-    load_topology,
-    shortest_route,
-)
+from anttrack.topology import NetworkTopology, TopologyError, load_topology, shortest_route
 from anttrack.engine import generate_random_topology
 
 from conftest import grid_topology, is_valid_route, path_topology, reverse_route
@@ -47,22 +38,24 @@ def test_path_adjacency_sorted():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(TopologyError, match=re.escape("nodes unreachable from node 0: [2]")):
         NetworkTopology.from_edges(3, [(0, 1)])
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoop):
+    with pytest.raises(TopologyError, match=re.escape("edge (0, 0) is a self-loop")):
         NetworkTopology.from_edges(2, [(0, 0), (0, 1)])
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(TopologyError, match=re.escape("edge (0, 1) listed more than once")):
         NetworkTopology.from_edges(2, [(0, 1), (1, 0)])
 
 
 def test_out_of_range_edge_rejected():
-    with pytest.raises(MalformedSpec):
+    with pytest.raises(
+        TopologyError, match=re.escape("edge (0, 2) references a node outside [0, 2)")
+    ):
         NetworkTopology.from_edges(2, [(0, 2)])
 
 
@@ -73,18 +66,19 @@ def test_load_topology_format():
     assert topo.neighbors(1) == (0, 2)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "nodes x",
-        "nodes 2\nedge 0\n",
-        "edge 0 1\nnodes 2\n",
-        "nodes 2\nlink 0 1\n",
-    ],
-)
+# each malformed description and the message it is rejected with
+MALFORMED = {
+    "": "missing 'nodes <N>' line",
+    "nodes x": "line 1: node count 'x' is not an integer",
+    "nodes 2\nedge 0\n": "line 2: expected 'edge <a> <b>', got 'edge 0'",
+    "edge 0 1\nnodes 2\n": "line 1: expected 'nodes <N>', got 'edge 0 1'",
+    "nodes 2\nlink 0 1\n": "line 2: expected 'edge <a> <b>', got 'link 0 1'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_load_topology_malformed(text):
-    with pytest.raises(MalformedSpec):
+    with pytest.raises(TopologyError, match=re.escape(MALFORMED[text])):
         load_topology(text)
 
 
@@ -105,12 +99,12 @@ def test_route_direct_edge_on_complete_graph():
 
 
 def test_route_same_node_rejected(path3):
-    with pytest.raises(SameNode):
+    with pytest.raises(TopologyError, match=re.escape("route requested from node 1 to itself")):
         shortest_route(path3, 1, 1, {})
 
 
 def test_route_invalid_endpoint_rejected(path3):
-    with pytest.raises(NoRoute):
+    with pytest.raises(TopologyError, match=re.escape("invalid endpoints (0, 7)")):
         shortest_route(path3, 0, 7, {})
 
 

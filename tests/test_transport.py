@@ -2,8 +2,11 @@ import math
 import random
 from collections import Counter
 
+from hypothesis import given, strategies as st
+
 from anttrack.detection import DetectorModel
 from anttrack.pheromone import PheromoneEvent, PheromoneField, PheromoneParams
+from anttrack.topology import shortest_route
 from anttrack.traffic import Packet, RouteMemo, TrafficRates, generate_tick_traffic
 from anttrack.transport import (
     ConfirmationPacket,
@@ -12,88 +15,88 @@ from anttrack.transport import (
     advance_packets,
 )
 
-from conftest import RecordingField
+from conftest import RecordingField, confirmation_path, grid_topology, path_topology
 
 PARAMS = PheromoneParams()
 
 
-def test_good_packet_walkthrough(path3):
+class ScriptedRng:
+    """Detection draws that fire only on inspection number ``fire_at``
+    (never, if it is None)."""
+
+    def __init__(self, fire_at):
+        self.calls = 0
+        self.fire_at = fire_at
+
+    def random(self):
+        self.calls += 1
+        return 0.0 if self.calls == self.fire_at else 1.0
+
+
+def test_good_packet_walkthrough():
     detector = DetectorModel()
     rng = random.Random(0)
     state = InFlight(packets=[Packet(0, False, (0, 1, 2))])
 
-    spawned, outcomes = advance_packets(state, path3, detector, rng)
+    spawned, outcomes = advance_packets(state, detector, rng)
     assert spawned == [] and outcomes == []
     assert state.packets[0].position == 1
 
-    spawned, outcomes = advance_packets(state, path3, detector, rng)
+    spawned, outcomes = advance_packets(state, detector, rng)
     assert state.packets == []
     assert len(spawned) == 1
     assert spawned[0].kind is PheromoneEvent.GOOD
-    assert spawned[0].route == (2, 1, 0)
+    assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].packet_id == 0
     assert outcomes[0].event == "delivered" and outcomes[0].node == 2
 
 
-def test_malicious_detected_at_first_hop(path3):
+def test_malicious_detected_at_first_hop():
     detector = DetectorModel(detect_prob=1.0)
     state = InFlight(packets=[Packet(0, True, (0, 1, 2))])
-    spawned, outcomes = advance_packets(state, path3, detector, random.Random(0))
+    spawned, outcomes = advance_packets(state, detector, random.Random(0))
     assert state.packets == []
     assert spawned[0].kind is PheromoneEvent.BAD
-    assert spawned[0].route == (1, 0)
+    assert confirmation_path(spawned[0]) == (1, 0)
     assert outcomes[0].event == "detected" and outcomes[0].node == 1
 
 
-def test_malicious_evasion_spawns_good_confirm(path3):
+def test_malicious_evasion_spawns_good_confirm():
     detector = DetectorModel(detect_prob=0.0)
     state = InFlight(packets=[Packet(0, True, (0, 1, 2))])
-    advance_packets(state, path3, detector, random.Random(0))
-    spawned, outcomes = advance_packets(state, path3, detector, random.Random(0))
+    advance_packets(state, detector, random.Random(0))
+    spawned, outcomes = advance_packets(state, detector, random.Random(0))
     assert spawned[0].kind is PheromoneEvent.GOOD
-    assert spawned[0].route == (2, 1, 0)
+    assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].event == "delivered"
 
 
 def test_detected_mid_route_confirm_covers_traversed_prefix():
-    from conftest import path_topology
-
-    topo = path_topology(5)
-    # detector that fires only on the third inspection
-    class ScriptedRng:
-        def __init__(self, fire_at):
-            self.calls = 0
-            self.fire_at = fire_at
-
-        def random(self):
-            self.calls += 1
-            return 0.0 if self.calls == self.fire_at else 1.0
-
     detector = DetectorModel(detect_prob=0.5)
     state = InFlight(packets=[Packet(0, True, (0, 1, 2, 3, 4))])
     rng = ScriptedRng(fire_at=3)
     spawned = []
     while state.packets:
-        new, _ = advance_packets(state, topo, detector, rng)
+        new, _ = advance_packets(state, detector, rng)
         spawned.extend(new)
     assert len(spawned) == 1
     assert spawned[0].kind is PheromoneEvent.BAD
-    assert spawned[0].route == (3, 2, 1, 0)
+    assert confirmation_path(spawned[0]) == (3, 2, 1, 0)
 
 
-def test_false_positive_spawns_bad_confirm_full_route(path3):
+def test_false_positive_spawns_bad_confirm_full_route():
     detector = DetectorModel(false_positive_prob=1.0)
     state = InFlight(packets=[Packet(0, False, (0, 1, 2))])
-    advance_packets(state, path3, detector, random.Random(0))
-    spawned, outcomes = advance_packets(state, path3, detector, random.Random(0))
+    advance_packets(state, detector, random.Random(0))
+    spawned, outcomes = advance_packets(state, detector, random.Random(0))
     assert spawned[0].kind is PheromoneEvent.BAD
-    assert spawned[0].route == (2, 1, 0)
+    assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].event == "detected"
 
 
 def test_bad_confirm_deposits_along_direction(path3):
     field = PheromoneField(path3)
-    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.BAD, (1, 0))])
+    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.BAD, (0, 1), 1)])
     updates = advance_confirmations(state, field, PARAMS)
     assert updates == [(1, 0, PheromoneEvent.BAD, 20.0)]
     assert field.read_level(1, 0) == 20.0
@@ -105,7 +108,7 @@ def test_good_confirm_decays_each_hop(path3):
     field = PheromoneField(path3)
     field.apply_bad(2, 1, PARAMS)
     field.apply_bad(1, 0, PARAMS)
-    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.GOOD, (2, 1, 0))])
+    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.GOOD, (0, 1, 2), 2)])
 
     updates = advance_confirmations(state, field, PARAMS)
     assert len(updates) == 1 and updates[0][:2] == (2, 1)
@@ -138,7 +141,7 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
             spawned_ids.extend(p.id for p in packets)
             state.packets.extend(packets)
         advance_confirmations(state, field, PARAMS)
-        new_confirms, outcomes = advance_packets(state, grid4x4, detector, detect_rng)
+        new_confirms, outcomes = advance_packets(state, detector, detect_rng)
         # each packet that ends spawns one confirmation
         assert len(new_confirms) == len(outcomes)
         ended_ids.extend(out.packet_id for out in outcomes)
@@ -152,10 +155,53 @@ def test_updates_only_on_traversed_directed_edges(star10):
     field = RecordingField(star10)
     state = InFlight(
         confirmations=[
-            ConfirmationPacket(PheromoneEvent.BAD, (0, 3)),
-            ConfirmationPacket(PheromoneEvent.GOOD, (5, 0, 7)),
+            ConfirmationPacket(PheromoneEvent.BAD, (3, 0), 1),
+            ConfirmationPacket(PheromoneEvent.GOOD, (7, 0, 5), 2),
         ]
     )
     advance_confirmations(state, field, PARAMS)
     advance_confirmations(state, field, PARAMS)
-    assert field.written == {(0, 3), (5, 0), (0, 7)}
+    assert field.written.keys() == {(0, 3), (5, 0), (0, 7)}
+
+
+@st.composite
+def routed_packets(draw):
+    """A topology, a malicious packet's minimum-hop route on it, and the hop
+    at which the detector fires (None: the packet is delivered)."""
+    topo = draw(st.one_of(
+        st.integers(2, 8).map(path_topology),
+        st.tuples(st.integers(1, 4), st.integers(2, 4)).map(lambda rc: grid_topology(*rc)),
+    ))
+    src = draw(st.integers(0, topo.node_count - 1))
+    dst = draw(st.integers(0, topo.node_count - 1).filter(lambda d: d != src))
+    route = shortest_route(topo, src, dst, {})
+    fire_at = draw(st.none() | st.integers(1, len(route) - 1))
+    return topo, route, fire_at
+
+
+@given(routed_packets())
+def test_confirmation_walks_back_along_its_packets_own_route(case):
+    topo, route, fire_at = case
+    packet = Packet(0, True, route)
+    state = InFlight(packets=[packet])
+    detector = DetectorModel(detect_prob=0.5)
+    rng = ScriptedRng(fire_at)
+    spawned = []
+    while state.packets:
+        new, _ = advance_packets(state, detector, rng)
+        spawned.extend(new)
+    assert len(spawned) == 1
+    conf = spawned[0]
+    # the confirmation reuses the packet's route instead of a reversed copy
+    assert conf.route is packet.route
+    p = len(route) - 1 if fire_at is None else fire_at
+    assert conf.kind is (PheromoneEvent.GOOD if fire_at is None else PheromoneEvent.BAD)
+
+    # a minimum-hop route crosses each direction at most once, so the
+    # order of first writes is the order of all writes
+    field = RecordingField(topo)
+    state.confirmations = spawned
+    while state.confirmations:
+        advance_confirmations(state, field, PARAMS)
+    back = tuple(reversed(route[: p + 1]))
+    assert list(field.written) == list(zip(back, back[1:]))
