@@ -18,10 +18,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import engine
-from .detection import DetectorModel
 from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from .topology import NetworkTopology, TopologyError, load_topology
 from .traffic import TrafficRates
+from .transport import DetectorModel
 
 
 class ScenarioError(Exception):

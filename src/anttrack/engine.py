@@ -21,11 +21,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
-from .detection import DetectorModel
 from .pheromone import PheromoneField, PheromoneParams
 from .topology import NetworkTopology
 from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
-from .transport import InFlight, advance_confirmations, advance_packets
+from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
 
 
 class InvalidConfig(Exception):
@@ -97,17 +96,17 @@ class Metrics:
     infection_tick: dict[int, int] = field(default_factory=dict)
 
 
-def _field_digest(records: list[bytes]) -> str:
+def _field_digest(records: dict[tuple[int, int], bytes]) -> str:
     """First 16 hex digits of the SHA-1 over the ``<iid`` (u, v, value)
-    records, by edge id, that is in (u, v) order; a direction no
-    confirmation has crossed has an empty record."""
-    return hashlib.sha1(b"".join(records)).hexdigest()[:16]
+    records, in the map's order, which is edge-id and so (u, v) order; a
+    direction no confirmation has crossed has an empty record."""
+    return hashlib.sha1(b"".join(records.values())).hexdigest()[:16]
 
 
 _pack_record = struct.Struct("<iid").pack
 
 
-def _tick_log(tick, new_packets, updates, outcomes, records, ids, ants, declared) -> str:
+def _tick_log(tick, new_packets, updates, outcomes, records, ants, declared) -> str:
     """One tick's record lines, each newline-terminated, in log order.  Each
     PHERO update also repacks its direction's FIELD-digest record first.  A
     step moves only its own ant, so ANT lines read after the last step show
@@ -118,7 +117,7 @@ def _tick_log(tick, new_packets, updates, outcomes, records, ids, ants, declared
     ]
     for u, v, kind, value in updates:
         lines.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
-        records[ids[u, v]] = _pack_record(u, v, value)
+        records[u, v] = _pack_record(u, v, value)
     lines.extend(f"PKT,{tick},{out.event},{out.packet_id},{out.node}" for out in outcomes)
     lines.append(f"FIELD,{tick},{_field_digest(records)}")
     lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
@@ -149,8 +148,8 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    # a logged run keeps each direction's FIELD-digest record by edge id
-    records = [b""] * len(topo.edge_ids) if config.log is not None else None
+    # a logged run keeps each direction's FIELD-digest record, in edge-id order
+    records = dict.fromkeys(topo.edge_ids, b"") if config.log is not None else None
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -184,9 +183,7 @@ def run(config: SimulationConfig) -> Metrics:
                 metrics.false_declarations.append((node, tick))
 
         if config.log is not None:
-            config.log(_tick_log(
-                tick, new_packets, updates, outcomes, records, topo.edge_ids, ants, declared
-            ))
+            config.log(_tick_log(tick, new_packets, updates, outcomes, records, ants, declared))
 
     if infected and infected.keys() <= metrics.first_declaration_tick.keys():
         metrics.all_identified_tick = max(metrics.first_declaration_tick[n] for n in infected)

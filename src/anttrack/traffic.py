@@ -12,16 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .topology import NetworkTopology, Route, shortest_route
-
-
-@dataclass
-class Packet:
-    """A packet in flight; it travels from ``route[0]`` to ``route[-1]``."""
-
-    id: int
-    malicious: bool
-    route: Route
-    position: int = 0
+from .transport import Packet
 
 
 @dataclass(frozen=True)

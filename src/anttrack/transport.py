@@ -1,9 +1,11 @@
-"""One-hop-per-tick movement of packets and confirmation packets.
+"""A packet's life: its record, the detector that judges it at each hop, and
+its one-hop-per-tick movement out and back.
 
-A packet that is detected or delivered spawns exactly one confirmation,
-which walks back toward the packet's source along the packet's own route,
-one hop per tick, from the hop where the packet ended.  Confirmations update
-the directed pheromone state of every connection they traverse: bad
+A packet travels forward from ``route[0]``, one hop per tick.  When it is
+detected or delivered it ends, and the same record turns around as its
+confirmation: it gets a ``kind`` and walks back toward its source along its
+own route, one hop per tick, from the hop where it ended.  Confirmations
+update the directed pheromone state of every connection they traverse: bad
 confirmations boost it, clean confirmations decay it.  That direction of
 travel is what makes the resulting trails point at attack sources.
 """
@@ -13,28 +15,66 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .detection import DetectorModel, inspect_at_hop
 from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from .topology import Route
-from .traffic import Packet
 
 
 @dataclass
-class ConfirmationPacket:
-    """A confirmation at ``route[position]``, walking back toward
-    ``route[0]``; ``route`` is the ended packet's own route."""
+class Packet:
+    """A packet at ``route[position]``.  While ``kind`` is None it travels
+    from ``route[0]`` to ``route[-1]``; once it ends, ``kind`` is set and it
+    walks back toward ``route[0]`` as its own confirmation."""
 
-    kind: PheromoneEvent
+    id: int
+    malicious: bool
     route: Route
-    position: int
+    position: int = 0
+    kind: PheromoneEvent | None = None
+
+
+@dataclass(frozen=True)
+class DetectorModel:
+    """Probabilistic stand-in for the per-node intrusion detector.
+
+    Real packet inspection is out of scope; a detector is two probabilities:
+    the per-hop chance of recognizing a malicious packet, and the
+    per-delivery chance of wrongly flagging a clean one.
+    """
+
+    detect_prob: float = 1.0
+    false_positive_prob: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.detect_prob <= 1.0:
+            raise ValueError(f"detect_prob must be in [0, 1], got {self.detect_prob}")
+        if not 0.0 <= self.false_positive_prob <= 1.0:
+            raise ValueError(
+                f"false_positive_prob must be in [0, 1], got {self.false_positive_prob}"
+            )
+
+
+def inspect_at_hop(
+    packet: Packet, node: int, detector: DetectorModel, rng: random.Random
+) -> bool:
+    """True if the detector at a hop flags the packet arriving there.
+
+    Malicious packets face one detection draw at every hop after the source.
+    Clean packets are only judged at their destination, where a single
+    false-positive draw may flag them; at intermediate hops they pass
+    without a draw.
+    """
+    if packet.malicious:
+        return rng.random() < detector.detect_prob
+    return node == packet.route[-1] and rng.random() < detector.false_positive_prob
 
 
 @dataclass
 class InFlight:
-    """Everything currently traveling through the network."""
+    """Everything currently traveling through the network: packets moving
+    forward, and ended packets walking back as confirmations."""
 
     packets: list[Packet] = field(default_factory=list)
-    confirmations: list[ConfirmationPacket] = field(default_factory=list)
+    confirmations: list[Packet] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -48,31 +88,30 @@ class PacketOutcome:
 
 def advance_packets(
     state: InFlight, detector: DetectorModel, rng: random.Random
-) -> tuple[list[ConfirmationPacket], list[PacketOutcome]]:
+) -> tuple[list[Packet], list[PacketOutcome]]:
     """Advance every packet one hop and run the detector at the new hop.
 
-    Detection removes the packet and spawns a bad confirmation at the
-    detecting node.  Delivery (including a malicious packet that evaded
-    every check: the destination believes it is clean) removes the packet
-    and spawns a clean confirmation at the destination.  Spawned
-    confirmations are returned, not inserted, so they start moving only on
-    the next tick.
+    Detection ends the packet as a bad confirmation at the detecting node.
+    Delivery (including a malicious packet that evaded every check: the
+    destination believes it is clean) ends it as a clean confirmation at the
+    destination.  Ended packets are returned, not inserted, so they start
+    walking back only on the next tick.
     """
     survivors: list[Packet] = []
-    spawned: list[ConfirmationPacket] = []
+    spawned: list[Packet] = []
     outcomes: list[PacketOutcome] = []
     for pkt in state.packets:
         pkt.position += 1
         route = pkt.route
         node = route[pkt.position]
         if inspect_at_hop(pkt, node, detector, rng):
-            kind, event = PheromoneEvent.BAD, "detected"
+            pkt.kind, event = PheromoneEvent.BAD, "detected"
         elif node == route[-1]:
-            kind, event = PheromoneEvent.GOOD, "delivered"
+            pkt.kind, event = PheromoneEvent.GOOD, "delivered"
         else:
             survivors.append(pkt)
             continue
-        spawned.append(ConfirmationPacket(kind, route, pkt.position))
+        spawned.append(pkt)
         outcomes.append(PacketOutcome(pkt.id, event, node))
     state.packets = survivors
     return spawned, outcomes
@@ -86,7 +125,7 @@ def advance_confirmations(
     (from, to, kind, new value) record per traversal; confirmations that
     reach the route's source are removed.
     """
-    survivors: list[ConfirmationPacket] = []
+    survivors: list[Packet] = []
     updates: list[tuple[int, int, PheromoneEvent, float]] = []
     for conf in state.confirmations:
         u = conf.route[conf.position]

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from anttrack.detection import DetectorModel, inspect_at_hop
-from anttrack.traffic import Packet
+from anttrack.transport import DetectorModel, Packet, inspect_at_hop
 
 
 def make_packet(malicious: bool) -> Packet:

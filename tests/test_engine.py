@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from anttrack import cli
-from anttrack.detection import DetectorModel
 from anttrack.engine import (
     InvalidConfig,
     SimulationConfig,
@@ -22,6 +21,7 @@ from anttrack.engine import (
 from anttrack.pheromone import PheromoneParams
 from anttrack.topology import NetworkTopology
 from anttrack.traffic import RouteMemo, TrafficRates
+from anttrack.transport import DetectorModel
 
 from conftest import compute_bandwidth_stats, logged_run, path_topology, star_topology
 

@@ -17,11 +17,11 @@ from dataclasses import asdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anttrack.detection import DetectorModel
 from anttrack.engine import SimulationConfig, derive_rng
 from anttrack.pheromone import PheromoneParams
 from anttrack.topology import NetworkTopology
 from anttrack.traffic import TrafficRates
+from anttrack.transport import DetectorModel
 
 from conftest import logged_run
 

@@ -4,13 +4,13 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from anttrack.detection import DetectorModel
 from anttrack.pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from anttrack.topology import shortest_route
-from anttrack.traffic import Packet, RouteMemo, TrafficRates, generate_tick_traffic
+from anttrack.traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from anttrack.transport import (
-    ConfirmationPacket,
+    DetectorModel,
     InFlight,
+    Packet,
     advance_confirmations,
     advance_packets,
 )
@@ -96,7 +96,7 @@ def test_false_positive_spawns_bad_confirm_full_route():
 
 def test_bad_confirm_deposits_along_direction(path3):
     field = PheromoneField(path3)
-    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.BAD, (0, 1), 1)])
+    state = InFlight(confirmations=[Packet(0, True, (0, 1), 1, PheromoneEvent.BAD)])
     updates = advance_confirmations(state, field, PARAMS)
     assert updates == [(1, 0, PheromoneEvent.BAD, 20.0)]
     assert field.read_level(1, 0) == 20.0
@@ -108,7 +108,7 @@ def test_good_confirm_decays_each_hop(path3):
     field = PheromoneField(path3)
     field.apply_bad(2, 1, PARAMS)
     field.apply_bad(1, 0, PARAMS)
-    state = InFlight(confirmations=[ConfirmationPacket(PheromoneEvent.GOOD, (0, 1, 2), 2)])
+    state = InFlight(confirmations=[Packet(0, False, (0, 1, 2), 2, PheromoneEvent.GOOD)])
 
     updates = advance_confirmations(state, field, PARAMS)
     assert len(updates) == 1 and updates[0][:2] == (2, 1)
@@ -142,8 +142,13 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
             state.packets.extend(packets)
         advance_confirmations(state, field, PARAMS)
         new_confirms, outcomes = advance_packets(state, detector, detect_rng)
-        # each packet that ends spawns one confirmation
+        # each packet that ends spawns one confirmation, in outcome order,
+        # from the node where it ended; it is bad exactly when detected
         assert len(new_confirms) == len(outcomes)
+        for conf, out in zip(new_confirms, outcomes):
+            assert conf.id == out.packet_id
+            assert conf.route[conf.position] == out.node
+            assert (conf.kind is PheromoneEvent.BAD) == (out.event == "detected")
         ended_ids.extend(out.packet_id for out in outcomes)
         state.confirmations.extend(new_confirms)
 
@@ -155,8 +160,8 @@ def test_updates_only_on_traversed_directed_edges(star10):
     field = RecordingField(star10)
     state = InFlight(
         confirmations=[
-            ConfirmationPacket(PheromoneEvent.BAD, (3, 0), 1),
-            ConfirmationPacket(PheromoneEvent.GOOD, (7, 0, 5), 2),
+            Packet(0, True, (3, 0), 1, PheromoneEvent.BAD),
+            Packet(1, False, (7, 0, 5), 2, PheromoneEvent.GOOD),
         ]
     )
     advance_confirmations(state, field, PARAMS)
@@ -192,8 +197,10 @@ def test_confirmation_walks_back_along_its_packets_own_route(case):
         spawned.extend(new)
     assert len(spawned) == 1
     conf = spawned[0]
-    # the confirmation reuses the packet's route instead of a reversed copy
-    assert conf.route is packet.route
+    # the confirmation is the packet itself, turned around on its own route
+    # rather than on a reversed copy
+    assert conf is packet
+    assert conf.route is route
     p = len(route) - 1 if fire_at is None else fire_at
     assert conf.kind is (PheromoneEvent.GOOD if fire_at is None else PheromoneEvent.BAD)
 
