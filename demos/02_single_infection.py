@@ -33,7 +33,7 @@ config = SimulationConfig(
     topology=topology,
     rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
     ant_count=3,
-    initial_infected=frozenset({INFECTED}),
+    infections=((0, INFECTED),),
     max_ticks=200,
     seed=11,
     log=events.write,

@@ -23,7 +23,7 @@ config = SimulationConfig(
     topology=topology,
     rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
     ant_count=3,
-    initial_infected=frozenset({5, 23, 61}),
+    infections=((0, 5), (0, 23), (0, 61)),
     max_ticks=1000,
     seed=SEED,
     log=events.write,

@@ -23,8 +23,7 @@ for seed in range(1, 11):
         topology=topology,
         rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
         ant_count=3,
-        initial_infected=frozenset({5, 23, 61}),
-        scripted_infections=((AT_TICK, NEW_NODE),),
+        infections=((0, 5), (0, 23), (0, 61), (AT_TICK, NEW_NODE)),
         max_ticks=600,
         seed=seed,
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import engine
 from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
-from .topology import NetworkTopology, TopologyError, load_topology
+from .topology import NetworkTopology, TopologyError
 from .traffic import TrafficRates
 from .transport import DetectorModel
 
@@ -69,14 +69,18 @@ def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
         raise ScenarioError(f"{where}: bad value for {key!r}: {' '.join(tokens)!r}")
 
 
-def parse_scenario(text: str, base_dir: Path, overrides: Iterable[str] = ()) -> dict:
+def parse_scenario(
+    text: str, base_dir: Path, overrides: Iterable[str] = (), keys: Iterable[str] | None = None
+) -> dict:
     """Parse the flat key-value scenario format into a raw dict, then apply
     ``overrides``: ``key=value`` strings, each replacing the value of
-    ``infected`` or of a scalar key.
+    ``infected`` or of a scalar key.  ``keys``, when given, names the only
+    keys the text may hold.
 
+    Lines come in any order, and ``#`` starts a comment anywhere.
     Repeatable keys: ``edge a b`` and ``infect_at tick node``.  The key
-    ``infected`` takes a space-separated node list; ``build_config`` rejects
-    a node listed twice.  Unknown and repeated keys are rejected by name.
+    ``infected`` takes a space-separated node list.  Unknown and repeated
+    keys are rejected by name.
     """
     data: dict = {"edges": [], "infect_at": [], "base_dir": base_dir}
     seen: set[str] = set()
@@ -85,6 +89,8 @@ def parse_scenario(text: str, base_dir: Path, overrides: Iterable[str] = ()) -> 
         if not line:
             continue
         key, *rest = line.split()
+        if keys is not None and key not in keys:
+            raise ScenarioError(f"line {lineno}: key {key!r} not allowed here, only {sorted(keys)}")
         if key in seen and key not in ("edge", "infect_at"):
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
@@ -113,8 +119,21 @@ def _read_text(path: Path) -> str:
         raise ScenarioError(f"{path}: not UTF-8 text: {exc}")
 
 
+def _read_topology_file(path: Path) -> dict:
+    """The ``nodes`` and ``edges`` of a topology file: a scenario file that
+    holds one ``nodes`` line and any number of ``edge`` lines."""
+    text = _read_text(path)
+    try:
+        given = parse_scenario(text, path.parent, keys=("nodes", "edge"))
+        if "nodes" not in given:
+            raise ScenarioError("missing 'nodes <N>' line")
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}")
+    return {"nodes": given["nodes"], "edges": given["edges"]}
+
+
 def build_config(data: dict, seed_override: int | None = None) -> engine.SimulationConfig:
-    """Turn a parsed scenario into a validated SimulationConfig."""
+    """Turn a parsed scenario into a SimulationConfig, which checks itself."""
     seed = data.get("seed", engine.SimulationConfig.seed)
     seed = seed if seed_override is None else seed_override
 
@@ -126,16 +145,20 @@ def build_config(data: dict, seed_override: int | None = None) -> engine.Simulat
             "scenario needs exactly one topology source: inline nodes/edge lines, "
             "topology_file, or random_topology"
         )
+    where = "topology"
+    if "topology_file" in data:
+        path = data["base_dir"] / data["topology_file"]
+        where = str(path)
+        # only the topology comes from the file; every other key stays the scenario's
+        data = {**data, **_read_topology_file(path)}
     try:
         if "nodes" in data:
             topology = NetworkTopology.from_edges(data["nodes"], data["edges"])
-        elif "topology_file" in data:
-            topology = load_topology(_read_text(data["base_dir"] / data["topology_file"]))
         else:
             n, p = data["random_topology"]
             topology = engine.generate_random_topology(n, p, engine.derive_rng(seed, "topology"))
     except TopologyError as exc:
-        raise ScenarioError(f"topology: {exc}")
+        raise ScenarioError(f"{where}: {exc}")
 
     try:
         params = PheromoneParams(**_given(data, "threshold", increase="inc", decay="dec"))
@@ -146,23 +169,16 @@ def build_config(data: dict, seed_override: int | None = None) -> engine.Simulat
     except ValueError as exc:
         raise ScenarioError(str(exc))
 
-    infected = data.get("infected", ())
-    repeated = sorted(node for node, k in Counter(infected).items() if k > 1)
-    if repeated:
-        raise ScenarioError(f"infected lists nodes more than once: {repeated}")
-
-    config = engine.SimulationConfig(
+    infections = [(0, node) for node in data.get("infected", ())] + data["infect_at"]
+    return engine.SimulationConfig(
         topology=topology,
         params=params,
         rates=rates,
         detector=detector,
-        initial_infected=frozenset(infected),
-        scripted_infections=tuple(sorted(data["infect_at"])),
+        infections=tuple(sorted(infections)),
         seed=seed,
         **_given(data, "ant_count", "max_ticks", "ant_choice"),
     )
-    config.validate()
-    return config
 
 
 def _temp_path(path: Path) -> Path:

@@ -1,6 +1,6 @@
 """Simulation clock, scenario execution, metrics, and the event log.
 
-Intra-tick order is fixed: (1) scripted infections, (2) traffic generation,
+Intra-tick order is fixed: (1) scheduled infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
 (inspections; confirmations spawned here first move next tick), (5) agent
 steps against the now-stable field in ant_id order, (6) the tick's
@@ -39,8 +39,11 @@ def derive_rng(master_seed: int, tag: str) -> random.Random:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One run's inputs.  ``log`` is where the event log goes: ``run`` calls
-    it once at the end of each tick with that tick's record lines, each
+    """One run's inputs, checked on construction.  ``infections`` is the
+    infection schedule: (tick, node) pairs, each node at most once; a node
+    is infected at the start of its tick, so tick 0 gives the nodes infected
+    from the outset.  ``log`` is where the event log goes: ``run`` calls it
+    once at the end of each tick with that tick's record lines, each
     newline-terminated, and keeps none of them.  With ``log=None`` it formats
     no record line and computes no FIELD digest.  The metrics are the same
     either way."""
@@ -50,14 +53,13 @@ class SimulationConfig:
     rates: TrafficRates = TrafficRates()
     detector: DetectorModel = DetectorModel()
     ant_count: int = 3
-    initial_infected: frozenset[int] = frozenset()
-    scripted_infections: tuple[tuple[int, int], ...] = ()
+    infections: tuple[tuple[int, int], ...] = ()
     max_ticks: int = 1000
     seed: int = 0
     ant_choice: str = "greedy"
     log: Callable[[str], object] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         n = self.topology.node_count
         if n < 2:
             # every packet needs a destination other than its source, and
@@ -71,15 +73,12 @@ class SimulationConfig:
             raise InvalidConfig(f"ant_choice must be greedy or proportional, got {self.ant_choice!r}")
         if self.log is not None and not callable(self.log):
             raise InvalidConfig(f"log must be a callable or None, got {self.log!r}")
-        bad = [x for x in self.initial_infected if not 0 <= x < n]
-        if bad:
-            raise InvalidConfig(f"initial_infected nodes out of range: {sorted(bad)}")
-        seen = set(self.initial_infected)
-        for tick, node in self.scripted_infections:
+        seen = set()
+        for tick, node in self.infections:
             if tick < 0:
-                raise InvalidConfig(f"scripted infection tick {tick} is negative")
+                raise InvalidConfig(f"infection tick {tick} is negative")
             if not 0 <= node < n:
-                raise InvalidConfig(f"scripted infection node {node} out of range")
+                raise InvalidConfig(f"infection node {node} out of range")
             if node in seen:
                 raise InvalidConfig(f"node {node} would be infected twice")
             seen.add(node)
@@ -129,7 +128,6 @@ def run(config: SimulationConfig) -> Metrics:
     """Execute max_ticks ticks of the scenario and return its metrics.  With
     ``config.log`` set, each tick's tick-stamped PKT/PHERO/FIELD/ANT/DECL
     record lines go to it as one string at the end of that tick."""
-    config.validate()
     topo = config.topology
     traffic_rng = derive_rng(config.seed, "traffic")
     detect_rng = derive_rng(config.seed, "detect")
@@ -137,9 +135,7 @@ def run(config: SimulationConfig) -> Metrics:
 
     metrics = Metrics()
     infected = metrics.infection_tick
-    for node in sorted(config.initial_infected):
-        infected[node] = 0
-    pending_infections = sorted(config.scripted_infections)
+    pending_infections = sorted(config.infections)
 
     pheromones = PheromoneField(topo)
     routes = RouteMemo(topo)

@@ -67,39 +67,6 @@ class NetworkTopology:
         return self.adjacency[node]
 
 
-def load_topology(text: str) -> NetworkTopology:
-    """Parse the line-oriented topology format.
-
-    Line 1: ``nodes <N>``. Every further non-empty, non-comment line:
-    ``edge <a> <b>``. Lines starting with ``#`` are comments.
-    """
-    node_count = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if node_count is None:
-            if tokens[0] != "nodes" or len(tokens) != 2:
-                raise TopologyError(f"line {lineno}: expected 'nodes <N>', got {line!r}")
-            try:
-                node_count = int(tokens[1])
-            except ValueError:
-                raise TopologyError(f"line {lineno}: node count {tokens[1]!r} is not an integer")
-            continue
-        if tokens[0] != "edge" or len(tokens) != 3:
-            raise TopologyError(f"line {lineno}: expected 'edge <a> <b>', got {line!r}")
-        try:
-            a, b = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise TopologyError(f"line {lineno}: edge endpoints must be integers, got {line!r}")
-        pairs.append((a, b))
-    if node_count is None:
-        raise TopologyError("missing 'nodes <N>' line")
-    return NetworkTopology.from_edges(node_count, pairs)
-
-
 def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:
     """Hop distance of every node to dst (breadth-first search)."""
     dist = [-1] * topo.node_count

@@ -54,8 +54,7 @@ def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000):
         topology=topology,
         rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
         ant_count=ant_count,
-        initial_infected=frozenset({5, 23, 61}),
-        scripted_infections=scripted,
+        infections=((0, 5), (0, 23), (0, 61), *scripted),
         max_ticks=max_ticks,
         seed=seed,
     )
@@ -205,7 +204,7 @@ def test_criterion_4_identification_on_fixtures():
                 topology=topology_fn(seed),
                 rates=rates,
                 ant_count=3,
-                initial_infected=frozenset({infected}),
+                infections=((0, infected),),
                 max_ticks=1000,
                 seed=seed,
             )
@@ -248,7 +247,7 @@ def test_criterion_7_storage_bound_after_long_run():
         topology=generate_random_topology(10, 0.2, derive_rng(9, "topology")),
         rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
         ant_count=3,
-        initial_infected=frozenset({4}),
+        infections=((0, 4),),
         max_ticks=10_000,
         seed=9,
     )
@@ -261,10 +260,11 @@ def test_criterion_7_storage_bound_after_long_run():
     routes = RouteMemo(config.topology)
     traffic_rng = derive_rng(config.seed, "traffic")
     detect_rng = derive_rng(config.seed, "detect")
+    infected = [node for _, node in config.infections]  # all infected at tick 0
     next_id = 0
     for _ in range(config.max_ticks):
         packets = generate_tick_traffic(
-            config.topology, config.initial_infected, config.rates, traffic_rng, next_id, routes
+            config.topology, infected, config.rates, traffic_rng, next_id, routes
         )
         next_id += len(packets)
         inflight.packets.extend(packets)

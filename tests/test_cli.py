@@ -14,6 +14,8 @@ from anttrack.pheromone import PheromoneEvent, PheromoneParams, closed_form_valu
 from anttrack.cli import trace_events
 from anttrack.topology import NetworkTopology
 
+from conftest import grid_topology, path_topology, star_topology
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -99,7 +101,7 @@ def test_repeated_infected_node_names_it(tmp_path, capsys, infected_line, overri
     scenario = write_scenario(tmp_path, "nodes 3\nedge 0 1\nedge 1 2\n" + infected_line)
     argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), *overrides]
     assert main(argv) == 2
-    assert "infected lists nodes more than once: [1]" in capsys.readouterr().err
+    assert "node 1 would be infected twice" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -197,7 +199,7 @@ def test_override_replaces_scenario_line(tmp_path):
     data = cli.parse_scenario(BASE + "max_ticks 7\ninfected 2\n", tmp_path,
                               ["max_ticks=9", "infected=1 4"])
     config = cli.build_config(data)
-    assert config.max_ticks == 9 and config.initial_infected == {1, 4}
+    assert config.max_ticks == 9 and config.infections == ((0, 1), (0, 4))
 
 
 def test_scenario_without_parameters_takes_the_dataclass_defaults(tmp_path):
@@ -225,6 +227,89 @@ def test_non_utf8_file_names_it(tmp_path, capsys, bad_file):
     assert main(["run", "--scenario", str(tmp_path / "scenario.scn"), "--out", str(out)]) == 2
     assert str(tmp_path / bad_file) in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_on_topology_file(tmp_path, topology_text, scenario_extra=""):
+    """``anttrack run`` on a short scenario whose topology is the file
+    ``net.topo`` holding ``topology_text``; the exit code and output dir."""
+    (tmp_path / "net.topo").write_text(topology_text)
+    scenario = write_scenario(tmp_path, "topology_file net.topo\nmax_ticks 5\n" + scenario_extra)
+    out = tmp_path / "o"
+    return main(["run", "--scenario", str(scenario), "--out", str(out)]), out
+
+
+def test_topology_file_format(tmp_path):
+    code, out = run_on_topology_file(tmp_path, "# comment\nnodes 3\nedge 0 1\n\nedge 1 2\n")
+    assert code == 0
+    assert "nodes: 3\nconnections: 2\n" in (out / "summary.txt").read_text()
+    config = cli.build_config(cli.parse_scenario("topology_file net.topo\n", tmp_path))
+    assert config.topology.neighbors(1) == (0, 2)
+
+
+def test_topology_file_is_order_free(tmp_path):
+    # like a scenario file: any line order, and a comment after a value
+    code, out = run_on_topology_file(tmp_path, "edge 0 1  # the only connection\nnodes 2\n")
+    assert code == 0
+    assert "nodes: 2\nconnections: 1\n" in (out / "summary.txt").read_text()
+
+
+# each malformed topology file and the message it is rejected with
+MALFORMED_TOPOLOGY = {
+    "": "missing 'nodes <N>' line",
+    "nodes x": "line 1: bad value for 'nodes': 'x'",
+    "nodes 2\nedge 0\n": "line 2: bad value for 'edge': '0'",
+    "nodes 2\nlink 0 1\n": "line 2: key 'link' not allowed here",
+    "nodes 2\nedge 0 1\nseed 3\n": "line 3: key 'seed' not allowed here",
+    "nodes 2\nnodes 2\nedge 0 1\n": "line 2: duplicate key 'nodes'",
+    "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_TOPOLOGY))
+def test_topology_file_malformed(tmp_path, capsys, text):
+    code, out = run_on_topology_file(tmp_path, text)
+    assert code == 2
+    assert f"{tmp_path / 'net.topo'}: {MALFORMED_TOPOLOGY[text]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inline_edge_next_to_topology_file_names_it(tmp_path, capsys):
+    code, out = run_on_topology_file(tmp_path, "nodes 2\nedge 0 1\n", "edge 0 1\n")
+    assert code == 2
+    assert "edge lines given without a nodes line" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_topology_file_brings_only_the_topology(tmp_path):
+    """The file gives the topology and nothing else: the scenario keeps its
+    own infection schedule, and its relative ``topology_file`` resolves
+    against the scenario's directory, not the working directory."""
+    (tmp_path / "nets").mkdir()
+    (tmp_path / "nets" / "star.topo").write_text((SCENARIOS / "star10.topo").read_text())
+    scenario = write_scenario(
+        tmp_path, "topology_file nets/star.topo\ninfected 3\ninfect_at 5 4\nmax_ticks 10\n"
+    )
+    config = cli.build_config(cli.parse_scenario(scenario.read_text(), scenario.parent))
+    assert config.topology == star_topology(10)
+    assert config.infections == ((0, 3), (5, 4))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_text().startswith(
+        "node,infected_tick,declared_tick,latency\n3,0,"
+    )
+
+
+SHIPPED_TOPOLOGIES = {
+    "grid4x4.topo": grid_topology(4, 4),
+    "path10.topo": path_topology(10),
+    "star10.topo": star_topology(10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.topo")))
+def test_shipped_topology_file(name):
+    config = cli.build_config(cli.parse_scenario(f"topology_file {name}\n", SCENARIOS))
+    assert config.topology == SHIPPED_TOPOLOGIES[name]
 
 
 def test_missing_scenario_is_io_error(tmp_path):

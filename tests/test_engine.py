@@ -51,7 +51,7 @@ def tiny_config(**overrides):
         topology=path_topology(3),
         rates=TrafficRates(good_packets_per_tick=0, attack_packets_per_infected_per_tick=1),
         ant_count=1,
-        initial_infected=frozenset({0}),
+        infections=((0, 0),),
         max_ticks=20,
         seed=1,
     )
@@ -64,7 +64,7 @@ def small_config(**overrides):
         topology=path_topology(10),
         rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
         ant_count=3,
-        initial_infected=frozenset({3}),
+        infections=((0, 3),),
         max_ticks=150,
         seed=42,
     )
@@ -109,8 +109,7 @@ def test_field_evolution_independent_of_ants():
 
 def test_declaration_never_precedes_infection():
     config = small_config(
-        initial_infected=frozenset({2}),
-        scripted_infections=((40, 8),),
+        infections=((0, 2), (40, 8)),
         max_ticks=400,
     )
     metrics = run(config)
@@ -119,7 +118,7 @@ def test_declaration_never_precedes_infection():
 
 
 def test_scripted_infection_starts_attacks_at_tick():
-    config = small_config(initial_infected=frozenset(), scripted_infections=((30, 6),))
+    config = small_config(infections=((30, 6),))
     _, log = logged_run(config)
     attack_spawns = [
         line.split(",") for line in log
@@ -139,8 +138,7 @@ def test_all_identified_recomputed_for_late_infection():
         topology=star_topology(10),
         rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
         ant_count=3,
-        initial_infected=frozenset({4}),
-        scripted_infections=((60, 8),),
+        infections=((0, 4), (60, 8)),
         max_ticks=400,
         seed=42,
     )
@@ -155,10 +153,10 @@ def test_all_identified_recomputed_for_late_infection():
     [
         {"max_ticks": 0},
         {"ant_count": -1},
-        {"initial_infected": frozenset({99})},
-        {"scripted_infections": ((5, 99),)},
-        {"scripted_infections": ((-1, 1),)},
-        {"scripted_infections": ((5, 0),)},  # node 0 already infected
+        {"infections": ((0, 99),)},
+        {"infections": ((0, 0), (5, 99))},
+        {"infections": ((0, 0), (-1, 1))},
+        {"infections": ((0, 0), (5, 0))},  # node 0 infected twice
         {"ant_choice": "sideways"},
         {"log": True},
     ],
@@ -171,9 +169,8 @@ def test_invalid_configs_rejected(overrides):
 def test_one_node_topology_rejected():
     # no packet could draw a destination other than its source, and no agent
     # could move
-    config = tiny_config(topology=NetworkTopology.from_edges(1, []), ant_count=0)
     with pytest.raises(InvalidConfig, match="node_count must be >= 2, got 1"):
-        config.validate()
+        tiny_config(topology=NetworkTopology.from_edges(1, []), ant_count=0)
 
 
 @pytest.mark.parametrize(
@@ -238,7 +235,7 @@ def test_field_lines_match_replayed_phero_records(scenario, overrides):
             assert rest == digest_oracle(levels), f"tick {tick}"
             digests.append(rest)
     assert len(digests) == config.max_ticks
-    if not config.initial_infected:
+    if not config.infections:
         assert levels == dict.fromkeys(config.topology.edge_ids, 0.0)
         assert digests[-1] != hashlib.sha1(b"").hexdigest()[:16]
 
@@ -311,7 +308,7 @@ def test_streamed_log_conserves_records():
     agent, and one spawn per packet the traffic rates give for the nodes
     infected by then.  Each packet id is spawned once and ends at most
     once."""
-    config = small_config(scripted_infections=((40, 7),), max_ticks=120)
+    config = small_config(infections=((0, 3), (40, 7)), max_ticks=120)
     rates = config.rates
     chunks = []
     run(replace(config, log=chunks.append))
@@ -324,9 +321,7 @@ def test_streamed_log_conserves_records():
         tags = Counter(r[0] for r in records)
         assert tags["FIELD"] == 1
         assert tags["ANT"] == config.ant_count
-        infected = len(config.initial_infected) + sum(
-            t <= tick for t, _ in config.scripted_infections
-        )
+        infected = sum(t <= tick for t, _ in config.infections)
         spawns = [r[3] for r in records if r[0] == "PKT" and r[2] == "spawn"]
         assert len(spawns) == (
             rates.good_packets_per_tick + rates.attack_packets_per_infected_per_tick * infected
@@ -450,7 +445,7 @@ def test_identification_on_star():
         topology=star_topology(10),
         rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
         ant_count=2,
-        initial_infected=frozenset({4}),
+        infections=((0, 4),),
         max_ticks=200,
         seed=3,
     )

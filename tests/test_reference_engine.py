@@ -267,8 +267,7 @@ def engine_config(s):
         rates=TrafficRates(s["good"], s["attack"]),
         detector=DetectorModel(s["detect_prob"], s["false_positive_prob"]),
         ant_count=s["ants"],
-        initial_infected=frozenset(s["infected"]),
-        scripted_infections=tuple(s["scripted"]),
+        infections=tuple(sorted([(0, node) for node in s["infected"]] + s["scripted"])),
         max_ticks=s["ticks"],
         seed=s["seed"],
         ant_choice=s["choice"],

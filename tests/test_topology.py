@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from anttrack.topology import NetworkTopology, TopologyError, load_topology, shortest_route
+from anttrack.topology import NetworkTopology, TopologyError, shortest_route
 from anttrack.engine import generate_random_topology
 
 from conftest import grid_topology, is_valid_route, path_topology, reverse_route
@@ -57,29 +57,6 @@ def test_out_of_range_edge_rejected():
         TopologyError, match=re.escape("edge (0, 2) references a node outside [0, 2)")
     ):
         NetworkTopology.from_edges(2, [(0, 2)])
-
-
-def test_load_topology_format():
-    text = "# comment\nnodes 3\nedge 0 1\n\nedge 1 2\n"
-    topo = load_topology(text)
-    assert topo.node_count == 3
-    assert topo.neighbors(1) == (0, 2)
-
-
-# each malformed description and the message it is rejected with
-MALFORMED = {
-    "": "missing 'nodes <N>' line",
-    "nodes x": "line 1: node count 'x' is not an integer",
-    "nodes 2\nedge 0\n": "line 2: expected 'edge <a> <b>', got 'edge 0'",
-    "edge 0 1\nnodes 2\n": "line 1: expected 'nodes <N>', got 'edge 0 1'",
-    "nodes 2\nlink 0 1\n": "line 2: expected 'edge <a> <b>', got 'link 0 1'",
-}
-
-
-@pytest.mark.parametrize("text", list(MALFORMED))
-def test_load_topology_malformed(text):
-    with pytest.raises(TopologyError, match=re.escape(MALFORMED[text])):
-        load_topology(text)
 
 
 def test_route_on_path(path3):
