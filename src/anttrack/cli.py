@@ -70,12 +70,17 @@ def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
 
 
 def parse_scenario(
-    text: str, base_dir: Path, overrides: Iterable[str] = (), keys: Iterable[str] | None = None
+    text: str,
+    base_dir: Path,
+    overrides: Iterable[str] = (),
+    keys: Iterable[str] | None = None,
+    source: Path | None = None,
 ) -> dict:
     """Parse the flat key-value scenario format into a raw dict, then apply
     ``overrides``: ``key=value`` strings, each replacing the value of
     ``infected`` or of a scalar key.  ``keys``, when given, names the only
-    keys the text may hold.
+    keys the text may hold.  ``source``, when given, is the file the text
+    came from, and an error in one of its lines starts with its path.
 
     Lines come in any order, and ``#`` starts a comment anywhere.
     Repeatable keys: ``edge a b`` and ``infect_at tick node``.  The key
@@ -84,17 +89,19 @@ def parse_scenario(
     """
     data: dict = {"edges": [], "infect_at": [], "base_dir": base_dir}
     seen: set[str] = set()
+    prefix = "" if source is None else f"{source}: "
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *rest = line.split()
+        where = f"{prefix}line {lineno}"
         if keys is not None and key not in keys:
-            raise ScenarioError(f"line {lineno}: key {key!r} not allowed here, only {sorted(keys)}")
+            raise ScenarioError(f"{where}: key {key!r} not allowed here, only {sorted(keys)}")
         if key in seen and key not in ("edge", "infect_at"):
-            raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+            raise ScenarioError(f"{where}: duplicate key {key!r}")
         seen.add(key)
-        _set_key(data, key, rest, f"line {lineno}")
+        _set_key(data, key, rest, where)
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
@@ -122,13 +129,9 @@ def _read_text(path: Path) -> str:
 def _read_topology_file(path: Path) -> dict:
     """The ``nodes`` and ``edges`` of a topology file: a scenario file that
     holds one ``nodes`` line and any number of ``edge`` lines."""
-    text = _read_text(path)
-    try:
-        given = parse_scenario(text, path.parent, keys=("nodes", "edge"))
-        if "nodes" not in given:
-            raise ScenarioError("missing 'nodes <N>' line")
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}")
+    given = parse_scenario(_read_text(path), path.parent, keys=("nodes", "edge"), source=path)
+    if "nodes" not in given:
+        raise ScenarioError(f"{path}: missing 'nodes <N>' line")
     return {"nodes": given["nodes"], "edges": given["edges"]}
 
 
@@ -238,7 +241,7 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 
 def cmd_run(args) -> int:
     path = Path(args.scenario)
-    data = parse_scenario(_read_text(path), path.parent, args.set or ())
+    data = parse_scenario(_read_text(path), path.parent, args.set or (), source=path)
     config = build_config(data, args.seed)
     out_dir = Path(args.out)
     events = out_dir / "events.log"
@@ -264,7 +267,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
     path = Path(args.scenario)
-    data = parse_scenario(_read_text(path), path.parent, args.set or ())
+    data = parse_scenario(_read_text(path), path.parent, args.set or (), source=path)
     seeds = _expand_seeds(args.seeds)
     configs = [build_config(data, seed) for seed in seeds]
 

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
-from .pheromone import PheromoneField, PheromoneParams
+from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from .topology import NetworkTopology
 from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
@@ -103,20 +103,40 @@ def _field_digest(records: dict[tuple[int, int], bytes]) -> str:
 
 
 _pack_record = struct.Struct("<iid").pack
+_BAD = PheromoneEvent.BAD
 
 
-def _tick_log(tick, new_packets, updates, outcomes, records, ants, declared) -> str:
+def _tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declared) -> str:
     """One tick's record lines, each newline-terminated, in log order.  Each
-    PHERO update also repacks its direction's FIELD-digest record first.  A
-    step moves only its own ant, so ANT lines read after the last step show
-    each ant's state after its own step."""
+    PHERO update also repacks its direction's FIELD-digest record first.
+    ``texts`` holds the run's PHERO text per (direction, kind), filled the
+    first time one is logged: ``"u,v,kind,"``, the zero suffix
+    ``"u,v,kind,0"`` and the packed zero record.  A zero value (a clean
+    confirmation on a direction no bad one has crossed) reuses the last two;
+    only a non-zero value is formatted and packed.  The key is
+    ``(u, v, kind is BAD)``, since hashing an Enum member runs Python code.
+    A step moves only its own ant, so ANT lines read after the last step
+    show each ant's state after its own step."""
     lines = [
         f"PKT,{tick},spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
         for pkt in new_packets
     ]
+    phero = []
     for u, v, kind, value in updates:
-        lines.append(f"PHERO,{tick},{u},{v},{kind.value},{value:.9g}")
-        records[u, v] = _pack_record(u, v, value)
+        key = u, v, kind is _BAD
+        text = texts.get(key)
+        if text is None:
+            prefix = f"{u},{v},{kind.value},"
+            text = texts[key] = (prefix, prefix + "0", _pack_record(u, v, 0.0))
+        if value:
+            phero.append(f"{text[0]}{value:.9g}")
+            records[u, v] = _pack_record(u, v, value)
+        else:
+            phero.append(text[1])
+            records[u, v] = text[2]
+    if phero:
+        sep = f"PHERO,{tick},"
+        lines.append(sep + ("\n" + sep).join(phero))
     lines.extend(f"PKT,{tick},{out.event},{out.packet_id},{out.node}" for out in outcomes)
     lines.append(f"FIELD,{tick},{_field_digest(records)}")
     lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
@@ -144,8 +164,10 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=ant_rngs[i].randrange(topo.node_count))
         for i in range(config.ant_count)
     ]
-    # a logged run keeps each direction's FIELD-digest record, in edge-id order
+    # a logged run keeps each direction's FIELD-digest record, in edge-id
+    # order, and the PHERO text of each (direction, kind) it has logged
     records = dict.fromkeys(topo.edge_ids, b"") if config.log is not None else None
+    texts: dict[tuple[int, int, bool], tuple[str, str, bytes]] = {}
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -179,7 +201,7 @@ def run(config: SimulationConfig) -> Metrics:
                 metrics.false_declarations.append((node, tick))
 
         if config.log is not None:
-            config.log(_tick_log(tick, new_packets, updates, outcomes, records, ants, declared))
+            config.log(_tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declared))
 
     if infected and infected.keys() <= metrics.first_declaration_tick.keys():
         metrics.all_identified_tick = max(metrics.first_declaration_tick[n] for n in infected)

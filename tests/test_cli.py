@@ -68,6 +68,22 @@ def test_unknown_key_names_it(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+MALFORMED_SCENARIO = {
+    "nodes 2\nedge 0 1\nfoo 3\n": "line 3: unknown key 'foo'",
+    "nodes 2\nedge 0 1\nseed soon\n": "line 3: bad value for 'seed': 'soon'",
+    "nodes 2\n# a comment\nnodes 3\nedge 0 1\n": "line 3: duplicate key 'nodes'",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text", sorted(MALFORMED_SCENARIO))
+def test_scenario_line_error_names_the_file(tmp_path, capsys, command, text):
+    scenario = write_scenario(tmp_path, text)
+    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
+    assert capsys.readouterr().err == f"error: {scenario}: {MALFORMED_SCENARIO[text]}\n"
+
+
 @pytest.mark.parametrize(
     "key, lines",
     [
@@ -153,11 +169,15 @@ def test_set_overrides_apply(tmp_path):
     assert "FIELD,4," in log and "FIELD,5," not in log
 
 
-def test_invalid_override_value(tmp_path):
+def test_invalid_override_value(tmp_path, capsys):
     scenario = small_scenario(tmp_path)
     assert main(
         ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", "max_ticks=soon"]
     ) == 2
+    # an override names itself, not the scenario file
+    assert capsys.readouterr().err == (
+        "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'\n"
+    )
 
 
 BASE = "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 0 4\n"

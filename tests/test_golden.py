@@ -16,6 +16,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "default75": ("b2801059cd88c465", "5a1d452445585edf", 303_221),
+    "noisy75": ("2db59696f4b2636d", "a25b7a7c5d5c38f5", 91_712),
     "reinfection75": ("7c8a6cc262771c81", "b6d6ab1651f50355", 184_095),
     "star10": ("b1e08f66a4d85297", "18cb4f5fd68f60f3", 5_883),
 }

@@ -14,7 +14,7 @@ import heapq
 import struct
 from dataclasses import asdict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anttrack.engine import SimulationConfig, derive_rng
@@ -274,8 +274,29 @@ def engine_config(s):
     )
 
 
+# Fixed scenarios that every pass runs.  With dec 5e-324 two clean
+# confirmations take a boosted direction to exactly 0.0 and a bad one lifts it
+# again, so the log's PHERO text for a direction goes from formatted values
+# to the zero text and back.  With inc 5e-324 and dec 0.5 every non-zero
+# value is subnormal, and halving the smallest one gives 0.0.
+NON_ZERO_ZERO_NON_ZERO = {
+    "nodes": 6, "edges": [(0, 1), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)], "seed": 1,
+    "ticks": 40, "ants": 2, "good": 4, "attack": 2, "infected": {0}, "scripted": [(10, 5)],
+    "detect_prob": 0.5, "false_positive_prob": 0.1, "inc": 10.0, "dec": 5e-324,
+    "threshold": 5.0, "choice": "greedy",
+}
+SUBNORMAL = {
+    "nodes": 5, "edges": [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)], "seed": 7,
+    "ticks": 40, "ants": 3, "good": 5, "attack": 1, "infected": {3}, "scripted": [],
+    "detect_prob": 1.0, "false_positive_prob": 0.0, "inc": 5e-324, "dec": 0.5,
+    "threshold": 5e-324, "choice": "proportional",
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
+@example(NON_ZERO_ZERO_NON_ZERO)
+@example(SUBNORMAL)
 def test_engine_matches_reference(s):
     ref_metrics, ref_log = reference_run(s)
     metrics, log = logged_run(engine_config(s))
