@@ -69,39 +69,45 @@ def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
         raise ScenarioError(f"{where}: bad value for {key!r}: {' '.join(tokens)!r}")
 
 
-def parse_scenario(
-    text: str,
-    base_dir: Path,
-    overrides: Iterable[str] = (),
-    keys: Iterable[str] | None = None,
-    source: Path | None = None,
-) -> dict:
-    """Parse the flat key-value scenario format into a raw dict, then apply
-    ``overrides``: ``key=value`` strings, each replacing the value of
-    ``infected`` or of a scalar key.  ``keys``, when given, names the only
-    keys the text may hold.  ``source``, when given, is the file the text
-    came from, and an error in one of its lines starts with its path.
-
-    Lines come in any order, and ``#`` starts a comment anywhere.
-    Repeatable keys: ``edge a b`` and ``infect_at tick node``.  The key
-    ``infected`` takes a space-separated node list.  Unknown and repeated
-    keys are rejected by name.
+def _read_file(path: Path, keys: Iterable[str] | None = None) -> dict:
+    """Read a file of the flat key-value scenario format into a raw dict;
+    ``keys``, when given, names the only keys it may hold.  Lines come in
+    any order, and ``#`` starts a comment anywhere.  Repeatable keys:
+    ``edge a b`` (``edge_lines`` holds the line of each) and ``infect_at
+    tick node``.  The key ``infected`` takes a space-separated node list.
+    Unknown and repeated keys are rejected by name, after the path and line.
     """
-    data: dict = {"edges": [], "infect_at": [], "base_dir": base_dir}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}")
+    data: dict = {"edges": [], "edge_lines": [], "infect_at": []}
     seen: set[str] = set()
-    prefix = "" if source is None else f"{source}: "
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *rest = line.split()
-        where = f"{prefix}line {lineno}"
+        where = f"{path}: line {lineno}"
         if keys is not None and key not in keys:
             raise ScenarioError(f"{where}: key {key!r} not allowed here, only {sorted(keys)}")
         if key in seen and key not in ("edge", "infect_at"):
             raise ScenarioError(f"{where}: duplicate key {key!r}")
         seen.add(key)
         _set_key(data, key, rest, where)
+        if key == "edge":
+            data["edge_lines"].append(lineno)
+    return data
+
+
+def parse_scenario(path: Path, overrides: Iterable[str] = ()) -> dict:
+    """Read the scenario file at ``path``, apply ``overrides`` (``key=value``
+    strings, each replacing the value of ``infected`` or of a scalar key),
+    and check its one topology source.  Inline ``nodes``/``edge`` lines or a
+    ``topology_file`` (relative to the scenario's directory) are built once,
+    into ``data["topology"]``; a ``random_topology`` is drawn per seed by
+    ``build_config``."""
+    data = _read_file(path)
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
@@ -109,6 +115,27 @@ def parse_scenario(
         if key != "infected" and key not in _SCALAR_KEYS:
             raise ScenarioError(f"override {item!r}: --set takes no key {key!r}")
         _set_key(data, key, value.split(), f"override {item!r}")
+
+    sources = [s for s in ("nodes", "topology_file", "random_topology") if s in data]
+    if "nodes" not in data and data["edges"]:
+        raise ScenarioError("edge lines given without a nodes line")
+    if len(sources) != 1:
+        raise ScenarioError(
+            "scenario needs exactly one topology source: inline nodes/edge lines, "
+            "topology_file, or random_topology"
+        )
+    if "random_topology" not in data:
+        where, given = path, data
+        if "topology_file" in data:
+            where = path.parent / data["topology_file"]
+            given = _read_file(where, ("nodes", "edge"))
+            if "nodes" not in given:
+                raise ScenarioError(f"{where}: missing 'nodes <N>' line")
+        try:
+            data["topology"] = NetworkTopology.from_edges(given["nodes"], given["edges"])
+        except TopologyError as exc:
+            line = "" if exc.edge is None else f"line {given['edge_lines'][exc.edge]}: "
+            raise ScenarioError(f"{where}: {line}{exc}")
     return data
 
 
@@ -119,49 +146,16 @@ def _given(data: dict, *keys: str, **renamed: str) -> dict:
     return {name: data[key] for name, key in fields.items() if key in data}
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path}: not UTF-8 text: {exc}")
-
-
-def _read_topology_file(path: Path) -> dict:
-    """The ``nodes`` and ``edges`` of a topology file: a scenario file that
-    holds one ``nodes`` line and any number of ``edge`` lines."""
-    given = parse_scenario(_read_text(path), path.parent, keys=("nodes", "edge"), source=path)
-    if "nodes" not in given:
-        raise ScenarioError(f"{path}: missing 'nodes <N>' line")
-    return {"nodes": given["nodes"], "edges": given["edges"]}
-
-
-def build_config(data: dict, seed_override: int | None = None) -> engine.SimulationConfig:
-    """Turn a parsed scenario into a SimulationConfig, which checks itself."""
-    seed = data.get("seed", engine.SimulationConfig.seed)
-    seed = seed if seed_override is None else seed_override
-
-    sources = [s for s in ("nodes", "topology_file", "random_topology") if s in data]
-    if "nodes" not in data and data["edges"]:
-        raise ScenarioError("edge lines given without a nodes line")
-    if len(sources) != 1:
-        raise ScenarioError(
-            "scenario needs exactly one topology source: inline nodes/edge lines, "
-            "topology_file, or random_topology"
-        )
-    where = "topology"
-    if "topology_file" in data:
-        path = data["base_dir"] / data["topology_file"]
-        where = str(path)
-        # only the topology comes from the file; every other key stays the scenario's
-        data = {**data, **_read_topology_file(path)}
-    try:
-        if "nodes" in data:
-            topology = NetworkTopology.from_edges(data["nodes"], data["edges"])
-        else:
-            n, p = data["random_topology"]
-            topology = engine.generate_random_topology(n, p, engine.derive_rng(seed, "topology"))
-    except TopologyError as exc:
-        raise ScenarioError(f"{where}: {exc}")
+def build_config(data: dict, seed: int | None = None) -> engine.SimulationConfig:
+    """One seed's SimulationConfig from a parsed scenario: the seed (the
+    scenario's when ``seed`` is None), a ``random_topology`` draw from it,
+    and the dataclasses, which check themselves.  It opens no file, and no
+    check it makes depends on the seed."""
+    seed = data.get("seed", engine.SimulationConfig.seed) if seed is None else seed
+    topology = data.get("topology")
+    if topology is None:
+        n, p = data["random_topology"]
+        topology = engine.generate_random_topology(n, p, engine.derive_rng(seed, "topology"))
 
     try:
         params = PheromoneParams(**_given(data, "threshold", increase="inc", decay="dec"))
@@ -240,9 +234,7 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 
 
 def cmd_run(args) -> int:
-    path = Path(args.scenario)
-    data = parse_scenario(_read_text(path), path.parent, args.set or (), source=path)
-    config = build_config(data, args.seed)
+    config = build_config(parse_scenario(Path(args.scenario), args.set or ()), args.seed)
     out_dir = Path(args.out)
     events = out_dir / "events.log"
     events_tmp = _temp_path(events)
@@ -266,10 +258,11 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
-    path = Path(args.scenario)
-    data = parse_scenario(_read_text(path), path.parent, args.set or (), source=path)
+    data = parse_scenario(Path(args.scenario), args.set or ())
     seeds = _expand_seeds(args.seeds)
-    configs = [build_config(data, seed) for seed in seeds]
+    # no check in build_config depends on the seed, so one that fails does
+    # so for the first seed, before any run
+    configs = (build_config(data, seed) for seed in seeds)
 
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:

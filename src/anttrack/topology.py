@@ -13,7 +13,12 @@ Route = tuple[int, ...]
 
 
 class TopologyError(Exception):
-    """A topology description, edge list or route request is invalid."""
+    """A topology description, edge list or route request is invalid;
+    ``edge`` is the index of the pair at fault in ``from_edges``'s pairs."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -45,14 +50,14 @@ class NetworkTopology:
             raise TopologyError(f"node count must be >= 1, got {node_count}")
         edges: set[tuple[int, int]] = set()
         neighbors: list[set[int]] = [set() for _ in range(node_count)]
-        for a, b in edge_pairs:
+        for i, (a, b) in enumerate(edge_pairs):
             if not (0 <= a < node_count and 0 <= b < node_count):
-                raise TopologyError(f"edge ({a}, {b}) references a node outside [0, {node_count})")
+                raise TopologyError(f"edge ({a}, {b}) references a node outside [0, {node_count})", i)
             if a == b:
-                raise TopologyError(f"edge ({a}, {b}) is a self-loop")
+                raise TopologyError(f"edge ({a}, {b}) is a self-loop", i)
             key = (a, b) if a < b else (b, a)
             if key in edges:
-                raise TopologyError(f"edge {key} listed more than once")
+                raise TopologyError(f"edge {key} listed more than once", i)
             edges.add(key)
             neighbors[a].add(b)
             neighbors[b].add(a)

@@ -34,9 +34,9 @@ class RouteMemo:
     tables they were computed from, for one run.
 
     The engine creates one per run and drops it when the run returns, so a
-    topology shared by many runs (a sweep holds every seed's config) keeps
-    no tables alive.  Routes are computed lazily: only pairs some packet
-    takes, and only the distance tables of their destinations.
+    file or inline topology, which all the seeds of a sweep share, keeps no
+    tables alive.  Routes are computed lazily: only pairs some packet takes,
+    and only the distance tables of their destinations.
     """
 
     def __init__(self, topology: NetworkTopology):

@@ -25,6 +25,11 @@ def write_scenario(tmp_path: Path, body: str) -> Path:
     return path
 
 
+def config_from(tmp_path: Path, body: str, overrides=()) -> SimulationConfig:
+    """The config of a scenario file holding ``body``, with ``overrides``."""
+    return cli.build_config(cli.parse_scenario(write_scenario(tmp_path, body), overrides))
+
+
 SMALL = """
 topology_file {topo}
 seed 7
@@ -72,6 +77,11 @@ MALFORMED_SCENARIO = {
     "nodes 2\nedge 0 1\nfoo 3\n": "line 3: unknown key 'foo'",
     "nodes 2\nedge 0 1\nseed soon\n": "line 3: bad value for 'seed': 'soon'",
     "nodes 2\n# a comment\nnodes 3\nedge 0 1\n": "line 3: duplicate key 'nodes'",
+    # a topology fault names the file that holds it, and an edge's line
+    "nodes 3\nedge 0 5\n": "line 2: edge (0, 5) references a node outside [0, 3)",
+    "nodes 3\nedge 0 1\nedge 1 2\n\nedge 2 1\n": "line 5: edge (1, 2) listed more than once",
+    "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
+    "nodes 0\n": "node count must be >= 1, got 0",
 }
 
 
@@ -208,22 +218,21 @@ def test_override_keys_are_the_scalar_keys_and_infected():
 def test_override_equals_scenario_line(tmp_path, key):
     value = OVERRIDE_VALUES[key]
     base = "" if key == "topology_file" else BASE
-    line = cli.build_config(cli.parse_scenario(f"{base}{key} {value}\n", tmp_path))
-    override = cli.build_config(cli.parse_scenario(base, tmp_path, [f"{key}={value}"]))
+    line = config_from(tmp_path, f"{base}{key} {value}\n")
+    override = config_from(tmp_path, base, [f"{key}={value}"])
     assert override == line
     if key != "topology_file":
-        assert line != cli.build_config(cli.parse_scenario(base, tmp_path))
+        assert line != config_from(tmp_path, base)
 
 
 def test_override_replaces_scenario_line(tmp_path):
-    data = cli.parse_scenario(BASE + "max_ticks 7\ninfected 2\n", tmp_path,
-                              ["max_ticks=9", "infected=1 4"])
-    config = cli.build_config(data)
+    config = config_from(tmp_path, BASE + "max_ticks 7\ninfected 2\n",
+                         ["max_ticks=9", "infected=1 4"])
     assert config.max_ticks == 9 and config.infections == ((0, 1), (0, 4))
 
 
 def test_scenario_without_parameters_takes_the_dataclass_defaults(tmp_path):
-    config = cli.build_config(cli.parse_scenario(BASE, tmp_path))
+    config = config_from(tmp_path, BASE)
     topology = NetworkTopology.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert config == SimulationConfig(topology=topology, seed=0)
 
@@ -262,7 +271,7 @@ def test_topology_file_format(tmp_path):
     code, out = run_on_topology_file(tmp_path, "# comment\nnodes 3\nedge 0 1\n\nedge 1 2\n")
     assert code == 0
     assert "nodes: 3\nconnections: 2\n" in (out / "summary.txt").read_text()
-    config = cli.build_config(cli.parse_scenario("topology_file net.topo\n", tmp_path))
+    config = config_from(tmp_path, "topology_file net.topo\n")
     assert config.topology.neighbors(1) == (0, 2)
 
 
@@ -282,6 +291,8 @@ MALFORMED_TOPOLOGY = {
     "nodes 2\nedge 0 1\nseed 3\n": "line 3: key 'seed' not allowed here",
     "nodes 2\nnodes 2\nedge 0 1\n": "line 2: duplicate key 'nodes'",
     "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
+    "nodes 2\nedge 1 1\n": "line 2: edge (1, 1) is a self-loop",
+    "nodes 2\nedge 0 1\n# again\nedge 1 0\n": "line 4: edge (0, 1) listed more than once",
 }
 
 
@@ -309,7 +320,7 @@ def test_topology_file_brings_only_the_topology(tmp_path):
     scenario = write_scenario(
         tmp_path, "topology_file nets/star.topo\ninfected 3\ninfect_at 5 4\nmax_ticks 10\n"
     )
-    config = cli.build_config(cli.parse_scenario(scenario.read_text(), scenario.parent))
+    config = cli.build_config(cli.parse_scenario(scenario))
     assert config.topology == star_topology(10)
     assert config.infections == ((0, 3), (5, 4))
     out = tmp_path / "o"
@@ -327,8 +338,8 @@ SHIPPED_TOPOLOGIES = {
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.topo")))
-def test_shipped_topology_file(name):
-    config = cli.build_config(cli.parse_scenario(f"topology_file {name}\n", SCENARIOS))
+def test_shipped_topology_file(tmp_path, name):
+    config = config_from(tmp_path, f"topology_file {SCENARIOS / name}\n")
     assert config.topology == SHIPPED_TOPOLOGIES[name]
 
 
@@ -602,6 +613,52 @@ def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, j
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
     assert len(configs) == 1 and callable(configs[0].log)
     assert (tmp_path / "run" / "events.log").stat().st_size > 0
+
+
+def test_sweep_builds_each_config_just_before_its_run(tmp_path, monkeypatch):
+    """A sweep reads and builds a topology file once, so every seed's config
+    holds the same topology object, and builds each seed's config just
+    before that seed runs."""
+    calls, configs = [], []
+    real_build, real_run = cli.build_config, cli.engine.run
+
+    def recording_build(data, seed=None):
+        calls.append(("build", seed))
+        return real_build(data, seed)
+
+    def recording_run(config):
+        calls.append(("run", config.seed))
+        configs.append(config)
+        return real_run(config)
+
+    monkeypatch.setattr(cli, "build_config", recording_build)
+    monkeypatch.setattr(cli.engine, "run", recording_run)
+    scenario = small_scenario(tmp_path)
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
+                 "--seeds", "1..3", "--set", "max_ticks=10"])
+    assert code == 0
+    assert calls == [(step, seed) for seed in (1, 2, 3) for step in ("build", "run")]
+    assert all(config.topology is configs[0].topology for config in configs)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("random_topology 5 1.5\n", "extra_edge_prob must be in [0, 1], got 1.5"),
+        ("nodes 2\nedge 0 1\ninc -1\n", "increase (inc) must be finite and > 0, got -1.0"),
+    ],
+)
+def test_sweep_rejected_by_build_config_runs_nothing(tmp_path, monkeypatch, capsys, body, message):
+    # build_config's checks do not depend on the seed, so the first seed's
+    # config fails before any simulation runs
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    scenario = write_scenario(tmp_path, body)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", [["1", "1"], ["1..2", "2"]])

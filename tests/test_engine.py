@@ -29,10 +29,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario_config(name, overrides=()):
-    path = SCENARIOS / f"{name}.scn"
-    return cli.build_config(
-        cli.parse_scenario(path.read_text(encoding="utf-8"), path.parent, overrides)
-    )
+    return cli.build_config(cli.parse_scenario(SCENARIOS / f"{name}.scn", overrides))
 
 
 def traced_peak(fn):

@@ -1,6 +1,7 @@
-"""Golden outputs: `anttrack run` on the pinned scenarios must reproduce
-these files byte for byte (sha256, first 16 hex digits), and `anttrack trace`
-its fig1 and fig2 CSVs (full sha256).
+"""Golden outputs: `anttrack run` on the pinned scenarios and a serial
+`anttrack sweep` over four seeds must reproduce these files byte for byte
+(sha256, first 16 hex digits), and `anttrack trace` its fig1 and fig2 CSVs
+(full sha256).
 
 A change that alters a hash changes observable behaviour and must say why.
 """
@@ -35,6 +36,23 @@ def test_run_outputs_match_golden_hashes(scenario, tmp_path):
     assert events.count(b"\n") == log_lines
     assert sha256_prefix(events) == events_hash
     assert sha256_prefix((out / "metrics.csv").read_bytes()) == metrics_hash
+
+
+SWEEP_GOLDEN = {
+    "aggregate.csv": "b633a8a29d207763",
+    "metrics_seed1.csv": "f65af811308de132",
+    "metrics_seed2.csv": "6986f4d2df5989ca",
+    "metrics_seed3.csv": "23ab0fccb0e2086e",
+    "metrics_seed4.csv": "f1191f80e5322f82",
+}
+
+
+def test_sweep_outputs_match_golden_hashes(tmp_path):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--scenario", str(SCENARIOS / "default75.scn"), "--out", str(out),
+            "--seeds", "1..4", "--set", "max_ticks=400"]
+    assert main(argv) == 0
+    assert {path.name: sha256_prefix(path.read_bytes()) for path in out.iterdir()} == SWEEP_GOLDEN
 
 
 TRACE_GOLDEN = {

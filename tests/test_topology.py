@@ -38,25 +38,31 @@ def test_path_adjacency_sorted():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(TopologyError, match=re.escape("nodes unreachable from node 0: [2]")):
+    with pytest.raises(TopologyError, match=re.escape("nodes unreachable from node 0: [2]")) as exc:
         NetworkTopology.from_edges(3, [(0, 1)])
+    assert exc.value.edge is None
 
 
+# a fault of one pair gives the pair's index in the list, for the caller to
+# name where it came from
 def test_self_loop_rejected():
-    with pytest.raises(TopologyError, match=re.escape("edge (0, 0) is a self-loop")):
+    with pytest.raises(TopologyError, match=re.escape("edge (0, 0) is a self-loop")) as exc:
         NetworkTopology.from_edges(2, [(0, 0), (0, 1)])
+    assert exc.value.edge == 0
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(TopologyError, match=re.escape("edge (0, 1) listed more than once")):
+    with pytest.raises(TopologyError, match=re.escape("edge (0, 1) listed more than once")) as exc:
         NetworkTopology.from_edges(2, [(0, 1), (1, 0)])
+    assert exc.value.edge == 1
 
 
 def test_out_of_range_edge_rejected():
     with pytest.raises(
         TopologyError, match=re.escape("edge (0, 2) references a node outside [0, 2)")
-    ):
-        NetworkTopology.from_edges(2, [(0, 2)])
+    ) as exc:
+        NetworkTopology.from_edges(2, [(0, 1), (0, 2)])
+    assert exc.value.edge == 1
 
 
 def test_route_on_path(path3):
