@@ -11,10 +11,11 @@ import math
 import os
 import statistics
 import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from . import engine
@@ -118,10 +119,10 @@ def parse_scenario(path: Path, overrides: Iterable[str] = ()) -> dict:
 
     sources = [s for s in ("nodes", "topology_file", "random_topology") if s in data]
     if "nodes" not in data and data["edges"]:
-        raise ScenarioError("edge lines given without a nodes line")
+        raise ScenarioError(f"{path}: edge lines given without a nodes line")
     if len(sources) != 1:
         raise ScenarioError(
-            "scenario needs exactly one topology source: inline nodes/edge lines, "
+            f"{path}: scenario needs exactly one topology source: inline nodes/edge lines, "
             "topology_file, or random_topology"
         )
     if "random_topology" not in data:
@@ -267,7 +268,13 @@ def cmd_sweep(args) -> int:
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(engine.run, configs))
+            # one config per free worker: the next is built only once the
+            # oldest result is in, so at most ``jobs`` are held at a time
+            pending = deque(pool.submit(engine.run, c) for c in islice(configs, jobs))
+            results = []
+            while pending:
+                results.append(pending.popleft().result())
+                pending.extend(pool.submit(engine.run, c) for c in islice(configs, 1))
     else:
         results = [engine.run(c) for c in configs]
 

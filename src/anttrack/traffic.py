@@ -29,34 +29,27 @@ class TrafficRates:
             raise ValueError("attack_packets_per_infected_per_tick must be >= 1")
 
 
-class RouteMemo:
-    """Routes memoised per (src, dst), and the per-destination hop-distance
-    tables they were computed from, for one run.
+class RouteMemo(dict):
+    """Routes memoised in a dict keyed ``(src, dst)``, and the
+    per-destination hop-distance tables they were computed from, for one
+    run: ``memo[src, dst]`` is the minimum-hop route from src to dst.
 
     The engine creates one per run and drops it when the run returns, so a
     file or inline topology, which all the seeds of a sweep share, keeps no
-    tables alive.  Routes are computed lazily: only pairs some packet takes,
-    and only the distance tables of their destinations.
+    tables alive.  Routes are computed lazily, on the first lookup of a
+    pair: only pairs some packet takes, and only the distance tables of
+    their destinations.
     """
 
     def __init__(self, topology: NetworkTopology):
+        super().__init__()
         self._topology = topology
-        self._routes: dict[tuple[int, int], Route] = {}
         self._distances: dict[int, list[int]] = {}
 
-    def route(self, src: int, dst: int) -> Route:
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self._routes[src, dst] = shortest_route(
-                self._topology, src, dst, self._distances
-            )
+    def __missing__(self, pair: tuple[int, int]) -> Route:
+        src, dst = pair
+        route = self[pair] = shortest_route(self._topology, src, dst, self._distances)
         return route
-
-
-def _random_other(rng: random.Random, node_count: int, exclude: int) -> int:
-    # exactly one draw regardless of outcome, so the stream stays aligned
-    d = rng.randrange(node_count - 1)
-    return d + 1 if d >= exclude else d
 
 
 def generate_tick_traffic(
@@ -75,18 +68,24 @@ def generate_tick_traffic(
     minimum-hop route, taken from ``routes``, which the caller keeps across
     ticks.  Ids are assigned sequentially from first_id.
     """
-    route = routes.route
+    randrange = rng.randrange
     n = topology.node_count
     packets: list[Packet] = []
     pid = first_id
     for _ in range(rates.good_packets_per_tick):
-        src = rng.randrange(n)
-        dst = _random_other(rng, n, src)
-        packets.append(Packet(pid, False, route(src, dst)))
+        src = randrange(n)
+        # exactly one draw for the other endpoint regardless of outcome, so
+        # the stream stays aligned
+        dst = randrange(n - 1)
+        if dst >= src:
+            dst += 1
+        packets.append(Packet(pid, False, routes[src, dst]))
         pid += 1
     for node in sorted(infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
-            dst = _random_other(rng, n, node)
-            packets.append(Packet(pid, True, route(node, dst)))
+            dst = randrange(n - 1)
+            if dst >= node:
+                dst += 1
+            packets.append(Packet(pid, True, routes[node, dst]))
             pid += 1
     return packets

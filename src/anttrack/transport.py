@@ -1,13 +1,16 @@
 """A packet's life: its record, the detector that judges it at each hop, and
 its one-hop-per-tick movement out and back.
 
-A packet travels forward from ``route[0]``, one hop per tick.  When it is
-detected or delivered it ends, and the same record turns around as its
-confirmation: it gets a ``kind`` and walks back toward its source along its
-own route, one hop per tick, from the hop where it ended.  Confirmations
-update the directed pheromone state of every connection they traverse: bad
-confirmations boost it, clean confirmations decay it.  That direction of
-travel is what makes the resulting trails point at attack sources.
+A packet travels forward from ``route[0]``, one hop per tick.  The detector
+is asked only where it draws: at every hop of a malicious packet, and at a
+clean packet's destination; a clean packet at an intermediate hop only
+advances its position.  When a packet is detected or delivered it ends, and
+the same record turns around as its confirmation: it gets a ``kind`` and
+walks back toward its source along its own route, one hop per tick, from the
+hop where it ended.  Confirmations update the directed pheromone state of
+every connection they traverse: bad confirmations boost it, clean
+confirmations decay it.  That direction of travel is what makes the
+resulting trails point at attack sources.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from .topology import Route
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A packet at ``route[position]``.  While ``kind`` is None it travels
     from ``route[0]`` to ``route[-1]``; once it ends, ``kind`` is set and it
@@ -89,7 +92,8 @@ class PacketOutcome:
 def advance_packets(
     state: InFlight, detector: DetectorModel, rng: random.Random
 ) -> tuple[list[Packet], list[PacketOutcome]]:
-    """Advance every packet one hop and run the detector at the new hop.
+    """Advance every packet one hop and run the detector at the new hop where
+    it draws: every hop of a malicious packet, a clean one's destination.
 
     Detection ends the packet as a bad confirmation at the detecting node.
     Delivery (including a malicious packet that evaded every check: the
@@ -100,16 +104,20 @@ def advance_packets(
     survivors: list[Packet] = []
     spawned: list[Packet] = []
     outcomes: list[PacketOutcome] = []
+    keep = survivors.append
     for pkt in state.packets:
-        pkt.position += 1
+        position = pkt.position = pkt.position + 1
         route = pkt.route
-        node = route[pkt.position]
+        if not pkt.malicious and position < len(route) - 1:
+            keep(pkt)
+            continue
+        node = route[position]
         if inspect_at_hop(pkt, node, detector, rng):
             pkt.kind, event = PheromoneEvent.BAD, "detected"
         elif node == route[-1]:
             pkt.kind, event = PheromoneEvent.GOOD, "delivered"
         else:
-            survivors.append(pkt)
+            keep(pkt)
             continue
         spawned.append(pkt)
         outcomes.append(PacketOutcome(pkt.id, event, node))
@@ -127,16 +135,19 @@ def advance_confirmations(
     """
     survivors: list[Packet] = []
     updates: list[tuple[int, int, PheromoneEvent, float]] = []
+    keep, record = survivors.append, updates.append
+    apply_bad, apply_good = pheromones.apply_bad, pheromones.apply_good
+    bad = PheromoneEvent.BAD
     for conf in state.confirmations:
-        u = conf.route[conf.position]
-        conf.position -= 1
-        v = conf.route[conf.position]
-        if conf.kind is PheromoneEvent.BAD:
-            new_value = pheromones.apply_bad(u, v, params)
+        route, position = conf.route, conf.position - 1
+        conf.position = position
+        u, v = route[position + 1], route[position]
+        kind = conf.kind
+        if kind is bad:
+            record((u, v, kind, apply_bad(u, v, params)))
         else:
-            new_value = pheromones.apply_good(u, v, params)
-        updates.append((u, v, conf.kind, new_value))
-        if conf.position:
-            survivors.append(conf)
+            record((u, v, kind, apply_good(u, v, params)))
+        if position:
+            keep(conf)
     state.confirmations = survivors
     return updates

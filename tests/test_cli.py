@@ -3,6 +3,7 @@ import os
 import re
 import stat
 import statistics
+from concurrent.futures import Executor
 from pathlib import Path
 
 import pytest
@@ -307,7 +308,19 @@ def test_topology_file_malformed(tmp_path, capsys, text):
 def test_inline_edge_next_to_topology_file_names_it(tmp_path, capsys):
     code, out = run_on_topology_file(tmp_path, "nodes 2\nedge 0 1\n", "edge 0 1\n")
     assert code == 2
-    assert "edge lines given without a nodes line" in capsys.readouterr().err
+    scenario = tmp_path / "scenario.scn"
+    assert capsys.readouterr().err == f"error: {scenario}: edge lines given without a nodes line\n"
+    assert not out.exists()
+
+
+def test_two_topology_sources_name_the_file(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "nodes 2\nedge 0 1\nrandom_topology 5 0.1\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: scenario needs exactly one topology source: "
+        "inline nodes/edge lines, topology_file, or random_topology\n"
+    )
     assert not out.exists()
 
 
@@ -555,24 +568,34 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / name).read_text() == (parallel / name).read_text()
 
 
-def in_process_pool(sizes: list[int]) -> type:
+def in_process_pool(sizes: list[int], events: list[str] | None = None) -> type:
     """A stand-in for ProcessPoolExecutor that appends its size to ``sizes``
-    and maps in this process, so no worker process starts."""
+    and runs each submitted call in this process when its result is asked
+    for, so no worker process starts; each such ask appends "result" to
+    ``events``.  Its ``map`` is ``Executor``'s own, which, like
+    ProcessPoolExecutor's, submits every item before the first result."""
 
-    class RecordingPool:
+    class InProcessFuture:
+        def __init__(self, fn, args, kwargs):
+            self._call = fn, args, kwargs
+
+        def result(self, timeout=None):
+            if events is not None:
+                events.append("result")
+            fn, args, kwargs = self._call
+            return fn(*args, **kwargs)
+
+        def cancel(self):
+            return False
+
+    class InProcessPool(Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, /, *args, **kwargs):
+            return InProcessFuture(fn, args, kwargs)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return RecordingPool
+    return InProcessPool
 
 
 @pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, 2), (8, 64, 3), (8, 2, 2), (1, 64, None)])
@@ -587,6 +610,26 @@ def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
     assert code == 0
     assert sizes == ([] if expected is None else [expected])
     assert (out / "metrics_seed3.csv").exists()
+
+
+def test_parallel_sweep_builds_one_config_per_free_worker(tmp_path, monkeypatch):
+    """A sweep with two workers holds at most two configs: two are built
+    before the first result is asked for, then one more after each."""
+    events = []
+    real_build = cli.build_config
+
+    def recording_build(data, seed=None):
+        events.append("build")
+        return real_build(data, seed)
+
+    monkeypatch.setattr(cli, "build_config", recording_build)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool([], events))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    scenario = small_scenario(tmp_path)
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
+                 "--seeds", "1..5", "--jobs", "2", "--set", "max_ticks=10"])
+    assert code == 0
+    assert events == ["build", "build"] + ["result", "build"] * 3 + ["result", "result"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

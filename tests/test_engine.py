@@ -245,7 +245,7 @@ def full_memo_peak(topo):
         for src in range(topo.node_count):
             for dst in range(topo.node_count):
                 if src != dst:
-                    memo.route(src, dst)
+                    memo[src, dst]
 
     return traced_peak(fill_memo)
 

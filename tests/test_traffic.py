@@ -60,8 +60,8 @@ def test_route_memo_keeps_traffic_unchanged(grid4x4):
         assert generate_tick_traffic(grid4x4, infected, rates, rng_memo, 0, memo) == (
             fresh_traffic(grid4x4, infected, rates, rng_fresh, 0)
         )
-    route = memo.route(0, 15)
-    assert memo.route(0, 15) is route == shortest_route(grid4x4, 0, 15, {})
+    route = memo[0, 15]
+    assert memo[0, 15] is route == shortest_route(grid4x4, 0, 15, {})
 
 
 def test_identical_seeds_identical_traffic():

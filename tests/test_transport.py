@@ -2,8 +2,10 @@ import math
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
+from anttrack import transport
 from anttrack.pheromone import PheromoneEvent, PheromoneField, PheromoneParams
 from anttrack.topology import shortest_route
 from anttrack.traffic import RouteMemo, TrafficRates, generate_tick_traffic
@@ -92,6 +94,28 @@ def test_false_positive_spawns_bad_confirm_full_route():
     assert spawned[0].kind is PheromoneEvent.BAD
     assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].event == "detected"
+
+
+@pytest.mark.parametrize("malicious, inspected_at", [(False, [3]), (True, [1, 2, 3])])
+def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected_at):
+    """A clean packet meets the detector only at its destination; a
+    malicious one at every hop after its source.  Each meeting is one draw."""
+    nodes = []
+    real_inspect = transport.inspect_at_hop
+
+    def counting_inspect(packet, node, detector, rng):
+        nodes.append(node)
+        return real_inspect(packet, node, detector, rng)
+
+    monkeypatch.setattr(transport, "inspect_at_hop", counting_inspect)
+    rng, reference = random.Random(9), random.Random(9)
+    state = InFlight(packets=[Packet(0, malicious, (0, 1, 2, 3))])
+    while state.packets:
+        advance_packets(state, DetectorModel(detect_prob=0.0), rng)
+    assert nodes == inspected_at
+    for _ in inspected_at:
+        reference.random()
+    assert rng.getstate() == reference.getstate()
 
 
 def test_bad_confirm_deposits_along_direction(path3):
