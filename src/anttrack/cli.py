@@ -29,6 +29,14 @@ class ScenarioError(Exception):
     """Scenario file or override problem; reported with key context."""
 
 
+def _greedy(value: str) -> str:
+    """Agents follow the strongest trail, the one rule; ``ant_choice`` is
+    read only so that files naming that rule still parse."""
+    if value != "greedy":
+        raise ValueError(value)
+    return value
+
+
 _SCALAR_KEYS = {
     "seed": int,
     "ant_count": int,
@@ -40,7 +48,7 @@ _SCALAR_KEYS = {
     "good_packets_per_tick": int,
     "attack_packets_per_infected_per_tick": int,
     "max_ticks": int,
-    "ant_choice": str,
+    "ant_choice": _greedy,
     "topology_file": str,
 }
 
@@ -175,7 +183,7 @@ def build_config(data: dict, seed: int | None = None) -> engine.SimulationConfig
         detector=detector,
         infections=tuple(sorted(infections)),
         seed=seed,
-        **_given(data, "ant_count", "max_ticks", "ant_choice"),
+        **_given(data, "ant_count", "max_ticks"),
     )
 
 

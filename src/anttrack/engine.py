@@ -56,7 +56,6 @@ class SimulationConfig:
     infections: tuple[tuple[int, int], ...] = ()
     max_ticks: int = 1000
     seed: int = 0
-    ant_choice: str = "greedy"
     log: Callable[[str], object] | None = None
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class SimulationConfig:
             raise InvalidConfig(f"max_ticks must be > 0, got {self.max_ticks}")
         if self.ant_count < 0:
             raise InvalidConfig(f"ant_count must be >= 0, got {self.ant_count}")
-        if self.ant_choice not in ("greedy", "proportional"):
-            raise InvalidConfig(f"ant_choice must be greedy or proportional, got {self.ant_choice!r}")
         if self.log is not None and not callable(self.log):
             raise InvalidConfig(f"log must be a callable or None, got {self.log!r}")
         seen = set()
@@ -188,9 +185,7 @@ def run(config: SimulationConfig) -> Metrics:
 
         declared: list[tuple[int, int]] = []
         for ant in ants:
-            node = ant_step(
-                ant, topo, pheromones, config.params, ant_rngs[ant.ant_id], config.ant_choice
-            )
+            node = ant_step(ant, topo, pheromones, config.params, ant_rngs[ant.ant_id])
             if node is not None:
                 declared.append((ant.ant_id, node))
 

@@ -68,9 +68,6 @@ class NetworkTopology:
             raise TopologyError(f"nodes unreachable from node 0: {unreachable}")
         return topo
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
-
 
 def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:
     """Hop distance of every node to dst (breadth-first search)."""

@@ -1,11 +1,16 @@
+import math
 import random
+import sys
 from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams
 from anttrack.topology import NetworkTopology
 
-from conftest import path_topology, star_topology
+from conftest import grid_topology, path_topology, star_topology
 
 PARAMS = PheromoneParams()
 
@@ -22,7 +27,7 @@ def test_wandering_on_clean_graph_moves_randomly():
         ant = AntState(0, location=0)
         assert ant_step(ant, topo, field, PARAMS, random.Random(seed)) is None
         assert ant.mode is AntMode.WANDERING
-        assert ant.location in topo.neighbors(0)
+        assert ant.location in topo.adjacency[0]
         counts[ant.location] += 1
     assert set(counts) == {1, 3}  # both neighbors get picked
 
@@ -164,17 +169,72 @@ def test_trajectory_deterministic(grid4x4):
     assert trajectory(5) != trajectory(6)
 
 
-def test_proportional_choice_weights_levels(star10):
-    field = PheromoneField(star10)
-    for _ in range(50):
-        field.apply_bad(0, 1, PARAMS)  # 1000
-    field.apply_bad(0, 2, PARAMS)
-    for _ in range(11):
-        field.apply_good(0, 2, PARAMS)  # 20 * 0.95**11 ~ 11.37
-    counts = Counter()
-    for seed in range(300):
-        ant = AntState(0, location=0)
-        ant_step(ant, star10, field, PARAMS, random.Random(seed), choice="proportional")
-        counts[ant.location] += 1
-    assert counts[1] > counts[2] > 0
+def set_level(field, u, v, level):
+    """Bring a fresh direction to ``level`` (0, a finite positive value, or
+    inf) through boosts alone."""
+    if math.isinf(level):
+        for _ in range(2):
+            field.apply_bad(u, v, PheromoneParams(increase=sys.float_info.max))
+    elif level:
+        field.apply_bad(u, v, PheromoneParams(increase=level))
 
+
+SCENE_TOPOLOGIES = [star_topology(7), grid_topology(3, 3)]
+
+
+@st.composite
+def trail_scenes(draw):
+    """An agent on a star or a grid whose outgoing levels are drawn from the
+    values where the rule's comparisons turn: 0, the threshold and one ulp
+    either side of it, a value several directions may share, and inf."""
+    topo = draw(st.sampled_from(SCENE_TOPOLOGIES))
+    threshold = draw(st.sampled_from([5e-324, 1.0, 10.0, 1e300]))
+    tie = draw(st.floats(threshold, sys.float_info.max))
+    values = [
+        0.0, threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf),
+        tie, math.inf,
+    ]
+    here = draw(st.integers(0, topo.node_count - 1))
+    # the oracle's neighbor list comes from the edge set, not the adjacency
+    neighbors = sorted({a + b - here for a, b in topo.edges if here in (a, b)})
+    return {
+        "topo": topo,
+        "params": PheromoneParams(threshold=threshold),
+        "here": here,
+        "neighbors": neighbors,
+        "levels": {nb: draw(st.sampled_from(values)) for nb in neighbors},
+        "came_from": draw(st.one_of(st.none(), st.sampled_from(neighbors))),
+        "tracking": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(trail_scenes())
+def test_step_matches_the_literal_rule(scene):
+    topo, here, levels = scene["topo"], scene["here"], scene["levels"]
+    field = PheromoneField(topo)
+    for nb, level in levels.items():
+        set_level(field, here, nb, level)
+    mode = AntMode.TRACKING if scene["tracking"] else AntMode.WANDERING
+    ant = AntState(0, location=here, mode=mode, came_from=scene["came_from"])
+    rng = random.Random(scene["seed"])
+    oracle_rng = random.Random(scene["seed"])
+
+    declared = ant_step(ant, topo, field, scene["params"], rng)
+
+    hot = {
+        nb: level for nb, level in levels.items()
+        if nb != scene["came_from"] and level > scene["params"].threshold
+    }
+    if hot:
+        top = max(hot.values())
+        want = (None, min(nb for nb, level in hot.items() if level == top), AntMode.TRACKING, here)
+    elif scene["tracking"]:
+        want = (here, here, AntMode.WANDERING, None)
+    else:
+        neighbors = scene["neighbors"]
+        want = (None, neighbors[oracle_rng.randrange(len(neighbors))], AntMode.WANDERING, here)
+    assert (declared, ant.location, ant.mode, ant.came_from) == want
+    # following or ending a trail draws nothing; a random move one randrange
+    assert rng.getstate() == oracle_rng.getstate()

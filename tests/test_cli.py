@@ -77,6 +77,8 @@ def test_unknown_key_names_it(tmp_path, capsys):
 MALFORMED_SCENARIO = {
     "nodes 2\nedge 0 1\nfoo 3\n": "line 3: unknown key 'foo'",
     "nodes 2\nedge 0 1\nseed soon\n": "line 3: bad value for 'seed': 'soon'",
+    # ant_choice parses only as greedy, the one rule
+    "nodes 2\nedge 0 1\nant_choice proportional\n": "line 3: bad value for 'ant_choice': 'proportional'",
     "nodes 2\n# a comment\nnodes 3\nedge 0 1\n": "line 3: duplicate key 'nodes'",
     # a topology fault names the file that holds it, and an edge's line
     "nodes 3\nedge 0 5\n": "line 2: edge (0, 5) references a node outside [0, 3)",
@@ -191,9 +193,22 @@ def test_invalid_override_value(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_ant_choice_override_other_than_greedy_rejected(tmp_path, capsys, command):
+    scenario = small_scenario(tmp_path)
+    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+            "--set", "ant_choice=proportional"]
+    assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
+    assert capsys.readouterr().err == (
+        "error: override 'ant_choice=proportional': bad value for 'ant_choice': 'proportional'\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 BASE = "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 0 4\n"
 
-# a value other than the default for every key --set accepts
+# a value for every key --set accepts, other than the default except for
+# ant_choice, whose only value is its default
 OVERRIDE_VALUES = {
     "seed": "5",
     "ant_count": "2",
@@ -205,7 +220,7 @@ OVERRIDE_VALUES = {
     "good_packets_per_tick": "4",
     "attack_packets_per_infected_per_tick": "2",
     "max_ticks": "30",
-    "ant_choice": "proportional",
+    "ant_choice": "greedy",
     "topology_file": str(SCENARIOS / "star10.topo"),
     "infected": "1 3",
 }
@@ -222,7 +237,7 @@ def test_override_equals_scenario_line(tmp_path, key):
     line = config_from(tmp_path, f"{base}{key} {value}\n")
     override = config_from(tmp_path, base, [f"{key}={value}"])
     assert override == line
-    if key != "topology_file":
+    if key not in ("topology_file", "ant_choice"):
         assert line != config_from(tmp_path, base)
 
 
@@ -273,7 +288,7 @@ def test_topology_file_format(tmp_path):
     assert code == 0
     assert "nodes: 3\nconnections: 2\n" in (out / "summary.txt").read_text()
     config = config_from(tmp_path, "topology_file net.topo\n")
-    assert config.topology.neighbors(1) == (0, 2)
+    assert config.topology.adjacency[1] == (0, 2)
 
 
 def test_topology_file_is_order_free(tmp_path):

@@ -154,7 +154,6 @@ def test_all_identified_recomputed_for_late_infection():
         {"infections": ((0, 0), (5, 99))},
         {"infections": ((0, 0), (-1, 1))},
         {"infections": ((0, 0), (5, 0))},  # node 0 infected twice
-        {"ant_choice": "sideways"},
         {"log": True},
     ],
 )
@@ -176,7 +175,6 @@ def test_one_node_topology_rejected():
         ("star10", []),
         ("reinfection75", ["max_ticks=400"]),
         ("default75", ["max_ticks=150"]),
-        ("default75", ["max_ticks=150", "ant_choice=proportional"]),
         ("default75", ["max_ticks=300", "detect_prob=0.5", "false_positive_prob=0.02"]),
     ],
 )
@@ -391,7 +389,7 @@ def test_random_topology_connected_and_reproducible():
         frontier = [0]
         while frontier:
             frontier = [
-                v for u in frontier for v in topo1.neighbors(u) if v not in seen
+                v for u in frontier for v in topo1.adjacency[u] if v not in seen
             ]
             seen.update(frontier)
         assert seen == set(range(75))

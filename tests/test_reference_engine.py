@@ -166,15 +166,6 @@ def reference_run(s):
             else:
                 if not hot:
                     nxt = adj[here][rng.randrange(len(adj[here]))]
-                elif s["choice"] == "proportional":
-                    x = rng.random() * sum(lv for _, lv in hot)
-                    nxt = hot[-1][0]
-                    acc = 0.0
-                    for nb, lv in hot:
-                        acc += lv
-                        if x < acc:
-                            nxt = nb
-                            break
                 else:
                     top = max(lv for _, lv in hot)
                     nxt = min(nb for nb, lv in hot if lv == top)
@@ -256,7 +247,6 @@ def scenarios(draw):
         "threshold": draw(st.one_of(
             positive, st.sampled_from([inc, inc * (1 - 2**-52), inc * (1 + 2**-52)])
         )),
-        "choice": draw(st.sampled_from(["greedy", "proportional"])),
     }
 
 
@@ -270,7 +260,6 @@ def engine_config(s):
         infections=tuple(sorted([(0, node) for node in s["infected"]] + s["scripted"])),
         max_ticks=s["ticks"],
         seed=s["seed"],
-        ant_choice=s["choice"],
     )
 
 
@@ -283,13 +272,13 @@ NON_ZERO_ZERO_NON_ZERO = {
     "nodes": 6, "edges": [(0, 1), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)], "seed": 1,
     "ticks": 40, "ants": 2, "good": 4, "attack": 2, "infected": {0}, "scripted": [(10, 5)],
     "detect_prob": 0.5, "false_positive_prob": 0.1, "inc": 10.0, "dec": 5e-324,
-    "threshold": 5.0, "choice": "greedy",
+    "threshold": 5.0,
 }
 SUBNORMAL = {
     "nodes": 5, "edges": [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)], "seed": 7,
     "ticks": 40, "ants": 3, "good": 5, "attack": 1, "infected": {3}, "scripted": [],
     "detect_prob": 1.0, "false_positive_prob": 0.0, "inc": 5e-324, "dec": 0.5,
-    "threshold": 5e-324, "choice": "proportional",
+    "threshold": 5e-324,
 }
 
 

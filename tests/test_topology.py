@@ -17,7 +17,7 @@ def bfs_distance(topo: NetworkTopology, src: int, dst: int) -> int:
     while frontier:
         nxt = []
         for u in frontier:
-            for v in topo.neighbors(u):
+            for v in topo.adjacency[u]:
                 if v not in seen:
                     seen[v] = seen[u] + 1
                     nxt.append(v)
@@ -29,12 +29,12 @@ def test_smallest_connected_graph():
     topo = NetworkTopology.from_edges(2, [(0, 1)])
     assert topo.node_count == 2
     assert len(topo.edges) == 1
-    assert topo.neighbors(0) == (1,)
+    assert topo.adjacency[0] == (1,)
 
 
 def test_path_adjacency_sorted():
     topo = NetworkTopology.from_edges(3, [(1, 2), (0, 1)])
-    assert topo.neighbors(1) == (0, 2)
+    assert topo.adjacency[1] == (0, 2)
 
 
 def test_disconnected_rejected():
@@ -130,7 +130,7 @@ def test_route_lexicographically_smallest():
                 continue
             if len(path) - 1 >= target:
                 continue
-            for v in topo.neighbors(node):
+            for v in topo.adjacency[node]:
                 if v not in path:
                     stack.append((v, path + (v,)))
         return paths
