@@ -154,6 +154,7 @@ def test_all_identified_recomputed_for_late_infection():
         {"infections": ((0, 0), (5, 99))},
         {"infections": ((0, 0), (-1, 1))},
         {"infections": ((0, 0), (5, 0))},  # node 0 infected twice
+        {"infections": ((0, -1),)},
         {"log": True},
     ],
 )
@@ -175,6 +176,7 @@ def test_one_node_topology_rejected():
         ("star10", []),
         ("reinfection75", ["max_ticks=400"]),
         ("default75", ["max_ticks=150"]),
+        ("default75", ["max_ticks=150", "ant_choice=greedy"]),
         ("default75", ["max_ticks=300", "detect_prob=0.5", "false_positive_prob=0.02"]),
     ],
 )
