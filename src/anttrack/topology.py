@@ -87,36 +87,56 @@ def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:
     return dist
 
 
-def shortest_route(
-    topo: NetworkTopology, src: int, dst: int, distances: dict[int, list[int]]
-) -> Route:
+def _reach_levels(topo: NetworkTopology) -> list[list[int]]:
+    """Breadth-first search from every node at once, one bit per node: for
+    k = 0 .. diameter, bit w of ``levels[k][v]`` is set iff dist(v, w) <= k."""
+    levels = [[1 << v for v in range(topo.node_count)]]
+    while True:
+        level = levels[-1]
+        nxt = []
+        for v, ns in enumerate(topo.adjacency):
+            reach = level[v]
+            for w in ns:
+                reach |= level[w]
+            nxt.append(reach)
+        if nxt == level:
+            return levels
+        levels.append(nxt)
+
+
+def shortest_route(topo: NetworkTopology, src: int, dst: int, levels: list[list[int]]) -> Route:
     """Minimum-hop route from src to dst.
 
     Among equal-length routes the lexicographically smallest hop sequence is
     returned, which makes routing (and thus reverse paths) deterministic.
-    ``distances`` caches the hop-distance table of each destination across
-    calls; its owner decides how long the tables live.
+    ``levels`` holds ``_reach_levels(topo)``, filled by the first call that
+    passes it empty; the caller owns it and decides how long it lives.
     """
     if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
         raise TopologyError(f"invalid endpoints ({src}, {dst})")
     if src == dst:
         raise TopologyError(f"route requested from node {src} to itself")
-    dist = distances.get(dst)
-    if dist is None:
-        dist = distances[dst] = _hop_distances(topo, dst)
-    if dist[src] < 0:
+    if not levels:
+        levels.extend(_reach_levels(topo))
+    # bisect for d, the first level whose entry at src has dst's bit
+    bit = 1 << dst
+    lo, hi = 1, len(levels)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if levels[mid][src] & bit:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(levels):
         raise TopologyError(f"no path from {src} to {dst}")
     hops = [src]
     cur = src
-    d = dist[src]
-    while cur != dst:
-        # adjacency is sorted, so the first neighbor strictly closer to dst
-        # is the lexicographically smallest valid continuation
+    for level in levels[lo - 1::-1]:
+        # adjacency is sorted, so the first neighbor one hop closer to dst is
+        # the lexicographically smallest valid continuation
         for v in topo.adjacency[cur]:
-            if dist[v] == d - 1:
-                cur = v
-                d -= 1
-                hops.append(v)
+            if level[v] & bit:
                 break
+        hops.append(v)
+        cur = v
     return tuple(hops)
-

@@ -30,25 +30,25 @@ class TrafficRates:
 
 
 class RouteMemo(dict):
-    """Routes memoised in a dict keyed ``(src, dst)``, and the
-    per-destination hop-distance tables they were computed from, for one
-    run: ``memo[src, dst]`` is the minimum-hop route from src to dst.
+    """Routes memoised in a dict keyed ``(src, dst)``, and the reach levels
+    they were computed from, for one run: ``memo[src, dst]`` is the
+    minimum-hop route from src to dst.
 
-    The engine creates one per run and drops it when the run returns, so a
-    file or inline topology, which all the seeds of a sweep share, keeps no
-    tables alive.  Routes are computed lazily, on the first lookup of a
-    pair: only pairs some packet takes, and only the distance tables of
-    their destinations.
+    The memo owns the levels it passes to ``shortest_route``.  The engine
+    creates one memo per run and drops it when the run returns, so a file or
+    inline topology, which all the seeds of a sweep share, keeps no levels
+    alive.  Routes are computed on the first lookup of a pair, and the
+    levels on the first lookup of any pair: an unused memo builds nothing.
     """
 
     def __init__(self, topology: NetworkTopology):
         super().__init__()
         self._topology = topology
-        self._distances: dict[int, list[int]] = {}
+        self._levels: list[list[int]] = []
 
     def __missing__(self, pair: tuple[int, int]) -> Route:
         src, dst = pair
-        route = self[pair] = shortest_route(self._topology, src, dst, self._distances)
+        route = self[pair] = shortest_route(self._topology, src, dst, self._levels)
         return route
 
 

@@ -145,17 +145,19 @@ def test_all_identified_recomputed_for_late_infection():
     assert metrics.first_declaration_tick[8] >= 60
 
 
+# Each case names its id, so that deleting a case renames no other case; the
+# ids are the ones the cases had when they were numbered by position.
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"max_ticks": 0},
-        {"ant_count": -1},
-        {"infections": ((0, 99),)},
-        {"infections": ((0, 0), (5, 99))},
-        {"infections": ((0, 0), (-1, 1))},
-        {"infections": ((0, 0), (5, 0))},  # node 0 infected twice
-        {"infections": ((0, -1),)},
-        {"log": True},
+        pytest.param({"max_ticks": 0}, id="overrides0"),
+        pytest.param({"ant_count": -1}, id="overrides1"),
+        pytest.param({"infections": ((0, 99),)}, id="overrides2"),
+        pytest.param({"infections": ((0, 0), (5, 99))}, id="overrides3"),
+        pytest.param({"infections": ((0, 0), (-1, 1))}, id="overrides4"),
+        pytest.param({"infections": ((0, 0), (5, 0))}, id="overrides5"),  # node 0 infected twice
+        pytest.param({"infections": ((0, -1),)}, id="overrides6"),
+        pytest.param({"log": True}, id="overrides7"),
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -173,11 +175,15 @@ def test_one_node_topology_rejected():
 @pytest.mark.parametrize(
     "scenario, overrides",
     [
-        ("star10", []),
-        ("reinfection75", ["max_ticks=400"]),
-        ("default75", ["max_ticks=150"]),
-        ("default75", ["max_ticks=150", "ant_choice=greedy"]),
-        ("default75", ["max_ticks=300", "detect_prob=0.5", "false_positive_prob=0.02"]),
+        pytest.param("star10", [], id="star10-overrides0"),
+        pytest.param("reinfection75", ["max_ticks=400"], id="reinfection75-overrides1"),
+        pytest.param("default75", ["max_ticks=150"], id="default75-overrides2"),
+        pytest.param("default75", ["max_ticks=150", "ant_choice=greedy"], id="default75-overrides3"),
+        pytest.param(
+            "default75",
+            ["max_ticks=300", "detect_prob=0.5", "false_positive_prob=0.02"],
+            id="default75-overrides4",
+        ),
     ],
 )
 def test_log_free_run_has_the_same_metrics(scenario, overrides):
@@ -255,8 +261,8 @@ def test_log_free_run_memory_stays_flat():
     over N, give or take what the route memo adds.
 
     Beyond its inputs, a log-free run holds three things. The route memo
-    holds at most one route per ordered node pair (75 x 74 here) and one
-    distance table per destination. The in-flight set holds only packets
+    holds at most one route per ordered node pair (75 x 74 here) and the
+    reach levels, built in full at the first lookup. The in-flight set holds only packets
     and confirmations younger than the network's diameter, since each moves
     one hop per tick and traffic enters at a fixed rate. The metrics hold at
     most one entry per node. Between N and 4N ticks, then, the peak can grow

@@ -118,6 +118,19 @@ def test_apply_bad_adds_increase_exactly():
     assert math.isclose(bad(field), 34.7018378125, rel_tol=1e-12)
 
 
+def test_very_large_increase_saturates_to_inf():
+    # any finite inc is accepted; one near the float limit overflows on the
+    # second boost, and the level then stays at inf, which the log prints as
+    # "inf"
+    params = PheromoneParams(increase=1e308)
+    field = PheromoneField(PAIR)
+    assert bad(field, params) == 1e308
+    assert bad(field, params) == math.inf
+    assert good(field, params) == math.inf
+    assert level(field) == math.inf
+    assert f"{level(field):.9g}" == "inf"
+
+
 def test_fig1_checkpoint_values():
     events = fig1_events()
     expected = {

@@ -4,7 +4,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from anttrack.topology import NetworkTopology, TopologyError, shortest_route
+from anttrack.topology import NetworkTopology, Route, TopologyError, shortest_route
+from anttrack.traffic import RouteMemo
 from anttrack.engine import generate_random_topology
 
 from conftest import grid_topology, is_valid_route, path_topology, reverse_route
@@ -66,29 +67,29 @@ def test_out_of_range_edge_rejected():
 
 
 def test_route_on_path(path3):
-    assert shortest_route(path3, 0, 2, {}) == (0, 1, 2)
+    assert shortest_route(path3, 0, 2, []) == (0, 1, 2)
 
 
 def test_route_tie_break_on_cycle():
     cycle = NetworkTopology.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert shortest_route(cycle, 0, 2, {}) == (0, 1, 2)
+    assert shortest_route(cycle, 0, 2, []) == (0, 1, 2)
 
 
 def test_route_direct_edge_on_complete_graph():
     complete = NetworkTopology.from_edges(
         4, [(a, b) for a in range(4) for b in range(a + 1, 4)]
     )
-    assert shortest_route(complete, 1, 3, {}) == (1, 3)
+    assert shortest_route(complete, 1, 3, []) == (1, 3)
 
 
 def test_route_same_node_rejected(path3):
     with pytest.raises(TopologyError, match=re.escape("route requested from node 1 to itself")):
-        shortest_route(path3, 1, 1, {})
+        shortest_route(path3, 1, 1, [])
 
 
 def test_route_invalid_endpoint_rejected(path3):
     with pytest.raises(TopologyError, match=re.escape("invalid endpoints (0, 7)")):
-        shortest_route(path3, 0, 7, {})
+        shortest_route(path3, 0, 7, [])
 
 
 def test_route_length_matches_bfs_oracle():
@@ -100,7 +101,7 @@ def test_route_length_matches_bfs_oracle():
             for dst in range(n):
                 if src == dst:
                     continue
-                route = shortest_route(topo, src, dst, {})
+                route = shortest_route(topo, src, dst, [])
                 assert len(route) - 1 == bfs_distance(topo, src, dst)
                 assert is_valid_route(topo, route)
                 assert route[0] == src and route[-1] == dst
@@ -110,35 +111,36 @@ def test_route_deterministic():
     rng = random.Random(99)
     topo = generate_random_topology(20, 0.2, rng)
     for src, dst in [(0, 19), (3, 7), (15, 2)]:
-        assert shortest_route(topo, src, dst, {}) == shortest_route(topo, src, dst, {})
+        assert shortest_route(topo, src, dst, []) == shortest_route(topo, src, dst, [])
+
+
+def all_min_paths(topo: NetworkTopology, src: int, dst: int) -> list[Route]:
+    """Brute-force enumeration of every minimum-hop path: the tie-break
+    oracle."""
+    target = bfs_distance(topo, src, dst)
+    paths = []
+    stack = [(src, (src,))]
+    while stack:
+        node, path = stack.pop()
+        if node == dst:
+            if len(path) - 1 == target:
+                paths.append(path)
+            continue
+        if len(path) - 1 >= target:
+            continue
+        for v in topo.adjacency[node]:
+            if v not in path:
+                stack.append((v, path + (v,)))
+    return paths
 
 
 def test_route_lexicographically_smallest():
-    # brute-force enumeration of all minimum-hop paths as the tie-break oracle
     rng = random.Random(7)
     topo = generate_random_topology(9, 0.35, rng)
-
-    def all_min_paths(src, dst):
-        target = bfs_distance(topo, src, dst)
-        paths = []
-        stack = [(src, (src,))]
-        while stack:
-            node, path = stack.pop()
-            if node == dst:
-                if len(path) - 1 == target:
-                    paths.append(path)
-                continue
-            if len(path) - 1 >= target:
-                continue
-            for v in topo.adjacency[node]:
-                if v not in path:
-                    stack.append((v, path + (v,)))
-        return paths
-
     for src in range(topo.node_count):
         for dst in range(topo.node_count):
             if src != dst:
-                assert shortest_route(topo, src, dst, {}) == min(all_min_paths(src, dst))
+                assert shortest_route(topo, src, dst, []) == min(all_min_paths(topo, src, dst))
 
 
 def test_edge_ids_number_directions_in_sorted_order():
@@ -148,12 +150,50 @@ def test_edge_ids_number_directions_in_sorted_order():
     assert list(topo.edge_ids.values()) == list(range(len(directions)))
 
 
-def test_route_distance_tables_are_cached_by_the_caller():
+def test_route_levels_are_built_once_and_cached_by_the_caller():
     topo = grid_topology(4, 4)
-    distances = {}
-    for src, dst in [(0, 15), (3, 15), (15, 0)]:
-        assert shortest_route(topo, src, dst, distances) == shortest_route(topo, src, dst, {})
-    assert sorted(distances) == [0, 15]
+    levels = []
+    assert shortest_route(topo, 0, 15, levels) == (0, 1, 2, 3, 7, 11, 15)
+    built = list(levels)
+    diameter = max(bfs_distance(topo, a, b) for a in range(16) for b in range(16))
+    assert len(levels) == diameter + 1 == 7
+    for src, dst in [(3, 15), (15, 0), (5, 6)]:
+        assert shortest_route(topo, src, dst, levels) == min(all_min_paths(topo, src, dst))
+    assert len(levels) == len(built)
+    assert all(a is b for a, b in zip(levels, built))
+    # a memo builds its levels on its first lookup, not before
+    memo = RouteMemo(topo)
+    assert memo._levels == []
+    memo[0, 15]
+    assert len(memo._levels) == 7
+
+
+def test_route_along_a_long_path():
+    topo = path_topology(200)
+    levels = []
+    assert shortest_route(topo, 0, 199, levels) == tuple(range(200))
+    assert shortest_route(topo, 199, 0, levels) == tuple(range(199, -1, -1))
+    assert len(levels) == 200
+
+
+def test_route_across_a_grid_takes_the_smallest_of_its_ties():
+    topo = grid_topology(6, 6)
+    for src, dst in [(0, 35), (35, 0), (5, 30), (30, 5)]:
+        paths = all_min_paths(topo, src, dst)
+        assert len(paths) == 252
+        assert shortest_route(topo, src, dst, []) == min(paths)
+
+
+def test_route_on_a_sparse_random_graph_matches_networkx_oracle():
+    nx = pytest.importorskip("networkx")
+    topo = generate_random_topology(300, 0.005, random.Random(5))
+    graph = nx.Graph(sorted(topo.edges))
+    rng = random.Random(6)
+    levels = []
+    for _ in range(200):
+        src, dst = rng.sample(range(topo.node_count), 2)
+        oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
+        assert shortest_route(topo, src, dst, levels) == oracle
 
 
 def test_reverse_route_examples():
@@ -168,7 +208,7 @@ def test_reverse_route_involution(hops):
 
 
 def test_reversed_route_still_valid(path10):
-    route = shortest_route(path10, 0, 9, {})
+    route = shortest_route(path10, 0, 9, [])
     assert is_valid_route(path10, reverse_route(route))
 
 
@@ -191,4 +231,4 @@ def test_route_matches_networkx_oracle(topo):
         for dst in range(topo.node_count):
             if src != dst:
                 oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
-                assert shortest_route(topo, src, dst, {}) == oracle
+                assert shortest_route(topo, src, dst, []) == oracle

@@ -48,7 +48,7 @@ def test_packets_carry_shortest_routes(grid4x4):
         src, dst = pkt.route[0], pkt.route[-1]
         assert pkt.position == 0
         assert src != dst
-        assert pkt.route == shortest_route(grid4x4, src, dst, {})
+        assert pkt.route == shortest_route(grid4x4, src, dst, [])
 
 
 def test_route_memo_keeps_traffic_unchanged(grid4x4):
@@ -61,7 +61,7 @@ def test_route_memo_keeps_traffic_unchanged(grid4x4):
             fresh_traffic(grid4x4, infected, rates, rng_fresh, 0)
         )
     route = memo[0, 15]
-    assert memo[0, 15] is route == shortest_route(grid4x4, 0, 15, {})
+    assert memo[0, 15] is route == shortest_route(grid4x4, 0, 15, [])
 
 
 def test_identical_seeds_identical_traffic():

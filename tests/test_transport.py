@@ -203,7 +203,7 @@ def routed_packets(draw):
     ))
     src = draw(st.integers(0, topo.node_count - 1))
     dst = draw(st.integers(0, topo.node_count - 1).filter(lambda d: d != src))
-    route = shortest_route(topo, src, dst, {})
+    route = shortest_route(topo, src, dst, [])
     fire_at = draw(st.none() | st.integers(1, len(route) - 1))
     return topo, route, fire_at
 
