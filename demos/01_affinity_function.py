@@ -9,7 +9,6 @@ every fifth packet is an attack.
 
 from anttrack import (
     NetworkTopology,
-    PheromoneEvent,
     PheromoneField,
     PheromoneParams,
     closed_form_value,
@@ -26,18 +25,15 @@ pair = NetworkTopology.from_edges(2, [(0, 1)])
 # The value jumps on each attack and decays geometrically in between.
 
 field = PheromoneField(pair)
-events = [
-    PheromoneEvent.BAD if i in (3, 10, 15) else PheromoneEvent.GOOD
-    for i in range(1, 101)
-]
+events = [i in (3, 10, 15) for i in range(1, 101)]  # True: an attack
 print("\npacket  value   (first 20 packets, then checkpoints)")
-for i, ev in enumerate(events, 1):
-    if ev is PheromoneEvent.BAD:
+for i, attack in enumerate(events, 1):
+    if attack:
         value = field.apply_bad(0, 1, params)
     else:
         value = field.apply_good(0, 1, params)
     if i <= 20 or i in (50, 100):
-        marker = " <- attack" if ev is PheromoneEvent.BAD else ""
+        marker = " <- attack" if attack else ""
         print(f"{i:6d}  {value:8.4f}{marker}")
 
 # The incremental updates are O(1) per event.  The same number also has a

@@ -14,7 +14,7 @@ from .engine import (
     metrics_to_csv,
     run,
 )
-from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams, closed_form_value
+from .pheromone import PheromoneField, PheromoneParams, closed_form_value
 from .topology import NetworkTopology
 from .traffic import TrafficRates
 

@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import engine
-from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
+from .pheromone import PheromoneField, PheromoneParams
 from .topology import NetworkTopology, TopologyError
 from .traffic import TrafficRates
 from .transport import DetectorModel
@@ -329,45 +329,35 @@ def _expand_seeds(tokens: list[str]) -> list[int]:
     return seeds
 
 
-def trace_events(mode: str, packets: int, custom: str | None) -> list[PheromoneEvent]:
-    """Event sequence for a trace: the 100-packet pattern with bad packets
-    at positions 3, 10 and 15; the periodic every-fifth-bad pattern; or an
-    explicit G/B string."""
+def trace_events(mode: str, packets: int, custom: str | None) -> list[bool]:
+    """Event sequence for a trace, True for bad: the 100-packet pattern with
+    bad packets at positions 3, 10 and 15; the periodic every-fifth-bad
+    pattern; or an explicit G/B string."""
     if mode == "fig1":
-        bad_at = {3, 10, 15}
-        return [
-            PheromoneEvent.BAD if i in bad_at else PheromoneEvent.GOOD
-            for i in range(1, 101)
-        ]
+        return [i in (3, 10, 15) for i in range(1, 101)]
     if mode == "fig2":
-        return [
-            PheromoneEvent.BAD if i % 5 == 0 else PheromoneEvent.GOOD
-            for i in range(1, packets + 1)
-        ]
+        return [i % 5 == 0 for i in range(1, packets + 1)]
     if not custom:
         raise ScenarioError("custom mode needs --events")
     events = []
     for ch in custom.upper():
-        if ch == "G":
-            events.append(PheromoneEvent.GOOD)
-        elif ch == "B":
-            events.append(PheromoneEvent.BAD)
-        else:
+        if ch not in "GB":
             raise ScenarioError(f"event string may only contain G and B, got {ch!r}")
+        events.append(ch == "B")
     return events
 
 
-def render_trace(events: list[PheromoneEvent], params: PheromoneParams) -> str:
+def render_trace(events: list[bool], params: PheromoneParams) -> str:
     """CSV trace of the value of direction 0 -> 1 of a field on the
     two-node topology 0-1 after each event, 9 significant digits."""
     field = PheromoneField(NetworkTopology.from_edges(2, [(0, 1)]))
     rows = ["packet_index,kind,af_value"]
-    for i, ev in enumerate(events, 1):
-        if ev is PheromoneEvent.BAD:
+    for i, bad in enumerate(events, 1):
+        if bad:
             value = field.apply_bad(0, 1, params)
         else:
             value = field.apply_good(0, 1, params)
-        rows.append(f"{i},{ev.value},{value:.9g}")
+        rows.append(f"{i},{'bad' if bad else 'good'},{value:.9g}")
     return "\n".join(rows) + "\n"
 
 

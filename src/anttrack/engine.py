@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
-from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
+from .pheromone import PheromoneField, PheromoneParams
 from .topology import NetworkTopology
 from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
@@ -100,18 +100,16 @@ def _field_digest(records: dict[tuple[int, int], bytes]) -> str:
 
 
 _pack_record = struct.Struct("<iid").pack
-_BAD = PheromoneEvent.BAD
 
 
 def _tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declared) -> str:
     """One tick's record lines, each newline-terminated, in log order.  Each
     PHERO update also repacks its direction's FIELD-digest record first.
-    ``texts`` holds the run's PHERO text per (direction, kind), filled the
-    first time one is logged: ``"u,v,kind,"``, the zero suffix
-    ``"u,v,kind,0"`` and the packed zero record.  A zero value (a clean
-    confirmation on a direction no bad one has crossed) reuses the last two;
-    only a non-zero value is formatted and packed.  The key is
-    ``(u, v, kind is BAD)``, since hashing an Enum member runs Python code.
+    ``texts`` holds the run's PHERO text per ``(u, v, bad)``, filled the
+    first time one is logged: ``"u,v,kind,"`` with kind ``bad`` or ``good``,
+    the zero suffix ``"u,v,kind,0"`` and the packed zero record.  A zero
+    value (a clean confirmation on a direction no bad one has crossed)
+    reuses the last two; only a non-zero value is formatted and packed.
     A step moves only its own ant, so ANT lines read after the last step
     show each ant's state after its own step."""
     lines = [
@@ -119,12 +117,11 @@ def _tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declar
         for pkt in new_packets
     ]
     phero = []
-    for u, v, kind, value in updates:
-        key = u, v, kind is _BAD
-        text = texts.get(key)
+    for u, v, bad, value in updates:
+        text = texts.get((u, v, bad))
         if text is None:
-            prefix = f"{u},{v},{kind.value},"
-            text = texts[key] = (prefix, prefix + "0", _pack_record(u, v, 0.0))
+            prefix = f"{u},{v},{'bad' if bad else 'good'},"
+            text = texts[u, v, bad] = (prefix, prefix + "0", _pack_record(u, v, 0.0))
         if value:
             phero.append(f"{text[0]}{value:.9g}")
             records[u, v] = _pack_record(u, v, value)
@@ -162,7 +159,7 @@ def run(config: SimulationConfig) -> Metrics:
         for i in range(config.ant_count)
     ]
     # a logged run keeps each direction's FIELD-digest record, in edge-id
-    # order, and the PHERO text of each (direction, kind) it has logged
+    # order, and the PHERO text of each (direction, bad) it has logged
     records = dict.fromkeys(topo.edge_ids, b"") if config.log is not None else None
     texts: dict[tuple[int, int, bool], tuple[str, str, bytes]] = {}
     next_packet_id = 0

@@ -15,12 +15,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from enum import Enum
-
-
-class PheromoneEvent(Enum):
-    GOOD = "good"
-    BAD = "bad"
 
 
 @dataclass(frozen=True)
@@ -42,21 +36,24 @@ class PheromoneParams:
 
 
 def closed_form_value(events, params: PheromoneParams) -> float:
-    """Evaluate the pheromone sum literally from an ordered event list.
+    """Evaluate the pheromone sum literally from an ordered event list, each
+    event a bool: True for a bad (detected-attack) confirmation, False for a
+    clean one.
 
     For every bad event, count the good events that follow it and sum
     increase * decay^count.  Serves as the independent oracle for the
-    incremental updates.
+    incremental updates, so any element other than exactly True or False
+    raises ``TypeError`` instead of being miscounted.
     """
     good_total = 0
     goods_at_bad = []
-    for ev in events:
-        if ev is PheromoneEvent.GOOD:
-            good_total += 1
-        elif ev is PheromoneEvent.BAD:
+    for bad in events:
+        if bad is True:
             goods_at_bad.append(good_total)
+        elif bad is False:
+            good_total += 1
         else:
-            raise TypeError(f"not a PheromoneEvent: {ev!r}")
+            raise TypeError(f"event must be True (bad) or False (good), got {bad!r}")
     return sum(params.increase * params.decay ** (good_total - g) for g in goods_at_bad)
 
 

@@ -61,30 +61,15 @@ class NetworkTopology:
             edges.add(key)
             neighbors[a].add(b)
             neighbors[b].add(a)
-        adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-        topo = cls(node_count, frozenset(edges), adjacency)
-        unreachable = [v for v, d in enumerate(_hop_distances(topo, 0)) if d < 0]
-        if unreachable:
+        seen, stack = {0}, [0]
+        while stack:
+            new = neighbors[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
+        if len(seen) < node_count:
+            unreachable = [v for v in range(node_count) if v not in seen]
             raise TopologyError(f"nodes unreachable from node 0: {unreachable}")
-        return topo
-
-
-def _hop_distances(topo: NetworkTopology, dst: int) -> list[int]:
-    """Hop distance of every node to dst (breadth-first search)."""
-    dist = [-1] * topo.node_count
-    dist[dst] = 0
-    frontier = [dst]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in topo.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+        return cls(node_count, frozenset(edges), tuple(tuple(sorted(ns)) for ns in neighbors))
 
 
 def _reach_levels(topo: NetworkTopology) -> list[list[int]]:

@@ -5,12 +5,13 @@ A packet travels forward from ``route[0]``, one hop per tick.  The detector
 is asked only where it draws: at every hop of a malicious packet, and at a
 clean packet's destination; a clean packet at an intermediate hop only
 advances its position.  When a packet is detected or delivered it ends, and
-the same record turns around as its confirmation: it gets a ``kind`` and
-walks back toward its source along its own route, one hop per tick, from the
-hop where it ended.  Confirmations update the directed pheromone state of
-every connection they traverse: bad confirmations boost it, clean
-confirmations decay it.  That direction of travel is what makes the
-resulting trails point at attack sources.
+the same record turns around as its confirmation: ``bad`` becomes True if it
+was detected and False if it was delivered, and it walks back toward its
+source along its own route, one hop per tick, from the hop where it ended.
+Confirmations update the directed pheromone state of every connection they
+traverse: bad confirmations boost it, clean confirmations decay it.  That
+direction of travel is what makes the resulting trails point at attack
+sources.
 """
 
 from __future__ import annotations
@@ -18,21 +19,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .pheromone import PheromoneEvent, PheromoneField, PheromoneParams
+from .pheromone import PheromoneField, PheromoneParams
 from .topology import Route
 
 
 @dataclass(slots=True)
 class Packet:
-    """A packet at ``route[position]``.  While ``kind`` is None it travels
-    from ``route[0]`` to ``route[-1]``; once it ends, ``kind`` is set and it
-    walks back toward ``route[0]`` as its own confirmation."""
+    """A packet at ``route[position]``.  While ``bad`` is None it travels
+    from ``route[0]`` to ``route[-1]``; once it ends, ``bad`` is True if it
+    was detected and False if it was delivered, and it walks back toward
+    ``route[0]`` as its own confirmation."""
 
     id: int
     malicious: bool
     route: Route
     position: int = 0
-    kind: PheromoneEvent | None = None
+    bad: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,9 @@ def advance_packets(
             continue
         node = route[position]
         if inspect_at_hop(pkt, node, detector, rng):
-            pkt.kind, event = PheromoneEvent.BAD, "detected"
+            pkt.bad, event = True, "detected"
         elif node == route[-1]:
-            pkt.kind, event = PheromoneEvent.GOOD, "delivered"
+            pkt.bad, event = False, "delivered"
         else:
             keep(pkt)
             continue
@@ -127,26 +129,24 @@ def advance_packets(
 
 def advance_confirmations(
     state: InFlight, pheromones: PheromoneField, params: PheromoneParams
-) -> list[tuple[int, int, PheromoneEvent, float]]:
+) -> list[tuple[int, int, bool, float]]:
     """Advance every confirmation one hop back along its route, updating the
     pheromone state of the directed connection it traverses.  Returns one
-    (from, to, kind, new value) record per traversal; confirmations that
+    (from, to, bad, new value) record per traversal; confirmations that
     reach the route's source are removed.
     """
     survivors: list[Packet] = []
-    updates: list[tuple[int, int, PheromoneEvent, float]] = []
+    updates: list[tuple[int, int, bool, float]] = []
     keep, record = survivors.append, updates.append
     apply_bad, apply_good = pheromones.apply_bad, pheromones.apply_good
-    bad = PheromoneEvent.BAD
     for conf in state.confirmations:
         route, position = conf.route, conf.position - 1
         conf.position = position
         u, v = route[position + 1], route[position]
-        kind = conf.kind
-        if kind is bad:
-            record((u, v, kind, apply_bad(u, v, params)))
+        if conf.bad:
+            record((u, v, True, apply_bad(u, v, params)))
         else:
-            record((u, v, kind, apply_good(u, v, params)))
+            record((u, v, False, apply_good(u, v, params)))
         if position:
             keep(conf)
     state.confirmations = survivors

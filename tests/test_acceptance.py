@@ -23,12 +23,7 @@ from anttrack.engine import (
     metrics_to_csv,
     run,
 )
-from anttrack.pheromone import (
-    PheromoneEvent,
-    PheromoneField,
-    PheromoneParams,
-    closed_form_value,
-)
+from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_value
 from anttrack.traffic import TrafficRates
 
 from conftest import (
@@ -40,7 +35,7 @@ from conftest import (
     star_topology,
 )
 
-GOOD, BAD = PheromoneEvent.GOOD, PheromoneEvent.BAD
+GOOD, BAD = False, True
 DEFAULTS = PheromoneParams()
 
 

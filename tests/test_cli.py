@@ -11,7 +11,7 @@ import pytest
 from anttrack import cli
 from anttrack.cli import main
 from anttrack.engine import SimulationConfig
-from anttrack.pheromone import PheromoneEvent, PheromoneParams, closed_form_value
+from anttrack.pheromone import PheromoneParams, closed_form_value
 from anttrack.cli import trace_events
 from anttrack.topology import NetworkTopology
 
@@ -497,7 +497,7 @@ def test_trace_custom_matches_closed_form(tmp_path):
     assert main(["trace", "--mode", "custom", "--events", events, "--out", str(out)]) == 0
     rows = read_trace(out)
     params = PheromoneParams()
-    seq = [PheromoneEvent.BAD if c == "B" else PheromoneEvent.GOOD for c in events]
+    seq = [c == "B" for c in events]
     for i in range(1, len(events) + 1):
         assert math.isclose(
             rows[i][1], closed_form_value(seq[:i], params), rel_tol=1e-8, abs_tol=1e-12

@@ -1,4 +1,5 @@
 import ast
+import types
 from pathlib import Path
 
 import anttrack
@@ -8,7 +9,9 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 def test_demos_import_only_names_the_package_exports():
     """Every name a demo takes from ``anttrack`` exists at the package top
-    level, found without running the demos."""
+    level, and every public name of the package other than ``__version__``
+    and its submodules is taken by some demo, found without running the
+    demos."""
     assert DEMOS
     imported = set()
     for demo in DEMOS:
@@ -18,3 +21,9 @@ def test_demos_import_only_names_the_package_exports():
     assert imported
     missing = sorted((demo, name) for demo, name in imported if not hasattr(anttrack, name))
     assert missing == []
+    exported = {
+        name for name, value in vars(anttrack).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    unused = sorted(exported - {name for _, name in imported})
+    assert unused == []

@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anttrack.ant import AntMode, AntState, ant_step
-from anttrack.pheromone import (
-    PheromoneEvent,
-    PheromoneField,
-    PheromoneParams,
-    closed_form_value,
-)
+from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_value
 from anttrack.topology import NetworkTopology
 
 from conftest import RecordingField
 
-GOOD = PheromoneEvent.GOOD
-BAD = PheromoneEvent.BAD
+GOOD, BAD = False, True
 
 DEFAULTS = PheromoneParams()
 PAIR = NetworkTopology.from_edges(2, [(0, 1)])
@@ -90,6 +84,13 @@ def test_closed_form_fig1_terminal():
     value = closed_form_value(fig1_events(), DEFAULTS)
     assert math.isclose(value, 0.6168, rel_tol=2e-4)
     assert math.isclose(value, 0.6167902989543368, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("event", [1, "B", None])
+def test_closed_form_rejects_events_that_are_not_bools(event):
+    # 1 == True, so a truthiness or equality test would count it as bad
+    with pytest.raises(TypeError):
+        closed_form_value([GOOD, event, BAD], DEFAULTS)
 
 
 def test_apply_good_on_zero_stays_zero():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anttrack import transport
-from anttrack.pheromone import PheromoneEvent, PheromoneField, PheromoneParams
+from anttrack.pheromone import PheromoneField, PheromoneParams
 from anttrack.topology import shortest_route
 from anttrack.traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from anttrack.transport import (
@@ -47,10 +47,18 @@ def test_good_packet_walkthrough():
     spawned, outcomes = advance_packets(state, detector, rng)
     assert state.packets == []
     assert len(spawned) == 1
-    assert spawned[0].kind is PheromoneEvent.GOOD
+    assert spawned[0].bad is False
     assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].packet_id == 0
     assert outcomes[0].event == "delivered" and outcomes[0].node == 2
+
+
+def test_packet_travelling_forward_has_no_kind():
+    state = InFlight(packets=[Packet(0, True, (0, 1, 2, 3)), Packet(1, False, (0, 1, 2))])
+    assert all(pkt.bad is None for pkt in state.packets)
+    spawned, _ = advance_packets(state, DetectorModel(detect_prob=0.0), random.Random(0))
+    assert spawned == [] and [pkt.position for pkt in state.packets] == [1, 1]
+    assert all(pkt.bad is None for pkt in state.packets)
 
 
 def test_malicious_detected_at_first_hop():
@@ -58,7 +66,7 @@ def test_malicious_detected_at_first_hop():
     state = InFlight(packets=[Packet(0, True, (0, 1, 2))])
     spawned, outcomes = advance_packets(state, detector, random.Random(0))
     assert state.packets == []
-    assert spawned[0].kind is PheromoneEvent.BAD
+    assert spawned[0].bad is True
     assert confirmation_path(spawned[0]) == (1, 0)
     assert outcomes[0].event == "detected" and outcomes[0].node == 1
 
@@ -68,7 +76,7 @@ def test_malicious_evasion_spawns_good_confirm():
     state = InFlight(packets=[Packet(0, True, (0, 1, 2))])
     advance_packets(state, detector, random.Random(0))
     spawned, outcomes = advance_packets(state, detector, random.Random(0))
-    assert spawned[0].kind is PheromoneEvent.GOOD
+    assert spawned[0].bad is False
     assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].event == "delivered"
 
@@ -82,7 +90,7 @@ def test_detected_mid_route_confirm_covers_traversed_prefix():
         new, _ = advance_packets(state, detector, rng)
         spawned.extend(new)
     assert len(spawned) == 1
-    assert spawned[0].kind is PheromoneEvent.BAD
+    assert spawned[0].bad is True
     assert confirmation_path(spawned[0]) == (3, 2, 1, 0)
 
 
@@ -91,7 +99,7 @@ def test_false_positive_spawns_bad_confirm_full_route():
     state = InFlight(packets=[Packet(0, False, (0, 1, 2))])
     advance_packets(state, detector, random.Random(0))
     spawned, outcomes = advance_packets(state, detector, random.Random(0))
-    assert spawned[0].kind is PheromoneEvent.BAD
+    assert spawned[0].bad is True
     assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].event == "detected"
 
@@ -120,9 +128,9 @@ def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected
 
 def test_bad_confirm_deposits_along_direction(path3):
     field = PheromoneField(path3)
-    state = InFlight(confirmations=[Packet(0, True, (0, 1), 1, PheromoneEvent.BAD)])
+    state = InFlight(confirmations=[Packet(0, True, (0, 1), 1, True)])
     updates = advance_confirmations(state, field, PARAMS)
-    assert updates == [(1, 0, PheromoneEvent.BAD, 20.0)]
+    assert updates == [(1, 0, True, 20.0)]
     assert field.read_level(1, 0) == 20.0
     assert field.read_level(0, 1) == 0.0
     assert state.confirmations == []
@@ -132,7 +140,7 @@ def test_good_confirm_decays_each_hop(path3):
     field = PheromoneField(path3)
     field.apply_bad(2, 1, PARAMS)
     field.apply_bad(1, 0, PARAMS)
-    state = InFlight(confirmations=[Packet(0, False, (0, 1, 2), 2, PheromoneEvent.GOOD)])
+    state = InFlight(confirmations=[Packet(0, False, (0, 1, 2), 2, False)])
 
     updates = advance_confirmations(state, field, PARAMS)
     assert len(updates) == 1 and updates[0][:2] == (2, 1)
@@ -172,7 +180,7 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
         for conf, out in zip(new_confirms, outcomes):
             assert conf.id == out.packet_id
             assert conf.route[conf.position] == out.node
-            assert (conf.kind is PheromoneEvent.BAD) == (out.event == "detected")
+            assert (conf.bad is True) == (out.event == "detected")
         ended_ids.extend(out.packet_id for out in outcomes)
         state.confirmations.extend(new_confirms)
 
@@ -184,8 +192,8 @@ def test_updates_only_on_traversed_directed_edges(star10):
     field = RecordingField(star10)
     state = InFlight(
         confirmations=[
-            Packet(0, True, (3, 0), 1, PheromoneEvent.BAD),
-            Packet(1, False, (7, 0, 5), 2, PheromoneEvent.GOOD),
+            Packet(0, True, (3, 0), 1, True),
+            Packet(1, False, (7, 0, 5), 2, False),
         ]
     )
     advance_confirmations(state, field, PARAMS)
@@ -226,7 +234,7 @@ def test_confirmation_walks_back_along_its_packets_own_route(case):
     assert conf is packet
     assert conf.route is route
     p = len(route) - 1 if fire_at is None else fire_at
-    assert conf.kind is (PheromoneEvent.GOOD if fire_at is None else PheromoneEvent.BAD)
+    assert conf.bad is (fire_at is not None)
 
     # a minimum-hop route crosses each direction at most once, so the
     # order of first writes is the order of all writes
