@@ -20,13 +20,9 @@ from pathlib import Path
 
 from . import engine
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import NetworkTopology, TopologyError
+from .topology import InvalidConfig, NetworkTopology
 from .traffic import TrafficRates
 from .transport import DetectorModel
-
-
-class ScenarioError(Exception):
-    """Scenario file or override problem; reported with key context."""
 
 
 def _greedy(value: str) -> str:
@@ -73,9 +69,9 @@ def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
             (value,) = tokens
             data[key] = _SCALAR_KEYS[key](value)
         else:
-            raise ScenarioError(f"{where}: unknown key {key!r}")
+            raise InvalidConfig(f"{where}: unknown key {key!r}")
     except (ValueError, TypeError):
-        raise ScenarioError(f"{where}: bad value for {key!r}: {' '.join(tokens)!r}")
+        raise InvalidConfig(f"{where}: bad value for {key!r}: {' '.join(tokens)!r}")
 
 
 def _read_file(path: Path, keys: Iterable[str] | None = None) -> dict:
@@ -89,7 +85,7 @@ def _read_file(path: Path, keys: Iterable[str] | None = None) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path}: not UTF-8 text: {exc}")
+        raise InvalidConfig(f"{path}: not UTF-8 text: {exc}")
     data: dict = {"edges": [], "edge_lines": [], "infect_at": []}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -99,9 +95,9 @@ def _read_file(path: Path, keys: Iterable[str] | None = None) -> dict:
         key, *rest = line.split()
         where = f"{path}: line {lineno}"
         if keys is not None and key not in keys:
-            raise ScenarioError(f"{where}: key {key!r} not allowed here, only {sorted(keys)}")
+            raise InvalidConfig(f"{where}: key {key!r} not allowed here, only {sorted(keys)}")
         if key in seen and key not in ("edge", "infect_at"):
-            raise ScenarioError(f"{where}: duplicate key {key!r}")
+            raise InvalidConfig(f"{where}: duplicate key {key!r}")
         seen.add(key)
         _set_key(data, key, rest, where)
         if key == "edge":
@@ -115,21 +111,23 @@ def parse_scenario(path: Path, overrides: Iterable[str] = ()) -> dict:
     and check its one topology source.  Inline ``nodes``/``edge`` lines or a
     ``topology_file`` (relative to the scenario's directory) are built once,
     into ``data["topology"]``; a ``random_topology`` is drawn per seed by
-    ``build_config``."""
+    ``build_config``.  ``data["path"]`` keeps ``path``, for the faults
+    ``build_config`` finds."""
     data = _read_file(path)
+    data["path"] = path
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
-            raise ScenarioError(f"override {item!r} is not of the form key=value")
+            raise InvalidConfig(f"override {item!r} is not of the form key=value")
         if key != "infected" and key not in _SCALAR_KEYS:
-            raise ScenarioError(f"override {item!r}: --set takes no key {key!r}")
+            raise InvalidConfig(f"override {item!r}: --set takes no key {key!r}")
         _set_key(data, key, value.split(), f"override {item!r}")
 
     sources = [s for s in ("nodes", "topology_file", "random_topology") if s in data]
     if "nodes" not in data and data["edges"]:
-        raise ScenarioError(f"{path}: edge lines given without a nodes line")
+        raise InvalidConfig(f"{path}: edge lines given without a nodes line")
     if len(sources) != 1:
-        raise ScenarioError(
+        raise InvalidConfig(
             f"{path}: scenario needs exactly one topology source: inline nodes/edge lines, "
             "topology_file, or random_topology"
         )
@@ -139,12 +137,12 @@ def parse_scenario(path: Path, overrides: Iterable[str] = ()) -> dict:
             where = path.parent / data["topology_file"]
             given = _read_file(where, ("nodes", "edge"))
             if "nodes" not in given:
-                raise ScenarioError(f"{where}: missing 'nodes <N>' line")
+                raise InvalidConfig(f"{where}: missing 'nodes <N>' line")
         try:
             data["topology"] = NetworkTopology.from_edges(given["nodes"], given["edges"])
-        except TopologyError as exc:
+        except InvalidConfig as exc:
             line = "" if exc.edge is None else f"line {given['edge_lines'][exc.edge]}: "
-            raise ScenarioError(f"{where}: {line}{exc}")
+            raise InvalidConfig(f"{where}: {line}{exc}")
     return data
 
 
@@ -158,33 +156,29 @@ def _given(data: dict, *keys: str, **renamed: str) -> dict:
 def build_config(data: dict, seed: int | None = None) -> engine.SimulationConfig:
     """One seed's SimulationConfig from a parsed scenario: the seed (the
     scenario's when ``seed`` is None), a ``random_topology`` draw from it,
-    and the dataclasses, which check themselves.  It opens no file, and no
-    check it makes depends on the seed."""
+    and the dataclasses, which check themselves; a fault they find starts
+    with the scenario's path.  It opens no file, and no check it makes
+    depends on the seed."""
     seed = data.get("seed", engine.SimulationConfig.seed) if seed is None else seed
-    topology = data.get("topology")
-    if topology is None:
-        n, p = data["random_topology"]
-        topology = engine.generate_random_topology(n, p, engine.derive_rng(seed, "topology"))
-
-    try:
-        params = PheromoneParams(**_given(data, "threshold", increase="inc", decay="dec"))
-        rates = TrafficRates(
-            **_given(data, "good_packets_per_tick", "attack_packets_per_infected_per_tick")
-        )
-        detector = DetectorModel(**_given(data, "detect_prob", "false_positive_prob"))
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
-
     infections = [(0, node) for node in data.get("infected", ())] + data["infect_at"]
-    return engine.SimulationConfig(
-        topology=topology,
-        params=params,
-        rates=rates,
-        detector=detector,
-        infections=tuple(sorted(infections)),
-        seed=seed,
-        **_given(data, "ant_count", "max_ticks"),
-    )
+    try:
+        topology = data.get("topology")
+        if topology is None:
+            n, p = data["random_topology"]
+            topology = engine.generate_random_topology(n, p, engine.derive_rng(seed, "topology"))
+        return engine.SimulationConfig(
+            topology=topology,
+            params=PheromoneParams(**_given(data, "threshold", increase="inc", decay="dec")),
+            rates=TrafficRates(
+                **_given(data, "good_packets_per_tick", "attack_packets_per_infected_per_tick")
+            ),
+            detector=DetectorModel(**_given(data, "detect_prob", "false_positive_prob")),
+            infections=tuple(sorted(infections)),
+            seed=seed,
+            **_given(data, "ant_count", "max_ticks"),
+        )
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{data['path']}: {exc}")
 
 
 def _temp_path(path: Path) -> Path:
@@ -266,7 +260,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
-        raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
+        raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     data = parse_scenario(Path(args.scenario), args.set or ())
     seeds = _expand_seeds(args.seeds)
     # no check in build_config depends on the seed, so one that fails does
@@ -314,18 +308,18 @@ def _expand_seeds(tokens: list[str]) -> list[int]:
             try:
                 lo_i, hi_i = int(lo), int(hi)
             except ValueError:
-                raise ScenarioError(f"bad seed range {tok!r}")
+                raise InvalidConfig(f"bad seed range {tok!r}")
             if hi_i < lo_i:
-                raise ScenarioError(f"bad seed range {tok!r}")
+                raise InvalidConfig(f"bad seed range {tok!r}")
             seeds.extend(range(lo_i, hi_i + 1))
         else:
             try:
                 seeds.append(int(tok))
             except ValueError:
-                raise ScenarioError(f"bad seed {tok!r}")
+                raise InvalidConfig(f"bad seed {tok!r}")
     repeated = sorted(seed for seed, k in Counter(seeds).items() if k > 1)
     if repeated:
-        raise ScenarioError(f"seeds given more than once: {repeated}")
+        raise InvalidConfig(f"seeds given more than once: {repeated}")
     return seeds
 
 
@@ -338,11 +332,11 @@ def trace_events(mode: str, packets: int, custom: str | None) -> list[bool]:
     if mode == "fig2":
         return [i % 5 == 0 for i in range(1, packets + 1)]
     if not custom:
-        raise ScenarioError("custom mode needs --events")
+        raise InvalidConfig("custom mode needs --events")
     events = []
     for ch in custom.upper():
         if ch not in "GB":
-            raise ScenarioError(f"event string may only contain G and B, got {ch!r}")
+            raise InvalidConfig(f"event string may only contain G and B, got {ch!r}")
         events.append(ch == "B")
     return events
 
@@ -363,11 +357,8 @@ def render_trace(events: list[bool], params: PheromoneParams) -> str:
 
 def cmd_trace(args) -> int:
     if args.packets < 1:
-        raise ScenarioError(f"--packets must be >= 1, got {args.packets}")
-    try:
-        params = PheromoneParams(increase=args.inc, decay=args.dec)
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
+        raise InvalidConfig(f"--packets must be >= 1, got {args.packets}")
+    params = PheromoneParams(increase=args.inc, decay=args.dec)
     events = trace_events(args.mode, args.packets, args.events)
     _write_outputs([(Path(args.out), render_trace(events, params))])
     return 0
@@ -411,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, engine.InvalidConfig) as exc:
+    except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -22,13 +22,9 @@ from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import NetworkTopology
+from .topology import InvalidConfig, NetworkTopology
 from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
-
-
-class InvalidConfig(Exception):
-    pass
 
 
 def derive_rng(master_seed: int, tag: str) -> random.Random:

@@ -16,6 +16,8 @@ import math
 from array import array
 from dataclasses import dataclass
 
+from .topology import InvalidConfig
+
 
 @dataclass(frozen=True)
 class PheromoneParams:
@@ -28,11 +30,11 @@ class PheromoneParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.increase) and self.increase > 0):
-            raise ValueError(f"increase (inc) must be finite and > 0, got {self.increase}")
+            raise InvalidConfig(f"increase (inc) must be finite and > 0, got {self.increase}")
         if not 0 < self.decay < 1:
-            raise ValueError(f"decay (dec) must be in (0, 1), got {self.decay}")
+            raise InvalidConfig(f"decay (dec) must be in (0, 1), got {self.decay}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
+            raise InvalidConfig(f"threshold must be finite and > 0, got {self.threshold}")
 
 
 def closed_form_value(events, params: PheromoneParams) -> float:

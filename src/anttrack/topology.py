@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 Route = tuple[int, ...]
 
 
-class TopologyError(Exception):
-    """A topology description, edge list or route request is invalid;
-    ``edge`` is the index of the pair at fault in ``from_edges``'s pairs."""
+class InvalidConfig(Exception):
+    """Input the package rejects, with a message that names the fault: a
+    topology, edge list or route request, a parameter out of range, or a
+    scenario fault.  ``edge`` is the index of the pair at fault in
+    ``from_edges``'s pairs, or None."""
 
     def __init__(self, message: str, edge: int | None = None):
         super().__init__(message)
@@ -47,17 +49,17 @@ class NetworkTopology:
     def from_edges(cls, node_count: int, edge_pairs) -> NetworkTopology:
         """Build and validate a topology from (a, b) node pairs."""
         if node_count < 1:
-            raise TopologyError(f"node count must be >= 1, got {node_count}")
+            raise InvalidConfig(f"node count must be >= 1, got {node_count}")
         edges: set[tuple[int, int]] = set()
         neighbors: list[set[int]] = [set() for _ in range(node_count)]
         for i, (a, b) in enumerate(edge_pairs):
             if not (0 <= a < node_count and 0 <= b < node_count):
-                raise TopologyError(f"edge ({a}, {b}) references a node outside [0, {node_count})", i)
+                raise InvalidConfig(f"edge ({a}, {b}) references a node outside [0, {node_count})", i)
             if a == b:
-                raise TopologyError(f"edge ({a}, {b}) is a self-loop", i)
+                raise InvalidConfig(f"edge ({a}, {b}) is a self-loop", i)
             key = (a, b) if a < b else (b, a)
             if key in edges:
-                raise TopologyError(f"edge {key} listed more than once", i)
+                raise InvalidConfig(f"edge {key} listed more than once", i)
             edges.add(key)
             neighbors[a].add(b)
             neighbors[b].add(a)
@@ -68,7 +70,7 @@ class NetworkTopology:
             stack.extend(new)
         if len(seen) < node_count:
             unreachable = [v for v in range(node_count) if v not in seen]
-            raise TopologyError(f"nodes unreachable from node 0: {unreachable}")
+            raise InvalidConfig(f"nodes unreachable from node 0: {unreachable}")
         return cls(node_count, frozenset(edges), tuple(tuple(sorted(ns)) for ns in neighbors))
 
 
@@ -98,9 +100,9 @@ def shortest_route(topo: NetworkTopology, src: int, dst: int, levels: list[list[
     passes it empty; the caller owns it and decides how long it lives.
     """
     if not (0 <= src < topo.node_count and 0 <= dst < topo.node_count):
-        raise TopologyError(f"invalid endpoints ({src}, {dst})")
+        raise InvalidConfig(f"invalid endpoints ({src}, {dst})")
     if src == dst:
-        raise TopologyError(f"route requested from node {src} to itself")
+        raise InvalidConfig(f"route requested from node {src} to itself")
     if not levels:
         levels.extend(_reach_levels(topo))
     # bisect for d, the first level whose entry at src has dst's bit
@@ -113,7 +115,7 @@ def shortest_route(topo: NetworkTopology, src: int, dst: int, levels: list[list[
         else:
             lo = mid + 1
     if lo == len(levels):
-        raise TopologyError(f"no path from {src} to {dst}")
+        raise InvalidConfig(f"no path from {src} to {dst}")
     hops = [src]
     cur = src
     for level in levels[lo - 1::-1]:

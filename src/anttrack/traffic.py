@@ -11,7 +11,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .topology import NetworkTopology, Route, shortest_route
+from .topology import InvalidConfig, NetworkTopology, Route, shortest_route
 from .transport import Packet
 
 
@@ -24,9 +24,9 @@ class TrafficRates:
 
     def __post_init__(self):
         if self.good_packets_per_tick < 0:
-            raise ValueError("good_packets_per_tick must be >= 0")
+            raise InvalidConfig("good_packets_per_tick must be >= 0")
         if self.attack_packets_per_infected_per_tick < 1:
-            raise ValueError("attack_packets_per_infected_per_tick must be >= 1")
+            raise InvalidConfig("attack_packets_per_infected_per_tick must be >= 1")
 
 
 class RouteMemo(dict):

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import Route
+from .topology import InvalidConfig, Route
 
 
 @dataclass(slots=True)
@@ -51,9 +51,9 @@ class DetectorModel:
 
     def __post_init__(self):
         if not 0.0 <= self.detect_prob <= 1.0:
-            raise ValueError(f"detect_prob must be in [0, 1], got {self.detect_prob}")
+            raise InvalidConfig(f"detect_prob must be in [0, 1], got {self.detect_prob}")
         if not 0.0 <= self.false_positive_prob <= 1.0:
-            raise ValueError(
+            raise InvalidConfig(
                 f"false_positive_prob must be in [0, 1], got {self.false_positive_prob}"
             )
 

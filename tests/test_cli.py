@@ -85,6 +85,15 @@ MALFORMED_SCENARIO = {
     "nodes 3\nedge 0 1\nedge 1 2\n\nedge 2 1\n": "line 5: edge (1, 2) listed more than once",
     "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
     "nodes 0\n": "node count must be >= 1, got 0",
+    # so does a fault of the config the file describes
+    "nodes 1\n": "node_count must be >= 2, got 1",
+    "random_topology 1 0.5\n": "node_count must be >= 2, got 1",
+    "nodes 2\nedge 0 1\nmax_ticks 0\n": "max_ticks must be > 0, got 0",
+    "nodes 2\nedge 0 1\ninfected 1 1\n": "node 1 would be infected twice",
+    "nodes 2\nedge 0 1\ninfect_at -1 0\n": "infection tick -1 is negative",
+    "nodes 2\nedge 0 1\nthreshold 0\n": "threshold must be finite and > 0, got 0.0",
+    "nodes 2\nedge 0 1\ngood_packets_per_tick -1\n": "good_packets_per_tick must be >= 0",
+    "nodes 2\nedge 0 1\ndetect_prob 2\n": "detect_prob must be in [0, 1], got 2.0",
 }
 
 
@@ -191,6 +200,18 @@ def test_invalid_override_value(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'\n"
     )
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_override_failing_a_check_names_the_scenario(tmp_path, capsys, command):
+    # the value converts, so the fault is the config's, and the config is
+    # the scenario's
+    scenario = small_scenario(tmp_path)
+    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+            "--set", "max_ticks=0"]
+    assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
+    assert capsys.readouterr().err == f"error: {scenario}: max_ticks must be > 0, got 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -509,7 +530,7 @@ def test_trace_malformed_events(tmp_path, capsys):
     assert main(["trace", "--mode", "custom", "--out", str(tmp_path / "t.csv")]) == 2
 
 
-def test_trace_custom_params(tmp_path):
+def test_trace_custom_params(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(
         ["trace", "--mode", "custom", "--events", "B", "--inc", "5", "--dec", "0.5", "--out", str(out)]
@@ -518,6 +539,7 @@ def test_trace_custom_params(tmp_path):
     assert main(
         ["trace", "--mode", "custom", "--events", "B", "--dec", "1.5", "--out", str(out)]
     ) == 2
+    assert capsys.readouterr().err == "error: decay (dec) must be in (0, 1), got 1.5\n"
 
 
 AGGREGATE_HEADER = (
@@ -714,7 +736,7 @@ def test_sweep_rejected_by_build_config_runs_nothing(tmp_path, monkeypatch, caps
     scenario = write_scenario(tmp_path, body)
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..3"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
     assert runs == []
     assert not out.exists()
 

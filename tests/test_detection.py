@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from anttrack.topology import InvalidConfig
 from anttrack.transport import DetectorModel, Packet, inspect_at_hop
 
 
@@ -12,9 +13,9 @@ def make_packet(malicious: bool) -> Packet:
 
 @pytest.mark.parametrize("prob", [-0.1, 1.1])
 def test_detector_validation(prob):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         DetectorModel(detect_prob=prob)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         DetectorModel(false_positive_prob=prob)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from anttrack import cli
 from anttrack.engine import (
-    InvalidConfig,
     SimulationConfig,
     derive_rng,
     generate_random_topology,
@@ -19,7 +18,7 @@ from anttrack.engine import (
     run,
 )
 from anttrack.pheromone import PheromoneParams
-from anttrack.topology import NetworkTopology
+from anttrack.topology import InvalidConfig, NetworkTopology
 from anttrack.traffic import RouteMemo, TrafficRates
 from anttrack.transport import DetectorModel
 

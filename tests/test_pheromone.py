@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_value
-from anttrack.topology import NetworkTopology
+from anttrack.topology import InvalidConfig, NetworkTopology
 
 from conftest import RecordingField
 
@@ -67,7 +67,7 @@ def test_params_defaults():
     ],
 )
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         PheromoneParams(**kwargs)
 
 

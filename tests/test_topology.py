@@ -4,9 +4,11 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from anttrack.topology import NetworkTopology, Route, TopologyError, shortest_route
-from anttrack.traffic import RouteMemo
-from anttrack.engine import generate_random_topology
+from anttrack.topology import InvalidConfig, NetworkTopology, Route, shortest_route
+from anttrack.traffic import RouteMemo, TrafficRates
+from anttrack.engine import SimulationConfig, generate_random_topology
+from anttrack.pheromone import PheromoneParams
+from anttrack.transport import DetectorModel
 
 from conftest import grid_topology, is_valid_route, path_topology, reverse_route
 
@@ -39,7 +41,7 @@ def test_path_adjacency_sorted():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(TopologyError, match=re.escape("nodes unreachable from node 0: [2]")) as exc:
+    with pytest.raises(InvalidConfig, match=re.escape("nodes unreachable from node 0: [2]")) as exc:
         NetworkTopology.from_edges(3, [(0, 1)])
     assert exc.value.edge is None
 
@@ -47,20 +49,20 @@ def test_disconnected_rejected():
 # a fault of one pair gives the pair's index in the list, for the caller to
 # name where it came from
 def test_self_loop_rejected():
-    with pytest.raises(TopologyError, match=re.escape("edge (0, 0) is a self-loop")) as exc:
+    with pytest.raises(InvalidConfig, match=re.escape("edge (0, 0) is a self-loop")) as exc:
         NetworkTopology.from_edges(2, [(0, 0), (0, 1)])
     assert exc.value.edge == 0
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(TopologyError, match=re.escape("edge (0, 1) listed more than once")) as exc:
+    with pytest.raises(InvalidConfig, match=re.escape("edge (0, 1) listed more than once")) as exc:
         NetworkTopology.from_edges(2, [(0, 1), (1, 0)])
     assert exc.value.edge == 1
 
 
 def test_out_of_range_edge_rejected():
     with pytest.raises(
-        TopologyError, match=re.escape("edge (0, 2) references a node outside [0, 2)")
+        InvalidConfig, match=re.escape("edge (0, 2) references a node outside [0, 2)")
     ) as exc:
         NetworkTopology.from_edges(2, [(0, 1), (0, 2)])
     assert exc.value.edge == 1
@@ -83,13 +85,34 @@ def test_route_direct_edge_on_complete_graph():
 
 
 def test_route_same_node_rejected(path3):
-    with pytest.raises(TopologyError, match=re.escape("route requested from node 1 to itself")):
+    with pytest.raises(InvalidConfig, match=re.escape("route requested from node 1 to itself")):
         shortest_route(path3, 1, 1, [])
 
 
 def test_route_invalid_endpoint_rejected(path3):
-    with pytest.raises(TopologyError, match=re.escape("invalid endpoints (0, 7)")):
+    with pytest.raises(InvalidConfig, match=re.escape("invalid endpoints (0, 7)")):
         shortest_route(path3, 0, 7, [])
+
+
+# every check on the package's input raises the one error type
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda: PheromoneParams(decay=1), id="PheromoneParams"),
+        pytest.param(lambda: TrafficRates(-1, 1), id="TrafficRates"),
+        pytest.param(lambda: DetectorModel(2.0), id="DetectorModel"),
+        pytest.param(lambda: SimulationConfig(path_topology(2), max_ticks=0), id="SimulationConfig"),
+        pytest.param(lambda: NetworkTopology.from_edges(0, []), id="from_edges"),
+        pytest.param(lambda: shortest_route(path_topology(3), 1, 1, []), id="shortest_route"),
+        pytest.param(
+            lambda: generate_random_topology(5, 1.5, random.Random(0)),
+            id="generate_random_topology",
+        ),
+    ],
+)
+def test_input_check_raises_invalid_config(check):
+    with pytest.raises(InvalidConfig):
+        check()
 
 
 def test_route_length_matches_bfs_oracle():

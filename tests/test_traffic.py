@@ -3,7 +3,7 @@ import random
 import pytest
 
 from anttrack.engine import generate_random_topology
-from anttrack.topology import shortest_route
+from anttrack.topology import InvalidConfig, shortest_route
 from anttrack.traffic import RouteMemo, TrafficRates, generate_tick_traffic
 
 
@@ -13,9 +13,9 @@ def fresh_traffic(topology, infected, rates, rng, first_id):
 
 
 def test_rates_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         TrafficRates(good_packets_per_tick=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         TrafficRates(attack_packets_per_infected_per_tick=0)
 
 
