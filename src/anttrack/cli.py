@@ -191,12 +191,8 @@ def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = (
     complete.  ``staged`` names further targets whose temp files the caller
     has already written in full; they are replaced along with the rest.  On
     a failure while writing, the temp files are removed and existing
-    outputs keep their old contents.  Two outputs with one target are
-    rejected before anything is written."""
+    outputs keep their old contents."""
     targets = [path for path, _ in outputs] + list(staged)
-    shared = sorted(str(path) for path, k in Counter(targets).items() if k > 1)
-    if shared:
-        raise ValueError(f"outputs share a target path: {shared}")
     temps: list[Path] = []
     try:
         for path, content in outputs:
@@ -228,7 +224,12 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
                 f"  node {node}: infected at {metrics.infection_tick[node]}, "
                 f"declared at {dtick} (latency {dtick - metrics.infection_tick[node]})"
             )
-    if metrics.all_identified_tick is not None:
+    late = sum(tick >= config.max_ticks for tick, _ in config.infections)
+    if late:
+        lines.append(f"infections scheduled after the last tick: {late}")
+    if not metrics.infection_tick:
+        lines.append("no node was infected during the run")
+    elif metrics.all_identified_tick is not None:
         lines.append(f"all infected nodes identified by tick {metrics.all_identified_tick}")
     else:
         lines.append("not all infected nodes were identified")
@@ -261,6 +262,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
+    for item in args.set or ():
+        if item.partition("=")[0] == "seed":
+            raise InvalidConfig(f"override {item!r}: sweep takes its seeds from --seeds")
     data = parse_scenario(Path(args.scenario), args.set or ())
     seeds = _expand_seeds(args.seeds)
     # no check in build_config depends on the seed, so one that fails does
@@ -301,22 +305,17 @@ def cmd_sweep(args) -> int:
 
 
 def _expand_seeds(tokens: list[str]) -> list[int]:
+    """Expand ``--seeds`` tokens, each a range ``A..B``; a plain seed ``N`` is ``N..N``."""
     seeds: list[int] = []
     for tok in tokens:
-        if ".." in tok:
-            lo, _, hi = tok.partition("..")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError:
-                raise InvalidConfig(f"bad seed range {tok!r}")
-            if hi_i < lo_i:
-                raise InvalidConfig(f"bad seed range {tok!r}")
-            seeds.extend(range(lo_i, hi_i + 1))
-        else:
-            try:
-                seeds.append(int(tok))
-            except ValueError:
-                raise InvalidConfig(f"bad seed {tok!r}")
+        lo, sep, hi = tok.partition("..")
+        try:
+            first, last = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise InvalidConfig(f"bad seed {'range ' if sep else ''}{tok!r}")
+        if last < first:
+            raise InvalidConfig(f"bad seed range {tok!r}")
+        seeds.extend(range(first, last + 1))
     repeated = sorted(seed for seed, k in Counter(seeds).items() if k > 1)
     if repeated:
         raise InvalidConfig(f"seeds given more than once: {repeated}")
@@ -330,6 +329,8 @@ def trace_events(mode: str, packets: int, custom: str | None) -> list[bool]:
     if mode == "fig1":
         return [i in (3, 10, 15) for i in range(1, 101)]
     if mode == "fig2":
+        if packets < 1:
+            raise InvalidConfig(f"--packets must be >= 1, got {packets}")
         return [i % 5 == 0 for i in range(1, packets + 1)]
     if not custom:
         raise InvalidConfig("custom mode needs --events")
@@ -356,8 +357,6 @@ def render_trace(events: list[bool], params: PheromoneParams) -> str:
 
 
 def cmd_trace(args) -> int:
-    if args.packets < 1:
-        raise InvalidConfig(f"--packets must be >= 1, got {args.packets}")
     params = PheromoneParams(increase=args.inc, decay=args.dec)
     events = trace_events(args.mode, args.packets, args.events)
     _write_outputs([(Path(args.out), render_trace(events, params))])
@@ -371,19 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario")
-    p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--out", default="out")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True)
+    scenario.add_argument("--out", default="out")
+    scenario.add_argument("--set", action="append", metavar="KEY=VALUE")
+
+    p_run = sub.add_parser("run", parents=[scenario], help="run one scenario")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario over several seeds")
-    p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--out", default="out")
+    p_sweep = sub.add_parser("sweep", parents=[scenario], help="run a scenario over several seeds")
     p_sweep.add_argument("--seeds", nargs="+", required=True, metavar="SEED|A..B")
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_trace = sub.add_parser("trace", help="emit a pheromone value trace as CSV")

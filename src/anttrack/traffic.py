@@ -23,10 +23,11 @@ class TrafficRates:
     attack_packets_per_infected_per_tick: int = 3
 
     def __post_init__(self):
-        if self.good_packets_per_tick < 0:
-            raise InvalidConfig("good_packets_per_tick must be >= 0")
-        if self.attack_packets_per_infected_per_tick < 1:
-            raise InvalidConfig("attack_packets_per_infected_per_tick must be >= 1")
+        good, attack = self.good_packets_per_tick, self.attack_packets_per_infected_per_tick
+        if good < 0:
+            raise InvalidConfig(f"good_packets_per_tick must be >= 0, got {good}")
+        if attack < 1:
+            raise InvalidConfig(f"attack_packets_per_infected_per_tick must be >= 1, got {attack}")
 
 
 class RouteMemo(dict):

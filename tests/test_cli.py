@@ -63,9 +63,37 @@ def test_run_produces_complete_outputs(tmp_path):
     metrics = (out / "metrics.csv").read_text()
     assert metrics.startswith("node,infected_tick,declared_tick,latency\n")
     assert metrics.count("\n") == 2  # header + one infected node
-    assert (out / "summary.txt").exists()
+    assert "scheduled after the last tick" not in (out / "summary.txt").read_text()
     log_lines = (out / "events.log").read_text().strip().split("\n")
     assert all(line.split(",")[0] in {"PKT", "PHERO", "ANT", "DECL", "FIELD"} for line in log_lines)
+
+
+def test_summary_when_no_node_was_infected(tmp_path):
+    # the only infection is scheduled after the last tick, so none happens
+    scenario = write_scenario(tmp_path, "nodes 3\nedge 0 1\nedge 1 2\nmax_ticks 10\ninfect_at 50 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert (
+        "infected nodes: 0\n"
+        "infections scheduled after the last tick: 1\n"
+        "no node was infected during the run\n"
+    ) in summary
+    assert "identified" not in summary
+
+
+def test_summary_counts_infections_at_or_after_the_last_tick(tmp_path):
+    scenario = write_scenario(
+        tmp_path, "nodes 4\nedge 0 1\nedge 1 2\nedge 2 3\nmax_ticks 10\n"
+        "infected 0\ninfect_at 9 1\ninfect_at 10 2\ninfect_at 11 3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[5] == "infected nodes: 2"
+    assert lines[6].startswith("  node 0: infected at 0, ")
+    assert lines[7].startswith("  node 1: infected at 9, ")
+    assert lines[8] == "infections scheduled after the last tick: 2"
 
 
 def test_unknown_key_names_it(tmp_path, capsys):
@@ -92,7 +120,10 @@ MALFORMED_SCENARIO = {
     "nodes 2\nedge 0 1\ninfected 1 1\n": "node 1 would be infected twice",
     "nodes 2\nedge 0 1\ninfect_at -1 0\n": "infection tick -1 is negative",
     "nodes 2\nedge 0 1\nthreshold 0\n": "threshold must be finite and > 0, got 0.0",
-    "nodes 2\nedge 0 1\ngood_packets_per_tick -1\n": "good_packets_per_tick must be >= 0",
+    "nodes 2\nedge 0 1\ngood_packets_per_tick -1\n": "good_packets_per_tick must be >= 0, got -1",
+    "nodes 2\nedge 0 1\nattack_packets_per_infected_per_tick 0\n": (
+        "attack_packets_per_infected_per_tick must be >= 1, got 0"
+    ),
     "nodes 2\nedge 0 1\ndetect_prob 2\n": "detect_prob must be in [0, 1], got 2.0",
 }
 
@@ -483,8 +514,18 @@ def test_trace_fig1_values(tmp_path):
 def test_trace_packets_must_be_positive(tmp_path, capsys, packets):
     out = tmp_path / "fig2.csv"
     assert main(["trace", "--mode", "fig2", "--packets", packets, "--out", str(out)]) == 2
-    assert "--packets" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --packets must be >= 1, got {packets}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, events", [("fig1", []), ("custom", ["--events", "GGB"])], ids=["fig1", "custom"]
+)
+def test_trace_packets_is_read_only_in_fig2_mode(tmp_path, mode, events):
+    plain, zero = tmp_path / "plain.csv", tmp_path / "zero.csv"
+    assert main(["trace", "--mode", mode, *events, "--out", str(plain)]) == 0
+    assert main(["trace", "--mode", mode, *events, "--packets", "0", "--out", str(zero)]) == 0
+    assert zero.read_bytes() == plain.read_bytes()
 
 
 def test_trace_fig1_byte_identical(tmp_path):
@@ -767,20 +808,46 @@ def test_sweep_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
     assert not out.exists()
 
 
-def test_write_outputs_rejects_a_shared_target(tmp_path):
-    target = tmp_path / "out" / "a.csv"
-    with pytest.raises(ValueError, match="share a target"):
-        cli._write_outputs([(target, "first\n"), (tmp_path / "out" / "b.csv", "b\n"),
-                            (target, "second\n")])
-    assert not (tmp_path / "out").exists()
-    with pytest.raises(ValueError, match="share a target"):
-        cli._write_outputs([(target, "first\n")], staged=(target,))
-    assert not (tmp_path / "out").exists()
+def test_sweep_seed_override_rejected(tmp_path, monkeypatch, capsys):
+    # a sweep's seeds come from --seeds alone
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(out),
+                 "--seeds", "1", "2", "--set", "seed=99", "--set", "max_ticks=50"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: override 'seed=99': sweep takes its seeds from --seeds\n"
+    )
+    assert runs == []
+    assert not out.exists()
 
 
 def test_sweep_bad_seed_token(tmp_path, capsys):
     scenario = small_scenario(tmp_path)
     assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--seeds", "x"]) == 2
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        pytest.param("x", "bad seed 'x'", id="not-a-number"),
+        pytest.param("a..b", "bad seed range 'a..b'", id="range-not-numbers"),
+        pytest.param("..5", "bad seed range '..5'", id="range-without-start"),
+        pytest.param("5..", "bad seed range '5..'", id="range-without-end"),
+        pytest.param("1..2..3", "bad seed range '1..2..3'", id="range-of-three"),
+        pytest.param("5..3", "bad seed range '5..3'", id="range-descending"),
+    ],
+)
+def test_sweep_seed_token_error_line(tmp_path, monkeypatch, capsys, token, message):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    out = tmp_path / "o"
+    scenario = small_scenario(tmp_path)
+    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", token]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == []
+    assert not out.exists()
 
 
 def test_sweep_requires_seeds(tmp_path):
