@@ -48,7 +48,7 @@ print(metrics_to_csv(metrics))
 
 first_decl = metrics.first_declaration_tick[INFECTED]
 print(f"node {INFECTED} declared infected at tick {first_decl}")
-print(f"false declarations: {metrics.false_declarations}")
+print(f"false declarations: {list(metrics.false_declaration_tick.items())}")
 
 ##############################################################################
 # Reconstruct the story up to the declaration: the first trail deposits,

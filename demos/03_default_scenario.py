@@ -40,7 +40,7 @@ for node in sorted(metrics.infection_tick):
     declared = metrics.first_declaration_tick.get(node)
     print(f"node {node:2d}: declared at tick {declared}")
 print(f"all three identified by tick {metrics.all_identified_tick}")
-print(f"false declarations: {len(metrics.false_declarations)}")
+print(f"false declarations: {len(metrics.false_declaration_tick)}")
 
 ##############################################################################
 # Traffic accounting from the log.  Confirmation packets belong to the

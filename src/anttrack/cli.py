@@ -105,22 +105,30 @@ def _read_file(path: Path, keys: Iterable[str] | None = None) -> dict:
     return data
 
 
-def parse_scenario(path: Path, overrides: Iterable[str] = ()) -> dict:
+def parse_scenario(path: Path, overrides: Iterable[str] = (), seed_from: str | None = None) -> dict:
     """Read the scenario file at ``path``, apply ``overrides`` (``key=value``
-    strings, each replacing the value of ``infected`` or of a scalar key),
-    and check its one topology source.  Inline ``nodes``/``edge`` lines or a
+    strings, each replacing the value of ``infected`` or of a scalar key,
+    each key at most once), and check its one topology source.  A command
+    that takes its seed from a flag says so in ``seed_from``, and a ``seed``
+    override is then an error with that text.  Inline ``nodes``/``edge`` lines or a
     ``topology_file`` (relative to the scenario's directory) are built once,
     into ``data["topology"]``; a ``random_topology`` is drawn per seed by
     ``build_config``.  ``data["path"]`` keeps ``path``, for the faults
     ``build_config`` finds."""
     data = _read_file(path)
     data["path"] = path
+    overridden: set[str] = set()
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
             raise InvalidConfig(f"override {item!r} is not of the form key=value")
         if key != "infected" and key not in _SCALAR_KEYS:
             raise InvalidConfig(f"override {item!r}: --set takes no key {key!r}")
+        if key == "seed" and seed_from:
+            raise InvalidConfig(f"override {item!r}: {seed_from}")
+        if key in overridden:
+            raise InvalidConfig(f"override {item!r}: duplicate key {key!r}")
+        overridden.add(key)
         _set_key(data, key, value.split(), f"override {item!r}")
 
     sources = [s for s in ("nodes", "topology_file", "random_topology") if s in data]
@@ -233,12 +241,13 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
         lines.append(f"all infected nodes identified by tick {metrics.all_identified_tick}")
     else:
         lines.append("not all infected nodes were identified")
-    lines.append(f"false declarations: {len(metrics.false_declarations)}")
+    lines.append(f"false declarations: {len(metrics.false_declaration_tick)}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_run(args) -> int:
-    config = build_config(parse_scenario(Path(args.scenario), args.set or ()), args.seed)
+    seed_from = None if args.seed is None else "run takes its seed from --seed"
+    config = build_config(parse_scenario(Path(args.scenario), args.set or (), seed_from), args.seed)
     out_dir = Path(args.out)
     events = out_dir / "events.log"
     events_tmp = _temp_path(events)
@@ -262,10 +271,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
-    for item in args.set or ():
-        if item.partition("=")[0] == "seed":
-            raise InvalidConfig(f"override {item!r}: sweep takes its seeds from --seeds")
-    data = parse_scenario(Path(args.scenario), args.set or ())
+    data = parse_scenario(Path(args.scenario), args.set or (), "sweep takes its seeds from --seeds")
     seeds = _expand_seeds(args.seeds)
     # no check in build_config depends on the seed, so one that fails does
     # so for the first seed, before any run

@@ -3,8 +3,8 @@
 Intra-tick order is fixed: (1) scheduled infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
 (inspections; confirmations spawned here first move next tick), (5) agent
-steps against the now-stable field in ant_id order, (6) the tick's
-declarations, in ant_id order.  A run that builds the event log formats
+steps against the now-stable field in ant_id order, each declaration filed
+right after the step that makes it.  A run that builds the event log formats
 the tick's records once, at the end of the tick; its FIELD digest is the
 field after packet movement, which the agents leave unchanged.  A run is a
 pure function of its config: the master seed derives independent
@@ -80,11 +80,13 @@ class SimulationConfig:
 @dataclass
 class Metrics:
     """Identification outcomes of one run.  ``infection_tick`` is also the
-    run's infected set: ``run`` adds each node as it is infected."""
+    run's infected set: ``run`` adds each node as it is infected.  A node
+    declared while infected goes in ``first_declaration_tick``, otherwise in
+    ``false_declaration_tick``; each maps it to its first such tick."""
 
     first_declaration_tick: dict[int, int] = field(default_factory=dict)
     all_identified_tick: int | None = None
-    false_declarations: list[tuple[int, int]] = field(default_factory=list)
+    false_declaration_tick: dict[int, int] = field(default_factory=dict)
     infection_tick: dict[int, int] = field(default_factory=dict)
 
 
@@ -145,6 +147,7 @@ def run(config: SimulationConfig) -> Metrics:
 
     metrics = Metrics()
     infected = metrics.infection_tick
+    first_declared, false_declared = metrics.first_declaration_tick, metrics.false_declaration_tick
     pending_infections = sorted(config.infections)
 
     pheromones = PheromoneField(topo)
@@ -181,18 +184,14 @@ def run(config: SimulationConfig) -> Metrics:
             node = ant_step(ant, topo, pheromones, config.params, ant_rngs[ant.ant_id])
             if node is not None:
                 declared.append((ant.ant_id, node))
-
-        for ant_id, node in declared:
-            if node in infected:
-                metrics.first_declaration_tick.setdefault(node, tick)
-            elif node not in (n for n, _ in metrics.false_declarations):
-                metrics.false_declarations.append((node, tick))
+                filed = first_declared if node in infected else false_declared
+                filed.setdefault(node, tick)
 
         if config.log is not None:
             config.log(_tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declared))
 
-    if infected and infected.keys() <= metrics.first_declaration_tick.keys():
-        metrics.all_identified_tick = max(metrics.first_declaration_tick[n] for n in infected)
+    if infected and infected.keys() <= first_declared.keys():
+        metrics.all_identified_tick = max(first_declared[n] for n in infected)
     return metrics
 
 

@@ -58,19 +58,12 @@ class DetectorModel:
             )
 
 
-def inspect_at_hop(
-    packet: Packet, node: int, detector: DetectorModel, rng: random.Random
-) -> bool:
-    """True if the detector at a hop flags the packet arriving there.
-
-    Malicious packets face one detection draw at every hop after the source.
-    Clean packets are only judged at their destination, where a single
-    false-positive draw may flag them; at intermediate hops they pass
-    without a draw.
-    """
-    if packet.malicious:
-        return rng.random() < detector.detect_prob
-    return node == packet.route[-1] and rng.random() < detector.false_positive_prob
+def inspect_at_hop(packet: Packet, detector: DetectorModel, rng: random.Random) -> bool:
+    """One detector draw: True if it flags the packet, with ``detect_prob``
+    for a malicious packet and ``false_positive_prob`` for a clean one.
+    ``advance_packets`` alone decides at which hops the draws happen."""
+    prob = detector.detect_prob if packet.malicious else detector.false_positive_prob
+    return rng.random() < prob
 
 
 @dataclass
@@ -114,7 +107,7 @@ def advance_packets(
             keep(pkt)
             continue
         node = route[position]
-        if inspect_at_hop(pkt, node, detector, rng):
+        if inspect_at_hop(pkt, detector, rng):
             pkt.bad, event = True, "detected"
         elif node == route[-1]:
             pkt.bad, event = False, "delivered"

@@ -204,7 +204,7 @@ def test_criterion_4_identification_on_fixtures():
                 seed=seed,
             )
             metrics = run(config)
-            assert metrics.false_declarations == [], (name, seed)
+            assert metrics.false_declaration_tick == {}, (name, seed)
             assert metrics.first_declaration_tick.keys() == {infected}, (name, seed)
             ticks.append(metrics.first_declaration_tick[infected])
         worst[name] = max(ticks)

@@ -823,6 +823,44 @@ def test_sweep_seed_override_rejected(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["run", "--seed", "3", "--set", "seed=5", "--set", "max_ticks=5"],
+            "error: override 'seed=5': run takes its seed from --seed\n",
+            id="run-seed-flag-and-override",
+        ),
+        pytest.param(
+            ["run", "--set", "max_ticks=5", "--set", "max_ticks=7"],
+            "error: override 'max_ticks=7': duplicate key 'max_ticks'\n",
+            id="run-override-repeated",
+        ),
+        pytest.param(
+            ["sweep", "--seeds", "1", "--set", "infected=1", "--set", "infected=2"],
+            "error: override 'infected=2': duplicate key 'infected'\n",
+            id="sweep-override-repeated",
+        ),
+    ],
+)
+def test_second_value_for_one_input_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    out = tmp_path / "o"
+    assert main([*argv, "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert runs == []
+    assert not out.exists()
+
+
+def test_run_takes_a_seed_override_without_seed_flag(tmp_path):
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(out),
+            "--set", "seed=5", "--set", "max_ticks=5"]
+    assert main(argv) == 0
+    assert "seed: 5\n" in (out / "summary.txt").read_text()
+
+
 def test_sweep_bad_seed_token(tmp_path, capsys):
     scenario = small_scenario(tmp_path)
     assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--seeds", "x"]) == 2

@@ -21,42 +21,31 @@ def test_detector_validation(prob):
 
 def test_certain_detection_at_first_hop():
     detector = DetectorModel(detect_prob=1.0)
-    assert inspect_at_hop(make_packet(True), 1, detector, random.Random(0)) is True
+    assert inspect_at_hop(make_packet(True), detector, random.Random(0)) is True
 
 
 def test_clean_packet_delivered():
     detector = DetectorModel(false_positive_prob=0.0)
     pkt = make_packet(False)
-    assert inspect_at_hop(pkt, 1, detector, random.Random(0)) is False
-    assert inspect_at_hop(pkt, 2, detector, random.Random(0)) is False
+    assert inspect_at_hop(pkt, detector, random.Random(0)) is False
 
 
 def test_zero_detect_prob_always_misses():
     detector = DetectorModel(detect_prob=0.0)
     pkt = make_packet(True)
-    for node in (1, 2):
-        assert inspect_at_hop(pkt, node, detector, random.Random(0)) is False
+    for seed in (0, 1):
+        assert inspect_at_hop(pkt, detector, random.Random(seed)) is False
 
 
 def test_false_positive_flags_at_delivery():
     detector = DetectorModel(false_positive_prob=1.0)
-    pkt = make_packet(False)
-    assert inspect_at_hop(pkt, 1, detector, random.Random(0)) is False
-    assert inspect_at_hop(pkt, 2, detector, random.Random(0)) is True
-
-
-def test_intermediate_clean_hop_consumes_no_randomness():
-    detector = DetectorModel(false_positive_prob=0.5)
-    rng = random.Random(42)
-    before = rng.getstate()
-    assert inspect_at_hop(make_packet(False), 1, detector, rng) is False
-    assert rng.getstate() == before
+    assert inspect_at_hop(make_packet(False), detector, random.Random(0)) is True
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0])
 def test_malicious_hop_consumes_one_draw(prob):
     rng, reference = random.Random(42), random.Random(42)
-    inspect_at_hop(make_packet(True), 1, DetectorModel(detect_prob=prob), rng)
+    inspect_at_hop(make_packet(True), DetectorModel(detect_prob=prob), rng)
     reference.random()
     assert rng.getstate() == reference.getstate()
 
@@ -70,7 +59,7 @@ def test_detection_hop_deterministic_per_seed():
         for _ in range(50):
             pkt = make_packet(True)
             for node in (1, 2):
-                if inspect_at_hop(pkt, node, detector, rng):
+                if inspect_at_hop(pkt, detector, rng):
                     hops.append(node)
                     break
             else:
@@ -89,7 +78,7 @@ def test_detected_fraction_matches_probability():
     rng = random.Random(123)
     pkt = Packet(0, malicious=True, route=(0, 1))
     detected = sum(
-        inspect_at_hop(pkt, 1, detector, rng) for _ in range(n)
+        inspect_at_hop(pkt, detector, rng) for _ in range(n)
     )
     bound = 3 * math.sqrt(q * (1 - q) / n)
     assert abs(detected / n - q) <= bound

@@ -75,7 +75,30 @@ def test_three_node_golden_run():
     # it can walk the trail down to node 0
     assert metrics.first_declaration_tick == {0: 3}
     assert metrics.all_identified_tick == 3
-    assert metrics.false_declarations == []
+    assert metrics.false_declaration_tick == {}
+
+
+def test_declarations_filed_by_infection_at_their_tick():
+    """Both declaration maps, rebuilt from the log's DECL lines and the
+    infection schedule: a node infected by a declaration's tick is filed as
+    identified, any other as false, each with its first tick, in the order
+    of first declarations.  noisy75 at its seed 42 falsely declares 8
+    distinct nodes."""
+    config = scenario_config("noisy75")
+    assert config.seed == 42
+    metrics, log = logged_run(config)
+    infected_at = {node: tick for tick, node in config.infections}
+    first, false = {}, {}
+    for line in log:
+        if line.startswith("DECL,"):
+            tick, _, node = map(int, line.split(",")[1:])
+            if node in infected_at and infected_at[node] <= tick:
+                first.setdefault(node, tick)
+            else:
+                false.setdefault(node, tick)
+    assert len(false) == 8
+    assert list(metrics.false_declaration_tick.items()) == list(false.items())
+    assert list(metrics.first_declaration_tick.items()) == list(first.items())
 
 
 def test_run_is_deterministic():
@@ -453,4 +476,4 @@ def test_identification_on_star():
     )
     metrics = run(config)
     assert 4 in metrics.first_declaration_tick
-    assert metrics.false_declarations == []
+    assert metrics.false_declaration_tick == {}

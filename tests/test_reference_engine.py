@@ -194,7 +194,7 @@ def reference_run(s):
     metrics = {
         "first_declaration_tick": first_declaration_tick,
         "all_identified_tick": all_identified,
-        "false_declarations": false_declarations,
+        "false_declaration_tick": dict(false_declarations),
         "infection_tick": infection_tick,
     }
     return metrics, log
@@ -293,3 +293,6 @@ def test_engine_matches_reference(s):
         assert got == want, f"log line {i + 1} differs"
     assert len(log) == len(ref_log)
     assert asdict(metrics) == ref_metrics
+    # dict equality ignores order; the map keeps first-declaration order
+    want = ref_metrics["false_declaration_tick"]
+    assert list(metrics.false_declaration_tick.items()) == list(want.items())

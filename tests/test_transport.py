@@ -111,9 +111,9 @@ def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected
     nodes = []
     real_inspect = transport.inspect_at_hop
 
-    def counting_inspect(packet, node, detector, rng):
-        nodes.append(node)
-        return real_inspect(packet, node, detector, rng)
+    def counting_inspect(packet, detector, rng):
+        nodes.append(packet.route[packet.position])
+        return real_inspect(packet, detector, rng)
 
     monkeypatch.setattr(transport, "inspect_at_hop", counting_inspect)
     rng, reference = random.Random(9), random.Random(9)
