@@ -13,7 +13,6 @@ import statistics
 import sys
 from collections import Counter, deque
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -279,6 +278,9 @@ def cmd_sweep(args) -> int:
 
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:
+        # imported here, so that a serial sweep and a plain import load no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # one config per free worker: the next is built only once the
             # oldest result is in, so at most ``jobs`` are held at a time

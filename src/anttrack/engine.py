@@ -199,22 +199,32 @@ def generate_random_topology(
     node_count: int, extra_edge_prob: float, rng: random.Random
 ) -> NetworkTopology:
     """Random connected graph: a random spanning tree plus every remaining
-    node pair independently with extra_edge_prob."""
+    node pair independently with extra_edge_prob.
+
+    Each non-tree pair (a, b), a < b, gets exactly one ``rng.random()``, in
+    ascending (a, b) order; tree pairs get none.  So a seed fixes the graph
+    and the state the generator leaves ``rng`` in."""
     if node_count < 2:
         raise InvalidConfig(f"node_count must be >= 2, got {node_count}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise InvalidConfig(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     order = list(range(node_count))
     rng.shuffle(order)
-    edges: set[tuple[int, int]] = set()
+    tree_above: list[list[int]] = [[] for _ in range(node_count)]
     for i in range(1, node_count):
         a, b = order[i], order[rng.randrange(i)]
-        edges.add((a, b) if a < b else (b, a))
+        tree_above[min(a, b)].append(max(a, b))
+    draw = rng.random
+    edges: list[tuple[int, int]] = []
     for a in range(node_count):
-        for b in range(a + 1, node_count):
-            if (a, b) not in edges and rng.random() < extra_edge_prob:
-                edges.add((a, b))
-    return NetworkTopology.from_edges(node_count, sorted(edges))
+        # the draws for a's pairs, in order, split around its tree edges
+        start = a + 1
+        for t in sorted(tree_above[a]) + [node_count]:
+            edges += [(a, b) for b in range(start, t) if draw() < extra_edge_prob]
+            if t < node_count:
+                edges.append((a, t))
+            start = t + 1
+    return NetworkTopology.from_edges(node_count, edges)
 
 
 def metrics_to_csv(metrics: Metrics) -> str:

@@ -1,4 +1,5 @@
 import io
+import random
 from dataclasses import dataclass, replace
 
 import pytest
@@ -26,6 +27,24 @@ def grid_topology(rows: int, cols: int) -> NetworkTopology:
             if r + 1 < rows:
                 edges.append((node, node + cols))
     return NetworkTopology.from_edges(rows * cols, edges)
+
+
+def pairwise_random_edges(node_count: int, extra_edge_prob: float, rng: random.Random) -> set[tuple[int, int]]:
+    """The random graph drawn pair by pair: the oracle for
+    ``generate_random_topology``.  Shuffle, a spanning tree that joins each
+    node in shuffled order to a random earlier one, then one draw for every
+    node pair in ascending order that is not a tree edge."""
+    order = list(range(node_count))
+    rng.shuffle(order)
+    edges = set()
+    for i in range(1, node_count):
+        a, b = order[i], order[rng.randrange(i)]
+        edges.add((a, b) if a < b else (b, a))
+    for a in range(node_count):
+        for b in range(a + 1, node_count):
+            if (a, b) not in edges and rng.random() < extra_edge_prob:
+                edges.add((a, b))
+    return edges
 
 
 def reverse_route(route: Route) -> Route:

@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
 import os
 import re
 import stat
 import statistics
-from concurrent.futures import Executor
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -666,7 +668,7 @@ def in_process_pool(sizes: list[int], events: list[str] | None = None) -> type:
         def cancel(self):
             return False
 
-    class InProcessPool(Executor):
+    class InProcessPool(concurrent.futures.Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -679,7 +681,7 @@ def in_process_pool(sizes: list[int], events: list[str] | None = None) -> type:
 @pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, 2), (8, 64, 3), (8, 2, 2), (1, 64, None)])
 def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     scenario = small_scenario(tmp_path)
     out = tmp_path / "sweep"
@@ -701,7 +703,7 @@ def test_parallel_sweep_builds_one_config_per_free_worker(tmp_path, monkeypatch)
         return real_build(data, seed)
 
     monkeypatch.setattr(cli, "build_config", recording_build)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool([], events))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool([], events))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     scenario = small_scenario(tmp_path)
     code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
@@ -721,7 +723,7 @@ def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, j
 
     sizes = []
     monkeypatch.setattr(cli.engine, "run", recording_run)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     scenario = small_scenario(tmp_path)
     code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
@@ -734,6 +736,35 @@ def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, j
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
     assert len(configs) == 1 and callable(configs[0].log)
     assert (tmp_path / "run" / "events.log").stat().st_size > 0
+
+
+POOL_PROBE = """
+import sys
+from anttrack import cli
+
+def pool_modules():
+    return sorted({"concurrent.futures", "multiprocessing"} & sys.modules.keys())
+
+print(cli.__file__)
+print(pool_modules())
+code = cli.main(["sweep", "--scenario", sys.argv[1], "--out", sys.argv[2],
+                 "--seeds", "1..2", "--jobs", "1", "--set", "max_ticks=10"])
+print(code, pool_modules())
+"""
+
+
+def test_import_and_serial_sweep_load_no_process_pool(tmp_path):
+    """A fresh interpreter loads neither the process pool nor
+    multiprocessing to import the CLI or to run a serial sweep."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "sweep"
+    child = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(SCENARIOS / "star10.scn"), str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout.splitlines() == [str(src / "anttrack" / "cli.py"), "[]", "0 []"]
+    assert (out / "aggregate.csv").exists()
 
 
 def test_sweep_builds_each_config_just_before_its_run(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -6,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from anttrack.topology import InvalidConfig, NetworkTopology, Route, shortest_route
 from anttrack.traffic import RouteMemo, TrafficRates
-from anttrack.engine import SimulationConfig, generate_random_topology
+from anttrack.engine import SimulationConfig, derive_rng, generate_random_topology
 from anttrack.pheromone import PheromoneParams
 from anttrack.transport import DetectorModel
 
-from conftest import grid_topology, is_valid_route, path_topology, reverse_route
+from conftest import grid_topology, is_valid_route, pairwise_random_edges, path_topology, reverse_route
 
 
 def bfs_distance(topo: NetworkTopology, src: int, dst: int) -> int:
@@ -113,6 +114,36 @@ def test_route_invalid_endpoint_rejected(path3):
 def test_input_check_raises_invalid_config(check):
     with pytest.raises(InvalidConfig):
         check()
+
+
+@given(
+    st.integers(min_value=2, max_value=80),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.integers(),
+)
+def test_random_topology_draws_as_the_pairwise_oracle(node_count, extra_edge_prob, seed):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    topo = generate_random_topology(node_count, extra_edge_prob, rng)
+    assert topo.edges == pairwise_random_edges(node_count, extra_edge_prob, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "seed, edge_count, digest",
+    [
+        (0, 1490, "0ecc172cf2caecd6"),
+        (1, 1489, "9d4f945748318d7c"),
+        (2, 1493, "da3338064603117a"),
+        (3, 1482, "5b067b4e00aab78e"),
+        (4, 1530, "898a0f8b42016539"),
+    ],
+)
+def test_random_topology_1000_nodes_pinned(seed, edge_count, digest):
+    """Graphs of sparse1000's size and extra-edge probability, pinned by
+    their edge count and the sha256 of their sorted edge list's repr."""
+    edges = sorted(generate_random_topology(1000, 0.001, derive_rng(seed, "topology")).edges)
+    assert len(edges) == edge_count
+    assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == digest
 
 
 def test_route_length_matches_bfs_oracle():
