@@ -1,12 +1,23 @@
 import io
 import random
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
+from anttrack import cli
 from anttrack.engine import Metrics, SimulationConfig, run
 from anttrack.pheromone import PheromoneField
 from anttrack.topology import NetworkTopology, Route
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def scenario_config(name: str, overrides=(), seed: int | None = None) -> SimulationConfig:
+    """The config ``anttrack run`` builds from the shipped
+    ``scenarios/<name>.scn`` with ``--set`` ``overrides``; the scenario's own
+    seed when ``seed`` is None."""
+    return cli.build_config(cli.parse_scenario(SCENARIOS / f"{name}.scn", overrides), seed)
 
 
 def path_topology(n: int) -> NetworkTopology:

@@ -4,18 +4,18 @@ Each test prints a single PASS line with the measured quantity (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them).  Expected values are
 computed by independent oracles: the literal event-list sum for the
 incremental pheromone updates, recurrence iteration for the periodic-trace
-limits, and breadth-first search for routing.
+limits, and breadth-first search for routing.  Criteria 5, 6 and 8-10 run
+the shipped ``default75`` and ``reinfection75`` scenario files.
 """
 
 import math
 import random
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
-from anttrack.cli import main, render_trace, trace_events
+from anttrack.cli import main, trace_events
 from anttrack.engine import (
     SimulationConfig,
     derive_rng,
@@ -27,11 +27,11 @@ from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_valu
 from anttrack.traffic import TrafficRates
 
 from conftest import (
-    RecordingField,
     compute_bandwidth_stats,
     grid_topology,
     logged_run,
     path_topology,
+    scenario_config,
     star_topology,
 )
 
@@ -43,21 +43,9 @@ def report(criterion: int, detail: str) -> None:
     print(f"\ncriterion {criterion}: PASS — {detail}")
 
 
-def default75_config(seed, ant_count=3, scripted=(), max_ticks=1000):
-    topology = generate_random_topology(75, 0.02, derive_rng(seed, "topology"))
-    return SimulationConfig(
-        topology=topology,
-        rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
-        ant_count=ant_count,
-        infections=((0, 5), (0, 23), (0, 61), *scripted),
-        max_ticks=max_ticks,
-        seed=seed,
-    )
-
-
 @pytest.fixture(scope="module")
 def default_run():
-    return logged_run(default75_config(seed=42))
+    return logged_run(scenario_config("default75"))
 
 
 def median_with_failures(values):
@@ -215,7 +203,8 @@ def test_criterion_4_identification_on_fixtures():
 def test_criterion_5_identification_latency_ballpark():
     start = time.monotonic()
     ticks = [
-        run(default75_config(seed)).all_identified_tick for seed in range(1, 21)
+        run(scenario_config("default75", seed=seed)).all_identified_tick
+        for seed in range(1, 21)
     ]
     elapsed = time.monotonic() - start
     median = median_with_failures(ticks)
@@ -228,7 +217,7 @@ def test_criterion_5_identification_latency_ballpark():
 def test_criterion_6_reinfection_latency_ballpark():
     latencies = []
     for seed in range(1, 21):
-        metrics = run(default75_config(seed, scripted=((300, 40),), max_ticks=600))
+        metrics = run(scenario_config("reinfection75", seed=seed))
         declared = metrics.first_declaration_tick.get(40)
         latencies.append(None if declared is None else declared - 300)
     median = median_with_failures(latencies)
@@ -238,6 +227,14 @@ def test_criterion_6_reinfection_latency_ballpark():
 
 
 def test_criterion_7_storage_bound_after_long_run():
+    # every direction a confirmation crossed, read from the run's PHERO lines
+    crossed = set()
+
+    def collect(text):
+        crossed.update(
+            tuple(line.split(",")[2:4]) for line in text.splitlines() if line.startswith("PHERO,")
+        )
+
     config = SimulationConfig(
         topology=generate_random_topology(10, 0.2, derive_rng(9, "topology")),
         rates=TrafficRates(good_packets_per_tick=5, attack_packets_per_infected_per_tick=2),
@@ -245,31 +242,14 @@ def test_criterion_7_storage_bound_after_long_run():
         infections=((0, 4),),
         max_ticks=10_000,
         seed=9,
+        log=collect,
     )
-    from anttrack.transport import InFlight, advance_confirmations, advance_packets
-    from anttrack.traffic import RouteMemo, generate_tick_traffic
-
-    # run and inspect the live field directly
-    field = RecordingField(config.topology)
-    inflight = InFlight()
-    routes = RouteMemo(config.topology)
-    traffic_rng = derive_rng(config.seed, "traffic")
-    detect_rng = derive_rng(config.seed, "detect")
-    infected = [node for _, node in config.infections]  # all infected at tick 0
-    next_id = 0
-    for _ in range(config.max_ticks):
-        packets = generate_tick_traffic(
-            config.topology, infected, config.rates, traffic_rng, next_id, routes
-        )
-        next_id += len(packets)
-        inflight.packets.extend(packets)
-        advance_confirmations(inflight, field, config.params)
-        spawned, _ = advance_packets(inflight, config.detector, detect_rng)
-        inflight.confirmations.extend(spawned)
-    touched = len(field.written)
+    run(config)
+    touched = len(crossed)
     assert touched, "no connection was ever touched"
-    # one float per directed connection, whatever the run length; the
-    # criterion's bound is 10,000 bytes
+    # one float per directed connection, whatever the run length, in the
+    # field ``run`` builds; the criterion's bound is 10,000 bytes
+    field = PheromoneField(config.topology)
     assert field.bytes_per_direction == 8
     report(7, f"{touched} directed connections after 10,000 ticks, "
               f"{field.bytes_per_direction} bytes of live state per direction")
@@ -289,7 +269,7 @@ def test_criterion_8_bandwidth_accounting(default_run):
 
 def test_criterion_9_determinism(default_run):
     metrics_a, log_a = default_run
-    metrics_b, log_b = logged_run(default75_config(seed=42))
+    metrics_b, log_b = logged_run(scenario_config("default75"))
     assert log_a == log_b
     assert metrics_to_csv(metrics_a) == metrics_to_csv(metrics_b)
     report(9, f"byte-identical metrics and {len(log_a)}-line event log on repeat run")
@@ -297,7 +277,7 @@ def test_criterion_9_determinism(default_run):
 
 def test_criterion_10_agents_do_not_perturb_the_field(default_run):
     _, log_with = default_run
-    _, log_without = logged_run(default75_config(seed=42, ant_count=0))
+    _, log_without = logged_run(scenario_config("default75", ["ant_count=0"]))
     field_with = [line for line in log_with if line.startswith("FIELD,")]
     field_without = [line for line in log_without if line.startswith("FIELD,")]
     assert len(field_with) == 1000

@@ -14,12 +14,9 @@ from anttrack import cli
 from anttrack.cli import main
 from anttrack.engine import SimulationConfig
 from anttrack.pheromone import PheromoneParams, closed_form_value
-from anttrack.cli import trace_events
 from anttrack.topology import NetworkTopology
 
-from conftest import grid_topology, path_topology, star_topology
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import SCENARIOS, grid_topology, path_topology, star_topology
 
 
 def write_scenario(tmp_path: Path, body: str) -> Path:
@@ -957,6 +954,9 @@ def test_default_scenario_file_runs(tmp_path):
     assert "nodes: 75" in summary
 
 
-def test_trace_events_helper_requires_known_mode():
-    with pytest.raises(Exception):
-        trace_events("fig3", 100, None)
+def test_trace_rejects_unknown_mode(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--mode", "fig3", "--out", str(tmp_path / "fig3.csv")])
+    assert exc.value.code == 2
+    assert "'fig3'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -5,7 +5,6 @@ import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -22,13 +21,14 @@ from anttrack.topology import InvalidConfig, NetworkTopology
 from anttrack.traffic import RouteMemo, TrafficRates
 from anttrack.transport import DetectorModel
 
-from conftest import compute_bandwidth_stats, logged_run, path_topology, star_topology
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def scenario_config(name, overrides=()):
-    return cli.build_config(cli.parse_scenario(SCENARIOS / f"{name}.scn", overrides))
+from conftest import (
+    SCENARIOS,
+    compute_bandwidth_stats,
+    logged_run,
+    path_topology,
+    scenario_config,
+    star_topology,
+)
 
 
 def traced_peak(fn):

@@ -7,13 +7,12 @@ A change that alters a hash changes observable behaviour and must say why.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from anttrack.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import SCENARIOS
 
 GOLDEN = {
     "default75": ("b2801059cd88c465", "5a1d452445585edf", 303_221),

@@ -105,6 +105,11 @@ def test_route_invalid_endpoint_rejected(path3):
         pytest.param(lambda: SimulationConfig(path_topology(2), max_ticks=0), id="SimulationConfig"),
         pytest.param(lambda: NetworkTopology.from_edges(0, []), id="from_edges"),
         pytest.param(lambda: shortest_route(path_topology(3), 1, 1, []), id="shortest_route"),
+        # from_edges rejects a disconnected graph, so only a raw one has no path
+        pytest.param(
+            lambda: shortest_route(NetworkTopology(3, frozenset({(0, 1)}), ((1,), (0,), ())), 0, 2, []),
+            id="shortest_route_no_path",
+        ),
         pytest.param(
             lambda: generate_random_topology(5, 1.5, random.Random(0)),
             id="generate_random_topology",
