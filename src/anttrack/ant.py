@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import NetworkTopology
+from .topology import NetworkTopology, randbelow
 
 
 class AntMode(Enum):
@@ -73,7 +73,7 @@ def ant_step(
         ant.came_from = None
         return here
     else:
-        nxt = neighbors[rng.randrange(len(neighbors))]
+        nxt = neighbors[randbelow(rng.getrandbits, len(neighbors))]
     ant.came_from = here
     ant.location = nxt
     return None

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import statistics
 import sys
 from collections import Counter, deque
 from collections.abc import Iterable
@@ -304,6 +303,7 @@ def cmd_sweep(args) -> int:
         tick = metrics.all_identified_tick
         rows.append(f"{seed},{'' if tick is None else tick},,,,")
         ticks.append(math.inf if tick is None else tick)
+    import statistics  # here, not at module level, so that only a sweep loads it
     # a seed that never identified every infected node counts as infinite
     stats = (statistics.median(ticks), min(ticks), max(ticks))
     rows.append(f"summary,,{','.join(f'{x:.15g}' for x in stats)},{ticks.count(math.inf)}")
@@ -340,6 +340,8 @@ def trace_events(mode: str, packets: int, custom: str | None) -> list[bool]:
         if packets < 1:
             raise InvalidConfig(f"--packets must be >= 1, got {packets}")
         return [i % 5 == 0 for i in range(1, packets + 1)]
+    if mode != "custom":
+        raise InvalidConfig(f"unknown trace mode {mode!r}: expected fig1, fig2 or custom")
     if not custom:
         raise InvalidConfig("custom mode needs --events")
     events = []

@@ -4,12 +4,12 @@ Intra-tick order is fixed: (1) scheduled infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
 (inspections; confirmations spawned here first move next tick), (5) agent
 steps against the now-stable field in ant_id order, each declaration filed
-right after the step that makes it.  A run that builds the event log formats
-the tick's records once, at the end of the tick; its FIELD digest is the
-field after packet movement, which the agents leave unchanged.  A run is a
-pure function of its config: the master seed derives independent
-substreams per role, so traffic and detection randomness do not depend on
-how many agents are deployed.
+right after the step that makes it.  A logged run formats the tick's records
+once, at the end of the tick, and reads each field write's direction from
+its confirmation; its FIELD digest is the field after packet movement, which
+the agents leave unchanged.  A run is a pure function of its config: the
+master seed derives independent substreams per role, so traffic and
+detection randomness do not depend on how many agents are deployed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import InvalidConfig, NetworkTopology
+from .topology import InvalidConfig, NetworkTopology, randbelow
 from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
 from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
 
@@ -100,36 +100,35 @@ def _field_digest(records: dict[tuple[int, int], bytes]) -> str:
 _pack_record = struct.Struct("<iid").pack
 
 
-def _tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declared) -> str:
-    """One tick's record lines, each newline-terminated, in log order.  Each
-    PHERO update also repacks its direction's FIELD-digest record first.
-    ``texts`` holds the run's PHERO text per ``(u, v, bad)``, filled the
-    first time one is logged: ``"u,v,kind,"`` with kind ``bad`` or ``good``,
-    the zero suffix ``"u,v,kind,0"`` and the packed zero record.  A zero
-    value (a clean confirmation on a direction no bad one has crossed)
-    reuses the last two; only a non-zero value is formatted and packed.
-    A step moves only its own ant, so ANT lines read after the last step
-    show each ant's state after its own step."""
+def _tick_log(tick, new_packets, moved, values, outcomes, records, zeros, ants, declared) -> str:
+    """One tick's record lines, each newline-terminated, in log order.
+    ``moved`` holds the confirmations that made the tick's field writes and
+    ``values`` the value each wrote; a confirmation now at position p wrote
+    the direction ``route[p + 1] -> route[p]``.  Each PHERO line also
+    repacks its direction's FIELD-digest record first.  ``zeros`` holds the
+    run's zero text ``"u,v,good,0"`` and packed zero record per direction: a
+    zero value can only follow a clean write, so only a non-zero value is
+    formatted and packed.  A step moves only its own ant, so ANT lines read
+    after the last step show each ant's state after its own step."""
+    pkt_tick = f"PKT,{tick},"
     lines = [
-        f"PKT,{tick},spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
+        f"{pkt_tick}spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
         for pkt in new_packets
     ]
     phero = []
-    for u, v, bad, value in updates:
-        text = texts.get((u, v, bad))
-        if text is None:
-            prefix = f"{u},{v},{'bad' if bad else 'good'},"
-            text = texts[u, v, bad] = (prefix, prefix + "0", _pack_record(u, v, 0.0))
+    for conf, value in zip(moved, values):
+        route, p = conf.route, conf.position
+        u, v = route[p + 1], route[p]
         if value:
-            phero.append(f"{text[0]}{value:.9g}")
+            phero.append(f"{u},{v},{'bad' if conf.bad else 'good'},{value:.9g}")
             records[u, v] = _pack_record(u, v, value)
         else:
-            phero.append(text[1])
-            records[u, v] = text[2]
+            text, records[u, v] = zeros[u, v]
+            phero.append(text)
     if phero:
         sep = f"PHERO,{tick},"
         lines.append(sep + ("\n" + sep).join(phero))
-    lines.extend(f"PKT,{tick},{out.event},{out.packet_id},{out.node}" for out in outcomes)
+    lines.extend(f"{pkt_tick}{out.event},{out.packet_id},{out.node}" for out in outcomes)
     lines.append(f"FIELD,{tick},{_field_digest(records)}")
     lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
     lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)
@@ -154,13 +153,13 @@ def run(config: SimulationConfig) -> Metrics:
     routes = RouteMemo(topo)
     inflight = InFlight()
     ants = [
-        AntState(i, location=ant_rngs[i].randrange(topo.node_count))
+        AntState(i, location=randbelow(ant_rngs[i].getrandbits, topo.node_count))
         for i in range(config.ant_count)
     ]
     # a logged run keeps each direction's FIELD-digest record, in edge-id
-    # order, and the PHERO text of each (direction, bad) it has logged
-    records = dict.fromkeys(topo.edge_ids, b"") if config.log is not None else None
-    texts: dict[tuple[int, int, bool], tuple[str, str, bytes]] = {}
+    # order, and its zero PHERO text and record
+    records = dict.fromkeys(topo.edge_ids, b"") if config.log is not None else {}
+    zeros = {(u, v): (f"{u},{v},good,0", _pack_record(u, v, 0.0)) for u, v in records}
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -174,7 +173,8 @@ def run(config: SimulationConfig) -> Metrics:
         next_packet_id += len(new_packets)
         inflight.packets.extend(new_packets)
 
-        updates = advance_confirmations(inflight, pheromones, config.params)
+        moved = inflight.confirmations
+        values = advance_confirmations(inflight, pheromones, config.params)
 
         spawned, outcomes = advance_packets(inflight, config.detector, detect_rng)
         inflight.confirmations.extend(spawned)
@@ -188,7 +188,8 @@ def run(config: SimulationConfig) -> Metrics:
                 filed.setdefault(node, tick)
 
         if config.log is not None:
-            config.log(_tick_log(tick, new_packets, updates, outcomes, records, texts, ants, declared))
+            config.log(_tick_log(tick, new_packets, moved, values, outcomes, records, zeros,
+                                 ants, declared))
 
     if infected and infected.keys() <= first_declared.keys():
         metrics.all_identified_tick = max(first_declared[n] for n in infected)
@@ -212,7 +213,7 @@ def generate_random_topology(
     rng.shuffle(order)
     tree_above: list[list[int]] = [[] for _ in range(node_count)]
     for i in range(1, node_count):
-        a, b = order[i], order[rng.randrange(i)]
+        a, b = order[i], order[randbelow(rng.getrandbits, i)]
         tree_above[min(a, b)].append(max(a, b))
     draw = rng.random
     edges: list[tuple[int, int]] = []

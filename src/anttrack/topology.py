@@ -23,6 +23,19 @@ class InvalidConfig(Exception):
         self.edge = edge
 
 
+def randbelow(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), drawn as ``random.Random.randrange(n)`` draws
+    it: ``n.bit_length()``-bit words from ``getrandbits`` until one is below
+    n.  So it gives the same values and leaves the generator in the same state."""
+    if n < 1:
+        raise ValueError(f"randbelow needs n >= 1, got {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Immutable undirected simple graph with sorted adjacency lists.

@@ -11,7 +11,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .topology import InvalidConfig, NetworkTopology, Route, shortest_route
+from .topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
 from .transport import Packet
 
 
@@ -69,22 +69,22 @@ def generate_tick_traffic(
     minimum-hop route, taken from ``routes``, which the caller keeps across
     ticks.  Ids are assigned sequentially from first_id.
     """
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     n = topology.node_count
     packets: list[Packet] = []
     pid = first_id
     for _ in range(rates.good_packets_per_tick):
-        src = randrange(n)
+        src = randbelow(getrandbits, n)
         # exactly one draw for the other endpoint regardless of outcome, so
         # the stream stays aligned
-        dst = randrange(n - 1)
+        dst = randbelow(getrandbits, n - 1)
         if dst >= src:
             dst += 1
         packets.append(Packet(pid, False, routes[src, dst]))
         pid += 1
     for node in sorted(infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
-            dst = randrange(n - 1)
+            dst = randbelow(getrandbits, n - 1)
             if dst >= node:
                 dst += 1
             packets.append(Packet(pid, True, routes[node, dst]))

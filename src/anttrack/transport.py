@@ -122,25 +122,24 @@ def advance_packets(
 
 def advance_confirmations(
     state: InFlight, pheromones: PheromoneField, params: PheromoneParams
-) -> list[tuple[int, int, bool, float]]:
+) -> list[float]:
     """Advance every confirmation one hop back along its route, updating the
-    pheromone state of the directed connection it traverses.  Returns one
-    (from, to, bad, new value) record per traversal; confirmations that
-    reach the route's source are removed.
+    pheromone state of the directed connection it traverses.  Returns each
+    traversal's new value, in the order of ``state.confirmations`` on entry,
+    which it replaces with a new list, without those that reached the source.
     """
     survivors: list[Packet] = []
-    updates: list[tuple[int, int, bool, float]] = []
-    keep, record = survivors.append, updates.append
+    values: list[float] = []
+    keep, record = survivors.append, values.append
     apply_bad, apply_good = pheromones.apply_bad, pheromones.apply_good
     for conf in state.confirmations:
         route, position = conf.route, conf.position - 1
         conf.position = position
-        u, v = route[position + 1], route[position]
         if conf.bad:
-            record((u, v, True, apply_bad(u, v, params)))
+            record(apply_bad(route[position + 1], route[position], params))
         else:
-            record((u, v, False, apply_good(u, v, params)))
+            record(apply_good(route[position + 1], route[position], params))
         if position:
             keep(conf)
     state.confirmations = survivors
-    return updates
+    return values

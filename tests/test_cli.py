@@ -14,7 +14,7 @@ from anttrack import cli
 from anttrack.cli import main
 from anttrack.engine import SimulationConfig
 from anttrack.pheromone import PheromoneParams, closed_form_value
-from anttrack.topology import NetworkTopology
+from anttrack.topology import InvalidConfig, NetworkTopology
 
 from conftest import SCENARIOS, grid_topology, path_topology, star_topology
 
@@ -739,20 +739,21 @@ POOL_PROBE = """
 import sys
 from anttrack import cli
 
-def pool_modules():
-    return sorted({"concurrent.futures", "multiprocessing"} & sys.modules.keys())
+def loaded(*names):
+    return sorted(set(names) & sys.modules.keys())
 
 print(cli.__file__)
-print(pool_modules())
+print(loaded("concurrent.futures", "multiprocessing", "statistics"))
 code = cli.main(["sweep", "--scenario", sys.argv[1], "--out", sys.argv[2],
                  "--seeds", "1..2", "--jobs", "1", "--set", "max_ticks=10"])
-print(code, pool_modules())
+print(code, loaded("concurrent.futures", "multiprocessing"))
 """
 
 
 def test_import_and_serial_sweep_load_no_process_pool(tmp_path):
     """A fresh interpreter loads neither the process pool nor
-    multiprocessing to import the CLI or to run a serial sweep."""
+    multiprocessing to import the CLI or to run a serial sweep, and imports
+    the CLI without ``statistics``, which only a sweep uses."""
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = tmp_path / "sweep"
@@ -960,3 +961,9 @@ def test_trace_rejects_unknown_mode(tmp_path, capsys):
     assert exc.value.code == 2
     assert "'fig3'" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_trace_events_rejects_unknown_mode_by_name():
+    """The library function checks the mode itself, not only argparse."""
+    with pytest.raises(InvalidConfig, match="unknown trace mode 'fig3'"):
+        cli.trace_events("fig3", 100, "GB")

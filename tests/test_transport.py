@@ -129,8 +129,7 @@ def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected
 def test_bad_confirm_deposits_along_direction(path3):
     field = PheromoneField(path3)
     state = InFlight(confirmations=[Packet(0, True, (0, 1), 1, True)])
-    updates = advance_confirmations(state, field, PARAMS)
-    assert updates == [(1, 0, True, 20.0)]
+    assert advance_confirmations(state, field, PARAMS) == [20.0]
     assert field.read_level(1, 0) == 20.0
     assert field.read_level(0, 1) == 0.0
     assert state.confirmations == []
@@ -142,14 +141,14 @@ def test_good_confirm_decays_each_hop(path3):
     field.apply_bad(1, 0, PARAMS)
     state = InFlight(confirmations=[Packet(0, False, (0, 1, 2), 2, False)])
 
-    updates = advance_confirmations(state, field, PARAMS)
-    assert len(updates) == 1 and updates[0][:2] == (2, 1)
+    values = advance_confirmations(state, field, PARAMS)
+    assert len(values) == 1 and math.isclose(values[0], 19.0, rel_tol=1e-12)
     assert math.isclose(field.read_level(2, 1), 19.0, rel_tol=1e-12)
     assert field.read_level(1, 0) == 20.0
     assert len(state.confirmations) == 1
 
-    updates = advance_confirmations(state, field, PARAMS)
-    assert len(updates) == 1 and updates[0][:2] == (1, 0)
+    values = advance_confirmations(state, field, PARAMS)
+    assert len(values) == 1 and math.isclose(values[0], 19.0, rel_tol=1e-12)
     assert math.isclose(field.read_level(1, 0), 19.0, rel_tol=1e-12)
     assert state.confirmations == []
 
