@@ -28,7 +28,7 @@ config = SimulationConfig(
     seed=SEED,
     log=events.write,
 )
-print(f"topology: 75 nodes, {len(topology.edges)} connections, seed {SEED}")
+print(f"topology: 75 nodes, {len(topology.edge_ids) // 2} connections, seed {SEED}")
 
 metrics = run(config)
 log = events.getvalue().splitlines()

@@ -68,7 +68,7 @@ def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
             data[key] = _SCALAR_KEYS[key](value)
         else:
             raise InvalidConfig(f"{where}: unknown key {key!r}")
-    except (ValueError, TypeError):
+    except ValueError:
         raise InvalidConfig(f"{where}: bad value for {key!r}: {' '.join(tokens)!r}")
 
 
@@ -215,7 +215,7 @@ def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = (
 def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> str:
     lines = [
         f"nodes: {config.topology.node_count}",
-        f"connections: {len(config.topology.edges)}",
+        f"connections: {len(config.topology.edge_ids) // 2}",
         f"seed: {config.seed}",
         f"ticks: {config.max_ticks}",
         f"ants: {config.ant_count}",

@@ -47,7 +47,6 @@ class NetworkTopology:
     """
 
     node_count: int
-    edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...]
     edge_ids: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
@@ -84,7 +83,7 @@ class NetworkTopology:
         if len(seen) < node_count:
             unreachable = [v for v in range(node_count) if v not in seen]
             raise InvalidConfig(f"nodes unreachable from node 0: {unreachable}")
-        return cls(node_count, frozenset(edges), tuple(tuple(sorted(ns)) for ns in neighbors))
+        return cls(node_count, tuple(tuple(sorted(ns)) for ns in neighbors))
 
 
 def _reach_levels(topo: NetworkTopology) -> list[list[int]]:

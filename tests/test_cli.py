@@ -156,7 +156,7 @@ def test_one_node_topology_names_it(tmp_path, capsys):
     # than the only node
     scenario = write_scenario(tmp_path, "nodes 1\n")
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert "node_count must be >= 2, got 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {scenario}: node_count must be >= 2, got 1\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -241,24 +241,42 @@ def test_field_lines_match_replayed_phero_records(scenario, overrides):
     """Each tick's FIELD line is the digest of the levels that the log's
     PHERO lines up to that tick give when replayed by kind alone (``good``
     multiplies by dec, ``bad`` adds inc; the printed value is not read).
-    A direction crossed only by clean confirmations is in the digest at 0.0."""
+    A direction crossed only by clean confirmations is in the digest at 0.0.
+
+    The directions are checked by their own rule: a confirmation's first
+    write starts at the node where its packet ended, and new confirmations
+    walk after the older ones.  So a tick's last k PHERO lines are the
+    first writes of the k packets that ended the tick before, in the order
+    of their outcome lines: each starts at the outcome's node, and is
+    ``bad`` exactly when the packet was detected."""
     config = scenario_config(scenario, overrides)
     _, log = logged_run(config)
     levels: dict[tuple[int, int], float] = {}
     digests = []
+    # (start node, bad) of this tick's PHERO lines, and (node, detected) of
+    # the outcomes of the tick before and of this tick
+    writes: list[tuple[int, bool]] = []
+    ended: list[tuple[int, bool]] = []
+    ending: list[tuple[int, bool]] = []
     for line in log:
         tag, tick, rest = line.split(",", 2)
         if tag == "PHERO":
             u, v, kind, _ = rest.split(",")
             key = int(u), int(v)
+            writes.append((key[0], kind == "bad"))
             if kind == "good":
                 levels[key] = levels.get(key, 0.0) * config.params.decay
             else:
                 assert kind == "bad", line
                 levels[key] = levels.get(key, 0.0) + config.params.increase
+        elif tag == "PKT" and not rest.startswith("spawn,"):
+            event, _, node = rest.split(",")
+            ending.append((int(node), event == "detected"))
         elif tag == "FIELD":
             assert rest == digest_oracle(levels), f"tick {tick}"
             digests.append(rest)
+            assert writes[len(writes) - len(ended):] == ended, f"tick {tick}"
+            writes, ended, ending = [], ending, []
     assert len(digests) == config.max_ticks
     if not config.infections:
         assert levels == dict.fromkeys(config.topology.edge_ids, 0.0)
@@ -400,20 +418,20 @@ def test_derive_rng_streams_are_stable_and_independent():
 
 def test_random_topology_two_nodes():
     topo = generate_random_topology(2, 0.0, random.Random(0))
-    assert topo.edges == frozenset({(0, 1)})
+    assert topo == NetworkTopology.from_edges(2, [(0, 1)])
 
 
 def test_random_topology_complete():
     n = 8
     topo = generate_random_topology(n, 1.0, random.Random(0))
-    assert len(topo.edges) == n * (n - 1) // 2
+    assert len(topo.edge_ids) == n * (n - 1)
 
 
 def test_random_topology_connected_and_reproducible():
     for seed in range(10):
         topo1 = generate_random_topology(75, 0.02, random.Random(seed))
         topo2 = generate_random_topology(75, 0.02, random.Random(seed))
-        assert topo1.edges == topo2.edges
+        assert topo1 == topo2
         # connectivity oracle: breadth-first reach from node 0
         seen = {0}
         frontier = [0]
