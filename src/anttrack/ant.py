@@ -31,11 +31,17 @@ class AntMode(Enum):
     TRACKING = "tracking"
 
 
+# ant_step reads the modes as module names: each ``AntMode.X`` lookup goes
+# through the enum metaclass, about ten times dearer than a global, and
+# ant_step runs once per agent per tick
+WANDERING, TRACKING = AntMode.WANDERING, AntMode.TRACKING
+
+
 @dataclass
 class AntState:
     ant_id: int
     location: int
-    mode: AntMode = AntMode.WANDERING
+    mode: AntMode = WANDERING
     came_from: int | None = None
 
 
@@ -67,9 +73,9 @@ def ant_step(
             if level > best:
                 nxt, best = nb, level
     if nxt is not None:
-        ant.mode = AntMode.TRACKING
-    elif ant.mode is AntMode.TRACKING:
-        ant.mode = AntMode.WANDERING
+        ant.mode = TRACKING
+    elif ant.mode is TRACKING:
+        ant.mode = WANDERING
         ant.came_from = None
         return here
     else:

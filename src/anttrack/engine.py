@@ -33,6 +33,11 @@ def derive_rng(master_seed: int, tag: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+# Far above any shipped scenario (200 agents at most): a larger count only
+# exhausts memory while the agents are built, so it is rejected by name.
+MAX_ANT_COUNT = 10_000
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One run's inputs, checked on construction.  ``infections`` is the
@@ -64,6 +69,8 @@ class SimulationConfig:
             raise InvalidConfig(f"max_ticks must be > 0, got {self.max_ticks}")
         if self.ant_count < 0:
             raise InvalidConfig(f"ant_count must be >= 0, got {self.ant_count}")
+        if self.ant_count > MAX_ANT_COUNT:
+            raise InvalidConfig(f"ant_count must be <= {MAX_ANT_COUNT}, got {self.ant_count}")
         if self.log is not None and not callable(self.log):
             raise InvalidConfig(f"log must be a callable or None, got {self.log!r}")
         seen = set()
@@ -90,40 +97,63 @@ class Metrics:
     infection_tick: dict[int, int] = field(default_factory=dict)
 
 
-def _field_digest(records: dict[tuple[int, int], bytes]) -> str:
+def _field_digest(records: list[bytes]) -> str:
     """First 16 hex digits of the SHA-1 over the ``<iid`` (u, v, value)
-    records, in the map's order, which is edge-id and so (u, v) order; a
-    direction no confirmation has crossed has an empty record."""
-    return hashlib.sha1(b"".join(records.values())).hexdigest()[:16]
+    records, in edge-id and so (u, v) order; a direction no confirmation has
+    crossed has an empty record."""
+    return hashlib.sha1(b"".join(records)).hexdigest()[:16]
 
 
-_pack_record = struct.Struct("<iid").pack
+_pack_value = struct.Struct("<d").pack
 
 
-def _tick_log(tick, new_packets, moved, values, outcomes, records, zeros, ants, declared) -> str:
+class _LogTables:
+    """A logged run's per-direction tables, each a list indexed by edge id:
+    the FIELD-digest record, empty until a confirmation first crosses the
+    direction; the ``<ii`` (u, v) head of that record; the zero PHERO text
+    ``"u,v,good,0"`` with its record; and the ``"u,v,good,"`` and
+    ``"u,v,bad,"`` PHERO prefixes.  Built once per run, from the topology's
+    ``edge_ids``, which stays the one (u, v) -> edge id map."""
+
+    __slots__ = ("ids", "records", "heads", "zeros", "good", "bad")
+
+    def __init__(self, topology: NetworkTopology):
+        pairs = list(topology.edge_ids)
+        self.ids = topology.edge_ids
+        self.records = [b""] * len(pairs)
+        self.heads = [struct.pack("<ii", u, v) for u, v in pairs]
+        self.zeros = [(f"{u},{v},good,0", head + _pack_value(0.0))
+                      for (u, v), head in zip(pairs, self.heads)]
+        self.good = [f"{u},{v},good," for u, v in pairs]
+        self.bad = [f"{u},{v},bad," for u, v in pairs]
+
+
+def _tick_log(tick, new_packets, moved, values, outcomes, tables, ants, declared) -> str:
     """One tick's record lines, each newline-terminated, in log order.
     ``moved`` holds the confirmations that made the tick's field writes and
     ``values`` the value each wrote; a confirmation now at position p wrote
     the direction ``route[p + 1] -> route[p]``.  Each PHERO line also
-    repacks its direction's FIELD-digest record first.  ``zeros`` holds the
-    run's zero text ``"u,v,good,0"`` and packed zero record per direction: a
-    zero value can only follow a clean write, so only a non-zero value is
-    formatted and packed.  A step moves only its own ant, so ANT lines read
-    after the last step show each ant's state after its own step."""
+    repacks its direction's FIELD-digest record in ``tables`` first.  A zero
+    value can only follow a clean write, so its text and record come from
+    the zero table and only a non-zero value is formatted and packed.  A
+    step moves only its own ant, so ANT lines read after the last step show
+    each ant's state after its own step."""
     pkt_tick = f"PKT,{tick},"
     lines = [
         f"{pkt_tick}spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
         for pkt in new_packets
     ]
+    ids, records, heads, zeros = tables.ids, tables.records, tables.heads, tables.zeros
+    good, bad = tables.good, tables.bad
     phero = []
     for conf, value in zip(moved, values):
         route, p = conf.route, conf.position
-        u, v = route[p + 1], route[p]
+        e = ids[route[p + 1], route[p]]
         if value:
-            phero.append(f"{u},{v},{'bad' if conf.bad else 'good'},{value:.9g}")
-            records[u, v] = _pack_record(u, v, value)
+            phero.append(f"{(bad if conf.bad else good)[e]}{value:.9g}")
+            records[e] = heads[e] + _pack_value(value)
         else:
-            text, records[u, v] = zeros[u, v]
+            text, records[e] = zeros[e]
             phero.append(text)
     if phero:
         sep = f"PHERO,{tick},"
@@ -156,10 +186,7 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=randbelow(ant_rngs[i].getrandbits, topo.node_count))
         for i in range(config.ant_count)
     ]
-    # a logged run keeps each direction's FIELD-digest record, in edge-id
-    # order, and its zero PHERO text and record
-    records = dict.fromkeys(topo.edge_ids, b"") if config.log is not None else {}
-    zeros = {(u, v): (f"{u},{v},good,0", _pack_record(u, v, 0.0)) for u, v in records}
+    tables = _LogTables(topo) if config.log is not None else None
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -188,8 +215,8 @@ def run(config: SimulationConfig) -> Metrics:
                 filed.setdefault(node, tick)
 
         if config.log is not None:
-            config.log(_tick_log(tick, new_packets, moved, values, outcomes, records, zeros,
-                                 ants, declared))
+            config.log(_tick_log(tick, new_packets, moved, values, outcomes, tables, ants,
+                                 declared))
 
     if infected and infected.keys() <= first_declared.keys():
         metrics.all_identified_tick = max(first_declared[n] for n in infected)

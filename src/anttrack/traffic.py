@@ -15,6 +15,12 @@ from .topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest
 from .transport import Packet
 
 
+# Far above any shipped scenario (50 and 3 at most): a larger rate only
+# exhausts memory in the first tick's packets, so it is rejected by name.
+MAX_GOOD_PACKETS_PER_TICK = 10_000
+MAX_ATTACK_PACKETS_PER_INFECTED_PER_TICK = 1_000
+
+
 @dataclass(frozen=True)
 class TrafficRates:
     """Fixed integer emission rates per tick."""
@@ -28,6 +34,15 @@ class TrafficRates:
             raise InvalidConfig(f"good_packets_per_tick must be >= 0, got {good}")
         if attack < 1:
             raise InvalidConfig(f"attack_packets_per_infected_per_tick must be >= 1, got {attack}")
+        if good > MAX_GOOD_PACKETS_PER_TICK:
+            raise InvalidConfig(
+                f"good_packets_per_tick must be <= {MAX_GOOD_PACKETS_PER_TICK}, got {good}"
+            )
+        if attack > MAX_ATTACK_PACKETS_PER_INFECTED_PER_TICK:
+            raise InvalidConfig(
+                "attack_packets_per_infected_per_tick must be <= "
+                f"{MAX_ATTACK_PACKETS_PER_INFECTED_PER_TICK}, got {attack}"
+            )
 
 
 class RouteMemo(dict):

@@ -75,9 +75,13 @@ class InFlight:
     confirmations: list[Packet] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PacketOutcome:
-    """Terminal event for one packet: 'detected' or 'delivered' at a node."""
+    """Terminal event for one packet: 'detected' or 'delivered' at a node.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which made building one about four times dearer,
+    and every run builds one per ended packet (see BENCH_26.json)."""
 
     packet_id: int
     event: str

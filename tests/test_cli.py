@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import re
@@ -6,11 +7,12 @@ import stat
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from anttrack import cli
+from anttrack import cli, engine, traffic
 from anttrack.cli import main
 from anttrack.engine import SimulationConfig
 from anttrack.pheromone import PheromoneParams, closed_form_value
@@ -134,6 +136,47 @@ def test_scenario_line_error_names_the_file(tmp_path, capsys, command, text):
     argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]
     assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
     assert capsys.readouterr().err == f"error: {scenario}: {MALFORMED_SCENARIO[text]}\n"
+
+
+COUNT_BOUNDS = {
+    "ant_count": engine.MAX_ANT_COUNT,
+    "good_packets_per_tick": traffic.MAX_GOOD_PACKETS_PER_TICK,
+    "attack_packets_per_infected_per_tick": traffic.MAX_ATTACK_PACKETS_PER_INFECTED_PER_TICK,
+}
+
+
+# Unbounded, the first of these hung and the next two ran out of memory
+# while the agents or the first tick's packets were built.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("ant_count", "9999999999"),
+        ("ant_count", "99999999"),
+        ("good_packets_per_tick", "999999999"),
+        ("attack_packets_per_infected_per_tick", "999999999"),
+    ],
+)
+def test_huge_count_exits_2_at_once_naming_its_key(tmp_path, capsys, key, value):
+    scenario = write_scenario(tmp_path, f"nodes 2\nedge 0 1\n{key} {value}\n")
+    start = time.perf_counter()
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: {key} must be <= {COUNT_BOUNDS[key]}, got {value}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", sorted(COUNT_BOUNDS))
+def test_count_bound_is_accepted_and_far_above_every_shipped_value(tmp_path, key):
+    bound = COUNT_BOUNDS[key]
+    config = config_from(tmp_path, "nodes 2\nedge 0 1\n", [f"{key}={bound}"])
+    assert {"ant_count": config.ant_count, **dataclasses.asdict(config.rates)}[key] == bound
+    with pytest.raises(InvalidConfig, match=f"{key} must be <= {bound}, got {bound + 1}"):
+        config_from(tmp_path, "nodes 2\nedge 0 1\n", [f"{key}={bound + 1}"])
+    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
+    values = [cli.parse_scenario(path).get(key) for path in shipped]
+    assert bound >= 50 * max(v for v in values if v is not None)
 
 
 @pytest.mark.parametrize(
@@ -737,7 +780,7 @@ def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, j
 
 POOL_PROBE = """
 import sys
-from anttrack import cli
+from anttrack import cli, engine, traffic
 
 def loaded(*names):
     return sorted(set(names) & sys.modules.keys())

@@ -13,6 +13,7 @@ from anttrack.transport import (
     DetectorModel,
     InFlight,
     Packet,
+    PacketOutcome,
     advance_confirmations,
     advance_packets,
 )
@@ -51,6 +52,20 @@ def test_good_packet_walkthrough():
     assert confirmation_path(spawned[0]) == (2, 1, 0)
     assert outcomes[0].packet_id == 0
     assert outcomes[0].event == "delivered" and outcomes[0].node == 2
+
+
+def test_packet_records_are_slotted_and_outcomes_compare_by_value():
+    # Both records are built once per packet on the tick path.  Outcomes are
+    # slotted and not frozen, since a frozen dataclass made each one about
+    # four times dearer to build (BENCH_26.json): bring frozen=True back only
+    # with a measurement.
+    state = InFlight(packets=[Packet(0, True, (0, 1, 2)), Packet(1, False, (0, 1))])
+    spawned, outcomes = advance_packets(state, DetectorModel(), random.Random(0))
+    assert [type(out) for out in outcomes] == [PacketOutcome, PacketOutcome]
+    for record in [*spawned, *outcomes]:
+        assert not hasattr(record, "__dict__")
+    assert outcomes == [PacketOutcome(0, "detected", 1), PacketOutcome(1, "delivered", 1)]
+    assert PacketOutcome(0, "detected", 1) != PacketOutcome(0, "delivered", 1)
 
 
 def test_packet_travelling_forward_has_no_kind():
