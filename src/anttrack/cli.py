@@ -31,6 +31,13 @@ def _greedy(value: str) -> str:
     return value
 
 
+def _file_name(value: str) -> str:
+    """A topology file's name; no path may hold a NUL."""
+    if "\0" in value:
+        raise ValueError(value)
+    return value
+
+
 _SCALAR_KEYS = {
     "seed": int,
     "ant_count": int,
@@ -43,7 +50,7 @@ _SCALAR_KEYS = {
     "attack_packets_per_infected_per_tick": int,
     "max_ticks": int,
     "ant_choice": _greedy,
-    "topology_file": str,
+    "topology_file": _file_name,
 }
 
 

@@ -37,6 +37,10 @@ def derive_rng(master_seed: int, tag: str) -> random.Random:
 # exhausts memory while the agents are built, so it is rejected by name.
 MAX_ANT_COUNT = 10_000
 
+# A random topology draws every node pair, quadratic in the node count: 10x
+# the largest shipped or benchmark graph (1000 nodes), drawn in seconds.
+MAX_RANDOM_TOPOLOGY_NODES = 10_000
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -107,62 +111,54 @@ def _field_digest(records: list[bytes]) -> str:
 _pack_value = struct.Struct("<d").pack
 
 
-class _LogTables:
-    """A logged run's per-direction tables, each a list indexed by edge id:
-    the FIELD-digest record, empty until a confirmation first crosses the
-    direction; the ``<ii`` (u, v) head of that record; the zero PHERO text
-    ``"u,v,good,0"`` with its record; and the ``"u,v,good,"`` and
-    ``"u,v,bad,"`` PHERO prefixes.  Built once per run, from the topology's
-    ``edge_ids``, which stays the one (u, v) -> edge id map."""
+def _tick_logger(topology: NetworkTopology, write: Callable[[str], object]):
+    """A logged run's per-tick function: it formats one tick's record lines,
+    each newline-terminated, in log order, and passes them to ``write`` as one
+    string.  Its tables, built here once per run, are lists indexed by edge id
+    through ``edge_ids``, the one (u, v) -> edge id map: the FIELD-digest
+    record, empty until a confirmation first crosses the direction; its
+    ``<ii`` (u, v) head; the zero PHERO text with its record; and the
+    ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO prefixes."""
+    ids = topology.edge_ids
+    pairs = list(ids)
+    records = [b""] * len(pairs)
+    heads = [struct.pack("<ii", u, v) for u, v in pairs]
+    zeros = [(f"{u},{v},good,0", head + _pack_value(0.0)) for (u, v), head in zip(pairs, heads)]
+    good = [f"{u},{v},good," for u, v in pairs]
+    bad = [f"{u},{v},bad," for u, v in pairs]
 
-    __slots__ = ("ids", "records", "heads", "zeros", "good", "bad")
+    def log_tick(tick, new_packets, moved, values, outcomes, ants, declared) -> None:
+        """A confirmation in ``moved`` now at position p wrote its value in
+        ``values`` to ``route[p + 1] -> route[p]``, and its PHERO line repacks
+        that direction's digest record.  Only a clean write can leave zero, so
+        a zero's text and record come from the zero table.  A step moves only
+        its own ant, so ANT lines read after the last step show each ant's
+        state after its own step."""
+        pkt_tick = f"PKT,{tick},"
+        lines = [
+            f"{pkt_tick}spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
+            for pkt in new_packets
+        ]
+        phero = []
+        for conf, value in zip(moved, values):
+            route, p = conf.route, conf.position
+            e = ids[route[p + 1], route[p]]
+            if value:
+                phero.append(f"{(bad if conf.bad else good)[e]}{value:.9g}")
+                records[e] = heads[e] + _pack_value(value)
+            else:
+                text, records[e] = zeros[e]
+                phero.append(text)
+        if phero:
+            sep = f"PHERO,{tick},"
+            lines.append(sep + ("\n" + sep).join(phero))
+        lines.extend(f"{pkt_tick}{out.event},{out.packet_id},{out.node}" for out in outcomes)
+        lines.append(f"FIELD,{tick},{_field_digest(records)}")
+        lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
+        lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)
+        write("\n".join(lines) + "\n")
 
-    def __init__(self, topology: NetworkTopology):
-        pairs = list(topology.edge_ids)
-        self.ids = topology.edge_ids
-        self.records = [b""] * len(pairs)
-        self.heads = [struct.pack("<ii", u, v) for u, v in pairs]
-        self.zeros = [(f"{u},{v},good,0", head + _pack_value(0.0))
-                      for (u, v), head in zip(pairs, self.heads)]
-        self.good = [f"{u},{v},good," for u, v in pairs]
-        self.bad = [f"{u},{v},bad," for u, v in pairs]
-
-
-def _tick_log(tick, new_packets, moved, values, outcomes, tables, ants, declared) -> str:
-    """One tick's record lines, each newline-terminated, in log order.
-    ``moved`` holds the confirmations that made the tick's field writes and
-    ``values`` the value each wrote; a confirmation now at position p wrote
-    the direction ``route[p + 1] -> route[p]``.  Each PHERO line also
-    repacks its direction's FIELD-digest record in ``tables`` first.  A zero
-    value can only follow a clean write, so its text and record come from
-    the zero table and only a non-zero value is formatted and packed.  A
-    step moves only its own ant, so ANT lines read after the last step show
-    each ant's state after its own step."""
-    pkt_tick = f"PKT,{tick},"
-    lines = [
-        f"{pkt_tick}spawn,{pkt.id},{pkt.route[0]},{pkt.route[-1]},{1 if pkt.malicious else 0}"
-        for pkt in new_packets
-    ]
-    ids, records, heads, zeros = tables.ids, tables.records, tables.heads, tables.zeros
-    good, bad = tables.good, tables.bad
-    phero = []
-    for conf, value in zip(moved, values):
-        route, p = conf.route, conf.position
-        e = ids[route[p + 1], route[p]]
-        if value:
-            phero.append(f"{(bad if conf.bad else good)[e]}{value:.9g}")
-            records[e] = heads[e] + _pack_value(value)
-        else:
-            text, records[e] = zeros[e]
-            phero.append(text)
-    if phero:
-        sep = f"PHERO,{tick},"
-        lines.append(sep + ("\n" + sep).join(phero))
-    lines.extend(f"{pkt_tick}{out.event},{out.packet_id},{out.node}" for out in outcomes)
-    lines.append(f"FIELD,{tick},{_field_digest(records)}")
-    lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
-    lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)
-    return "\n".join(lines) + "\n"
+    return log_tick
 
 
 def run(config: SimulationConfig) -> Metrics:
@@ -186,7 +182,7 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=randbelow(ant_rngs[i].getrandbits, topo.node_count))
         for i in range(config.ant_count)
     ]
-    tables = _LogTables(topo) if config.log is not None else None
+    log_tick = None if config.log is None else _tick_logger(topo, config.log)
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -214,9 +210,8 @@ def run(config: SimulationConfig) -> Metrics:
                 filed = first_declared if node in infected else false_declared
                 filed.setdefault(node, tick)
 
-        if config.log is not None:
-            config.log(_tick_log(tick, new_packets, moved, values, outcomes, tables, ants,
-                                 declared))
+        if log_tick is not None:
+            log_tick(tick, new_packets, moved, values, outcomes, ants, declared)
 
     if infected and infected.keys() <= first_declared.keys():
         metrics.all_identified_tick = max(first_declared[n] for n in infected)
@@ -234,6 +229,8 @@ def generate_random_topology(
     and the state the generator leaves ``rng`` in."""
     if node_count < 2:
         raise InvalidConfig(f"node_count must be >= 2, got {node_count}")
+    if node_count > MAX_RANDOM_TOPOLOGY_NODES:
+        raise InvalidConfig(f"node_count must be <= {MAX_RANDOM_TOPOLOGY_NODES}, got {node_count}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise InvalidConfig(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     order = list(range(node_count))

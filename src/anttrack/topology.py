@@ -8,6 +8,7 @@ for the confirmation protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 Route = tuple[int, ...]
 
@@ -59,38 +60,53 @@ class NetworkTopology:
 
     @classmethod
     def from_edges(cls, node_count: int, edge_pairs) -> NetworkTopology:
-        """Build and validate a topology from (a, b) node pairs."""
+        """Build and validate a topology from (a, b) node pairs.  Nothing is
+        allocated per node before the graph is known to be connected, so a
+        huge node count with few edges is refused at once."""
         if node_count < 1:
             raise InvalidConfig(f"node count must be >= 1, got {node_count}")
-        edges: set[tuple[int, int]] = set()
-        neighbors: list[set[int]] = [set() for _ in range(node_count)]
+        neighbors: dict[int, set[int]] = {}
         for i, (a, b) in enumerate(edge_pairs):
             if not (0 <= a < node_count and 0 <= b < node_count):
                 raise InvalidConfig(f"edge ({a}, {b}) references a node outside [0, {node_count})", i)
             if a == b:
                 raise InvalidConfig(f"edge ({a}, {b}) is a self-loop", i)
-            key = (a, b) if a < b else (b, a)
-            if key in edges:
-                raise InvalidConfig(f"edge {key} listed more than once", i)
-            edges.add(key)
-            neighbors[a].add(b)
-            neighbors[b].add(a)
+            if b in neighbors.get(a, ()):
+                raise InvalidConfig(f"edge {(min(a, b), max(a, b))} listed more than once", i)
+            neighbors.setdefault(a, set()).add(b)
+            neighbors.setdefault(b, set()).add(a)
         seen, stack = {0}, [0]
         while stack:
-            new = neighbors[stack.pop()] - seen
+            new = neighbors.get(stack.pop(), set()) - seen
             seen |= new
             stack.extend(new)
         if len(seen) < node_count:
-            unreachable = [v for v in range(node_count) if v not in seen]
-            raise InvalidConfig(f"nodes unreachable from node 0: {unreachable}")
-        return cls(node_count, tuple(tuple(sorted(ns)) for ns in neighbors))
+            unreachable = list(islice((v for v in range(node_count) if v not in seen), 10))
+            more = node_count - len(seen) - len(unreachable)
+            raise InvalidConfig(f"nodes unreachable from node 0: {unreachable}"
+                                + (f" and {more} more" if more else ""))
+        return cls(node_count, tuple(tuple(sorted(neighbors.get(v, ()))) for v in range(node_count)))
+
+
+# The reach levels' budget: each level holds n ints of n bits.  Far above
+# sparse1000's levels (under 2 MiB) and a 1000-node path's (about 119 MiB).
+REACH_LEVEL_BUDGET = 256 << 20
 
 
 def _reach_levels(topo: NetworkTopology) -> list[list[int]]:
     """Breadth-first search from every node at once, one bit per node: for
-    k = 0 .. diameter, bit w of ``levels[k][v]`` is set iff dist(v, w) <= k."""
-    levels = [[1 << v for v in range(topo.node_count)]]
+    k = 0 .. diameter, bit w of ``levels[k][v]`` is set iff dist(v, w) <= k.
+    Each level counts as n * ceil(n / 8) bytes; a graph whose levels would
+    pass ``REACH_LEVEL_BUDGET`` is refused as soon as the next one would."""
+    n = topo.node_count
+    level_bytes = n * -(-n // 8)
+    levels = [[1 << v for v in range(n)]]
     while True:
+        if (len(levels) + 1) * level_bytes > REACH_LEVEL_BUDGET:
+            raise InvalidConfig(
+                f"routing on {n} nodes needs more than {len(levels)} reach levels, "
+                f"past the {REACH_LEVEL_BUDGET / 2**20:g} MiB budget"
+            )
         level = levels[-1]
         nxt = []
         for v, ns in enumerate(topo.adjacency):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from anttrack import cli, engine, traffic
+from anttrack import cli, engine, topology, traffic
 from anttrack.cli import main
 from anttrack.engine import SimulationConfig
 from anttrack.pheromone import PheromoneParams, closed_form_value
@@ -177,6 +177,83 @@ def test_count_bound_is_accepted_and_far_above_every_shipped_value(tmp_path, key
     shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
     values = [cli.parse_scenario(path).get(key) for path in shipped]
     assert bound >= 50 * max(v for v in values if v is not None)
+
+
+# Unbounded, the first two ran out of memory while one neighbour set per
+# node was built, and the third drew pairs for minutes.
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("nodes 99999999999\n",
+         "nodes unreachable from node 0: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 99999999988 more"),
+        ("nodes 99999999999\nedge 0 1\n",
+         "nodes unreachable from node 0: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99999999987 more"),
+        ("random_topology 200000 0.0\n",
+         f"node_count must be <= {engine.MAX_RANDOM_TOPOLOGY_NODES}, got 200000"),
+    ],
+)
+def test_huge_topology_exits_2_at_once_naming_its_size(tmp_path, capsys, body, message):
+    scenario = write_scenario(tmp_path, body)
+    start = time.perf_counter()
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+class NoDraws:
+    """A random source that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"random source used: {name}")
+
+
+def test_random_topology_bound_is_checked_before_any_draw():
+    bound = engine.MAX_RANDOM_TOPOLOGY_NODES
+    with pytest.raises(InvalidConfig, match=f"node_count must be <= {bound}, got {bound + 1}"):
+        engine.generate_random_topology(bound + 1, 0.0, NoDraws())
+
+
+def test_random_topology_bound_far_above_every_shipped_graph():
+    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
+    sizes = [cli.parse_scenario(path).get("random_topology", (0, 0.0))[0] for path in shipped]
+    assert engine.MAX_RANDOM_TOPOLOGY_NODES >= 10 * max(sizes)
+
+
+def ring_scenario(tmp_path: Path, n: int) -> Path:
+    """A scenario of ``max_ticks 5`` on an n-node ring in a topology file."""
+    (tmp_path / "ring.topo").write_text(
+        f"nodes {n}\n" + "".join(f"edge {i} {(i + 1) % n}\n" for i in range(n))
+    )
+    return write_scenario(tmp_path, "topology_file ring.topo\nmax_ticks 5\n")
+
+
+def test_run_past_the_reach_level_budget_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a 3000-node ring needs 1501 reach levels of 3000 * 375 bytes; the
+    # first route of the first tick finds that 239 would pass the budget
+    scenario = ring_scenario(tmp_path, 3000)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: routing on 3000 nodes needs more than 238 reach levels, past the 256 MiB budget\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
+    """The refusal crosses the process pool.  Its workers are forked from
+    this process, so they route under the lowered budget: a 300-node ring's
+    151 levels of 11,400 bytes pass 1 MiB after 91."""
+    monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    scenario = ring_scenario(tmp_path, 300)
+    out = tmp_path / "o"
+    argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2", "--jobs", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: routing on 300 nodes needs more than 91 reach levels, past the 1 MiB budget\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

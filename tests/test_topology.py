@@ -5,13 +5,16 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from anttrack.topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
+from anttrack import cli, topology
+from anttrack.topology import InvalidConfig, NetworkTopology, Route, _reach_levels, randbelow, shortest_route
 from anttrack.traffic import RouteMemo, TrafficRates
 from anttrack.engine import SimulationConfig, derive_rng, generate_random_topology
 from anttrack.pheromone import PheromoneParams
 from anttrack.transport import DetectorModel
 
-from conftest import grid_topology, is_valid_route, pairwise_random_edges, path_topology, reverse_route
+from conftest import (
+    SCENARIOS, grid_topology, is_valid_route, pairwise_random_edges, path_topology, reverse_route,
+)
 
 
 def undirected_edges(topo: NetworkTopology) -> set[tuple[int, int]]:
@@ -50,6 +53,21 @@ def test_disconnected_rejected():
     with pytest.raises(InvalidConfig, match=re.escape("nodes unreachable from node 0: [2]")) as exc:
         NetworkTopology.from_edges(3, [(0, 1)])
     assert exc.value.edge is None
+
+
+# The unreachable list stops at ten nodes, so a huge node count with few
+# edges is named without listing every node.
+@pytest.mark.parametrize(
+    "node_count, message",
+    [
+        (12, "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
+        (1000, "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 988 more"),
+    ],
+)
+def test_unreachable_nodes_named_up_to_ten(node_count, message):
+    with pytest.raises(InvalidConfig) as exc:
+        NetworkTopology.from_edges(node_count, [(0, 1)])
+    assert str(exc.value) == f"nodes unreachable from node 0: {message}"
 
 
 # a fault of one pair gives the pair's index in the list, for the caller to
@@ -124,6 +142,28 @@ def test_route_invalid_endpoint_rejected(path3):
 def test_input_check_raises_invalid_config(check):
     with pytest.raises(InvalidConfig):
         check()
+
+
+def test_reach_levels_stop_at_the_byte_budget(monkeypatch):
+    # a 10-node path has 10 levels of 10 * 2 bytes, and an 11th is built to
+    # find that the 10th is the last
+    path10 = path_topology(10)
+    monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20)
+    assert len(_reach_levels(path10)) == 10
+    monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20 - 1)
+    with pytest.raises(InvalidConfig) as exc:
+        _reach_levels(path10)
+    assert str(exc.value) == (
+        f"routing on 10 nodes needs more than 10 reach levels, past the {219 / 2**20:g} MiB budget"
+    )
+
+
+def test_reach_level_budget_far_above_every_shipped_topology():
+    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
+    for path in shipped:
+        topo = cli.build_config(cli.parse_scenario(path)).topology
+        n = topo.node_count
+        assert 100 * (len(_reach_levels(topo)) + 1) * n * -(-n // 8) <= topology.REACH_LEVEL_BUDGET
 
 
 @given(
