@@ -13,7 +13,7 @@ import sys
 from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 from . import engine
@@ -21,6 +21,12 @@ from .pheromone import PheromoneField, PheromoneParams
 from .topology import InvalidConfig, NetworkTopology
 from .traffic import TrafficRates
 from .transport import DetectorModel
+
+# Far above any shipped or benchmark sweep (20 seeds) and the paper's fig2
+# trace (200 packets): a larger count only exhausts memory while the seed
+# list or the trace is built, so it is rejected by name.
+MAX_SWEEP_SEEDS = 100_000
+MAX_TRACE_PACKETS = 1_000_000
 
 
 def _greedy(value: str) -> str:
@@ -194,6 +200,16 @@ def build_config(data: dict, seed: int | None = None) -> engine.SimulationConfig
         raise InvalidConfig(f"{data['path']}: {exc}")
 
 
+def _run(path: Path, config: engine.SimulationConfig) -> engine.Metrics:
+    """``engine.run`` on a config of the scenario at ``path``.  A fault the
+    run itself finds (reach levels past their budget, at the first route)
+    starts with the scenario's path, as those ``build_config`` finds do."""
+    try:
+        return engine.run(config)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}")
+
+
 def _temp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
@@ -252,7 +268,8 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 
 def cmd_run(args) -> int:
     seed_from = None if args.seed is None else "run takes its seed from --seed"
-    config = build_config(parse_scenario(Path(args.scenario), args.set or (), seed_from), args.seed)
+    data = parse_scenario(Path(args.scenario), args.set or (), seed_from)
+    config = build_config(data, args.seed)
     out_dir = Path(args.out)
     events = out_dir / "events.log"
     events_tmp = _temp_path(events)
@@ -260,7 +277,7 @@ def cmd_run(args) -> int:
     try:
         # the log streams to its temp file one tick at a time
         with open(events_tmp, "w", encoding="utf-8", buffering=1 << 16) as f:
-            metrics = engine.run(replace(config, log=f.write))
+            metrics = _run(data["path"], replace(config, log=f.write))
         _write_outputs(
             [
                 (out_dir / "metrics.csv", engine.metrics_to_csv(metrics)),
@@ -290,13 +307,15 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # one config per free worker: the next is built only once the
             # oldest result is in, so at most ``jobs`` are held at a time
-            pending = deque(pool.submit(engine.run, c) for c in islice(configs, jobs))
+            pending = deque(pool.submit(_run, data["path"], c) for c in islice(configs, jobs))
             results = []
             while pending:
                 results.append(pending.popleft().result())
-                pending.extend(pool.submit(engine.run, c) for c in islice(configs, 1))
+                pending.extend(pool.submit(_run, data["path"], c) for c in islice(configs, 1))
     else:
-        results = [engine.run(c) for c in configs]
+        # map drops each config, with the reach levels its topology holds,
+        # before the next is built
+        results = list(map(_run, repeat(data["path"]), configs))
 
     out_dir = Path(args.out)
     outputs = []
@@ -320,7 +339,9 @@ def cmd_sweep(args) -> int:
 
 
 def _expand_seeds(tokens: list[str]) -> list[int]:
-    """Expand ``--seeds`` tokens, each a range ``A..B``; a plain seed ``N`` is ``N..N``."""
+    """Expand ``--seeds`` tokens, each a range ``A..B``; a plain seed ``N`` is
+    ``N..N``.  More than ``MAX_SWEEP_SEEDS`` seeds in all are refused before
+    the range that passes the bound is expanded."""
     seeds: list[int] = []
     for tok in tokens:
         lo, sep, hi = tok.partition("..")
@@ -330,6 +351,11 @@ def _expand_seeds(tokens: list[str]) -> list[int]:
             raise InvalidConfig(f"bad seed {'range ' if sep else ''}{tok!r}")
         if last < first:
             raise InvalidConfig(f"bad seed range {tok!r}")
+        count = len(seeds) + last - first + 1
+        if count > MAX_SWEEP_SEEDS:
+            raise InvalidConfig(
+                f"--seeds must give <= {MAX_SWEEP_SEEDS} seeds, {tok!r} brings them to {count}"
+            )
         seeds.extend(range(first, last + 1))
     repeated = sorted(seed for seed, k in Counter(seeds).items() if k > 1)
     if repeated:
@@ -346,6 +372,8 @@ def trace_events(mode: str, packets: int, custom: str | None) -> list[bool]:
     if mode == "fig2":
         if packets < 1:
             raise InvalidConfig(f"--packets must be >= 1, got {packets}")
+        if packets > MAX_TRACE_PACKETS:
+            raise InvalidConfig(f"--packets must be <= {MAX_TRACE_PACKETS}, got {packets}")
         return [i % 5 == 0 for i in range(1, packets + 1)]
     if mode != "custom":
         raise InvalidConfig(f"unknown trace mode {mode!r}: expected fig1, fig2 or custom")

@@ -38,8 +38,12 @@ def derive_rng(master_seed: int, tag: str) -> random.Random:
 MAX_ANT_COUNT = 10_000
 
 # A random topology draws every node pair, quadratic in the node count: 10x
-# the largest shipped or benchmark graph (1000 nodes), drawn in seconds.
+# the largest shipped or benchmark graph (1000 nodes), drawn in seconds.  Its
+# expected edge count n(n - 1)/2 * p is bounded too, since each edge costs
+# about 440 bytes while drawn: the bound admits 1000 nodes at p = 1 (499,500
+# edges, about 240 MiB) and refuses 10,000 nodes at p = 1 (about 20 GiB).
 MAX_RANDOM_TOPOLOGY_NODES = 10_000
+MAX_RANDOM_TOPOLOGY_EDGES = 500_000
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,12 @@ def generate_random_topology(
         raise InvalidConfig(f"node_count must be <= {MAX_RANDOM_TOPOLOGY_NODES}, got {node_count}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise InvalidConfig(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
+    expected = node_count * (node_count - 1) / 2 * extra_edge_prob
+    if expected > MAX_RANDOM_TOPOLOGY_EDGES:
+        raise InvalidConfig(
+            f"expected edge count n(n - 1)/2 * p must be <= {MAX_RANDOM_TOPOLOGY_EDGES}, "
+            f"got {expected:.0f} for {node_count} nodes at p = {extra_edge_prob}"
+        )
     order = list(range(node_count))
     rng.shuffle(order)
     tree_above: list[list[int]] = [[] for _ in range(node_count)]

@@ -46,25 +46,16 @@ class TrafficRates:
 
 
 class RouteMemo(dict):
-    """Routes memoised in a dict keyed ``(src, dst)``, and the reach levels
-    they were computed from, for one run: ``memo[src, dst]`` is the
-    minimum-hop route from src to dst.
-
-    The memo owns the levels it passes to ``shortest_route``.  The engine
-    creates one memo per run and drops it when the run returns, so a file or
-    inline topology, which all the seeds of a sweep share, keeps no levels
-    alive.  Routes are computed on the first lookup of a pair, and the
-    levels on the first lookup of any pair: an unused memo builds nothing.
-    """
+    """Routes memoised in a dict keyed ``(src, dst)`` for one run:
+    ``memo[src, dst]`` is the minimum-hop route from src to dst, computed on
+    the first lookup of the pair from the topology's reach levels."""
 
     def __init__(self, topology: NetworkTopology):
         super().__init__()
         self._topology = topology
-        self._levels: list[list[int]] = []
 
     def __missing__(self, pair: tuple[int, int]) -> Route:
-        src, dst = pair
-        route = self[pair] = shortest_route(self._topology, src, dst, self._levels)
+        route = self[pair] = shortest_route(self._topology, *pair)
         return route
 
 

@@ -8,6 +8,7 @@ import statistics
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,27 @@ def test_random_topology_bound_far_above_every_shipped_graph():
     assert engine.MAX_RANDOM_TOPOLOGY_NODES >= 10 * max(sizes)
 
 
+def test_random_topology_edge_bound_is_checked_before_any_draw():
+    # 1000 nodes at p = 1 expect 499,500 edges and 1001 nodes 500,500; the
+    # dense 10,000-node graph would need about 20 GiB, so it is never drawn.
+    # A graph the bounds admit reaches the first draw, where NoDraws stops it.
+    bound = engine.MAX_RANDOM_TOPOLOGY_EDGES
+    assert bound == 500_000
+    for n, p in [(1000, 1.0), (10_000, bound / (10_000 * 9_999 / 2))]:
+        with pytest.raises(AssertionError, match="random source used"):
+            engine.generate_random_topology(n, p, NoDraws())
+    for n, expected in [(1001, 500500), (10_000, 49995000)]:
+        message = f"expected edge count n(n - 1)/2 * p must be <= {bound}, got {expected} "
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            engine.generate_random_topology(n, 1.0, NoDraws())
+
+
+def test_random_topology_edge_bound_far_above_every_shipped_graph():
+    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
+    drawn = [cli.parse_scenario(path).get("random_topology", (0, 0.0)) for path in shipped]
+    assert engine.MAX_RANDOM_TOPOLOGY_EDGES >= 100 * max(n * (n - 1) / 2 * p for n, p in drawn)
+
+
 def ring_scenario(tmp_path: Path, n: int) -> Path:
     """A scenario of ``max_ticks 5`` on an n-node ring in a topology file."""
     (tmp_path / "ring.topo").write_text(
@@ -235,7 +257,8 @@ def test_run_past_the_reach_level_budget_exits_2_and_writes_nothing(tmp_path, ca
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: routing on 3000 nodes needs more than 238 reach levels, past the 256 MiB budget\n"
+        f"error: {scenario}: routing on 3000 nodes needs more than 238 reach levels, "
+        "past the 256 MiB budget\n"
     )
     assert list(out.iterdir()) == []
 
@@ -251,7 +274,21 @@ def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypat
     argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2", "--jobs", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: routing on 300 nodes needs more than 91 reach levels, past the 1 MiB budget\n"
+        f"error: {scenario}: routing on 300 nodes needs more than 91 reach levels, "
+        "past the 1 MiB budget\n"
+    )
+    assert not out.exists()
+
+
+def test_serial_sweep_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
+    scenario = ring_scenario(tmp_path, 300)
+    out = tmp_path / "o"
+    argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: routing on 300 nodes needs more than 91 reach levels, "
+        "past the 1 MiB budget\n"
     )
     assert not out.exists()
 
@@ -637,6 +674,14 @@ def test_trace_packets_must_be_positive(tmp_path, capsys, packets):
     assert not out.exists()
 
 
+def test_trace_packets_bound_is_accepted_and_refused_past_it():
+    bound = cli.MAX_TRACE_PACKETS
+    assert bound >= 50 * 200  # the paper's fig2 trace
+    assert len(cli.trace_events("fig2", bound, None)) == bound
+    with pytest.raises(InvalidConfig, match=f"--packets must be <= {bound}, got {bound + 1}"):
+        cli.trace_events("fig2", bound + 1, None)
+
+
 @pytest.mark.parametrize(
     "mode, events", [("fig1", []), ("custom", ["--events", "GGB"])], ids=["fig1", "custom"]
 )
@@ -911,6 +956,27 @@ def test_sweep_builds_each_config_just_before_its_run(tmp_path, monkeypatch):
     assert all(config.topology is configs[0].topology for config in configs)
 
 
+def test_serial_sweep_drops_each_config_before_building_the_next(tmp_path, monkeypatch):
+    """A topology keeps its reach levels once it has routed, so a serial
+    sweep over random topologies holds one seed's config, and one set of
+    levels, at a time."""
+    built = []
+    real_build = cli.build_config
+
+    def recording_build(data, seed=None):
+        assert [ref() for ref in built] == [None] * len(built)
+        config = real_build(data, seed)
+        built.append(weakref.ref(config.topology))
+        return config
+
+    monkeypatch.setattr(cli, "build_config", recording_build)
+    scenario = write_scenario(tmp_path, "random_topology 20 0.1\nmax_ticks 5\n")
+    code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
+                 "--seeds", "1..3"])
+    assert code == 0
+    assert len(built) == 3
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -1034,6 +1100,47 @@ def test_sweep_seed_token_error_line(tmp_path, monkeypatch, capsys, token, messa
     assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", token]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert runs == []
+    assert not out.exists()
+
+
+def test_sweep_seed_count_bound_is_accepted_and_refused_past_it():
+    bound = cli.MAX_SWEEP_SEEDS
+    assert bound >= 50 * 20  # the largest sweep the README and benchmark show
+    assert cli._expand_seeds([f"1..{bound}"]) == list(range(1, bound + 1))
+    for tokens, last in [([f"0..{bound}"], f"0..{bound}"), (["7", f"1..{bound}"], f"1..{bound}")]:
+        message = f"--seeds must give <= {bound} seeds, {last!r} brings them to {bound + 1}"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            cli._expand_seeds(tokens)
+
+
+# Each ended in a MemoryError traceback with exit 1 under a 1.5 GB address
+# space limit, before the bounds; the same limit keeps a lost bound from
+# exhausting the machine's memory here.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--scenario", str(SCENARIOS / "star10.scn"), "--seeds", "0..9999999999"],
+         f"--seeds must give <= {cli.MAX_SWEEP_SEEDS} seeds, '0..9999999999' brings them to "
+         "10000000000"),
+        (["trace", "--mode", "fig2", "--packets", "9999999999"],
+         f"--packets must be <= {cli.MAX_TRACE_PACKETS}, got 9999999999"),
+    ],
+    ids=["sweep-seeds", "trace-packets"],
+)
+def test_huge_flag_count_exits_2_at_once_naming_it(tmp_path, argv, message):
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+    src = Path(cli.__file__).resolve().parent.parent
+    out = tmp_path / "o"
+    child = subprocess.run(
+        [sys.executable, "-m", "anttrack.cli", *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (2, f"error: {message}\n")
     assert not out.exists()
 
 

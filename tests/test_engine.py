@@ -301,9 +301,10 @@ def test_log_free_run_memory_stays_flat():
     over N, give or take what the route memo adds.
 
     Beyond its inputs, a log-free run holds three things. The route memo
-    holds at most one route per ordered node pair (75 x 74 here) and the
-    reach levels, built in full at the first lookup. The in-flight set holds only packets
-    and confirmations younger than the network's diameter, since each moves
+    holds at most one route per ordered node pair (75 x 74 here), and the
+    topology its reach levels, built in full at the first lookup. The
+    in-flight set holds only packets and confirmations younger than the
+    network's diameter, since each moves
     one hop per tick and traffic enters at a fixed rate. The metrics hold at
     most one entry per node. Between N and 4N ticks, then, the peak can grow
     by no more than the part of the memo still unfilled at N, which is less
@@ -312,10 +313,12 @@ def test_log_free_run_memory_stays_flat():
     test_logged_run_memory_stays_flat checks.
     """
     n = 200
-    config = scenario_config("default75")
-    peak_n = traced_peak(lambda: run(replace(config, max_ticks=n)))
-    peak_4n = traced_peak(lambda: run(replace(config, max_ticks=4 * n)))
-    full_memo = full_memo_peak(config.topology)
+    # each run, and the full memo, on a topology of its own, since the reach
+    # levels are kept with the topology once built
+    config_n, config_4n = scenario_config("default75"), scenario_config("default75")
+    peak_n = traced_peak(lambda: run(replace(config_n, max_ticks=n)))
+    peak_4n = traced_peak(lambda: run(replace(config_4n, max_ticks=4 * n)))
+    full_memo = full_memo_peak(scenario_config("default75").topology)
     assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
 
 

@@ -1,8 +1,10 @@
-"""Grammar fuzz of ``anttrack run``: scenario files and ``--set`` lists built
-from the real key set, with values at and past each bound, non-finite and
-malformed values, missing and extra tokens, and repeated keys.  Whatever
-the input, a run exits 0, 2 or 3; a failure prints one error line and
-leaves no output file and no temp file."""
+"""Grammar fuzz of the command line.  ``anttrack run`` gets scenario files
+and ``--set`` lists built from the real key set, with values at and past
+each bound, non-finite and malformed values, missing and extra tokens, and
+repeated keys; ``anttrack sweep`` and ``trace`` get their flags' values at
+and past each bound and malformed.  Whatever the input, a command exits 0,
+2 or 3; a failure prints one error line (after its usage, when argparse
+refuses the flags) and leaves no output file and no temp file."""
 
 import contextlib
 import io
@@ -107,6 +109,7 @@ def run_in(tmp: Path, text: str, sets: list[str]) -> tuple[int, str]:
 @example(("nodes 4\nedge 0 1\nedge 1 2\nedge 2 3\n", []))
 @example(("nodes 99999999999\nedge 0 1\n", []))
 @example(("random_topology 200000 0.0\n", []))
+@example(("random_topology 1001 1.0\n", []))
 @example(("topology_file sub\n", []))
 # a NUL in a topology file's name once ended in a ValueError traceback
 @example(("topology_file \x00\n", []))
@@ -125,5 +128,68 @@ def test_run_exits_0_2_or_3_and_a_failure_leaves_nothing(case):
         else:
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert err.startswith(("error: ", "i/o error: ")), err
+            assert not out.exists() or list(out.iterdir()) == []
+        assert list(tmp.rglob("*.tmp")) == []
+
+
+SWEEP_SCENARIO = "nodes 3\nedge 0 1\nedge 1 2\ninfected 1\nmax_ticks 3\n"
+# A huge seed range or packet count is at most one past its bound, or so
+# large that building it without the bound fails at once (a range longer
+# than a list can be); a count in between would fill memory first.
+SEED_TOKENS = [
+    "0", "1", "3", "-2", "0..1", "1..3", "2..2", "3..1", "1..2..3", "..5", "5..", "1...3",
+    "x", "", "1.5", "0x10", f"0..{cli.MAX_SWEEP_SEEDS}", f"1..{10**20}", str(10**30),
+]
+FLAGS = {
+    "--jobs": ["1", "2", "0", "-1", str(10**6), "x"],
+    "--mode": ["fig1", "fig2", "custom", "fig3", ""],
+    "--packets": ["1", "200", "0", "-1", str(cli.MAX_TRACE_PACKETS + 1), "1.5", "x"],
+    "--events": ["GGB", "gbgbb", "", "GXB", "B" * 40],
+}
+
+
+@st.composite
+def commands(draw) -> list[str]:
+    """A ``sweep`` or ``trace`` argument list without ``--scenario`` and
+    ``--out``; each flag but ``--mode`` is given or left out."""
+    def maybe(flag):
+        return draw(st.one_of(st.just([]), st.sampled_from(FLAGS[flag]).map(lambda v: [flag, v])))
+
+    if draw(st.booleans()):
+        seeds = draw(st.lists(st.sampled_from(SEED_TOKENS), min_size=1, max_size=3))
+        return ["sweep", "--seeds", *seeds, *maybe("--jobs")]
+    mode = draw(st.sampled_from(FLAGS["--mode"]))
+    return ["trace", "--mode", mode, *maybe("--packets"), *maybe("--events")]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(commands())
+@example(["sweep", "--seeds", "1..3", "--jobs", "2"])
+@example(["sweep", "--seeds", f"0..{10**20}"])
+@example(["sweep", "--seeds", "1..3", f"4..{cli.MAX_SWEEP_SEEDS + 1}"])
+@example(["trace", "--mode", "fig2", "--packets", str(cli.MAX_TRACE_PACKETS + 1)])
+def test_sweep_and_trace_exit_0_2_or_3_and_a_failure_leaves_nothing(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        if argv[0] == "sweep":
+            (tmp / "s.scn").write_text(SWEEP_SCENARIO)
+            argv = [*argv, "--scenario", str(tmp / "s.scn"), "--out", str(out)]
+        else:
+            argv = [*argv, "--out", str(out / "trace.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refused the flags
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        if code == 0:
+            names = sorted(path.name for path in out.iterdir())
+            assert (names == ["trace.csv"]) if argv[0] == "trace" else ("aggregate.csv" in names)
+        else:
+            lines = err.splitlines()
+            assert err.endswith("\n") and [line for line in lines if "error: " in line] == lines[-1:]
             assert not out.exists() or list(out.iterdir()) == []
         assert list(tmp.rglob("*.tmp")) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anttrack import cli, topology
-from anttrack.topology import InvalidConfig, NetworkTopology, Route, _reach_levels, randbelow, shortest_route
+from anttrack.topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
 from anttrack.traffic import RouteMemo, TrafficRates
 from anttrack.engine import SimulationConfig, derive_rng, generate_random_topology
 from anttrack.pheromone import PheromoneParams
@@ -93,29 +93,29 @@ def test_out_of_range_edge_rejected():
 
 
 def test_route_on_path(path3):
-    assert shortest_route(path3, 0, 2, []) == (0, 1, 2)
+    assert shortest_route(path3, 0, 2) == (0, 1, 2)
 
 
 def test_route_tie_break_on_cycle():
     cycle = NetworkTopology.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert shortest_route(cycle, 0, 2, []) == (0, 1, 2)
+    assert shortest_route(cycle, 0, 2) == (0, 1, 2)
 
 
 def test_route_direct_edge_on_complete_graph():
     complete = NetworkTopology.from_edges(
         4, [(a, b) for a in range(4) for b in range(a + 1, 4)]
     )
-    assert shortest_route(complete, 1, 3, []) == (1, 3)
+    assert shortest_route(complete, 1, 3) == (1, 3)
 
 
 def test_route_same_node_rejected(path3):
     with pytest.raises(InvalidConfig, match=re.escape("route requested from node 1 to itself")):
-        shortest_route(path3, 1, 1, [])
+        shortest_route(path3, 1, 1)
 
 
 def test_route_invalid_endpoint_rejected(path3):
     with pytest.raises(InvalidConfig, match=re.escape("invalid endpoints (0, 7)")):
-        shortest_route(path3, 0, 7, [])
+        shortest_route(path3, 0, 7)
 
 
 # every check on the package's input raises the one error type
@@ -127,10 +127,10 @@ def test_route_invalid_endpoint_rejected(path3):
         pytest.param(lambda: DetectorModel(2.0), id="DetectorModel"),
         pytest.param(lambda: SimulationConfig(path_topology(2), max_ticks=0), id="SimulationConfig"),
         pytest.param(lambda: NetworkTopology.from_edges(0, []), id="from_edges"),
-        pytest.param(lambda: shortest_route(path_topology(3), 1, 1, []), id="shortest_route"),
+        pytest.param(lambda: shortest_route(path_topology(3), 1, 1), id="shortest_route"),
         # from_edges rejects a disconnected graph, so only a raw one has no path
         pytest.param(
-            lambda: shortest_route(NetworkTopology(3, ((1,), (0,), ())), 0, 2, []),
+            lambda: shortest_route(NetworkTopology(3, ((1,), (0,), ())), 0, 2),
             id="shortest_route_no_path",
         ),
         pytest.param(
@@ -147,12 +147,11 @@ def test_input_check_raises_invalid_config(check):
 def test_reach_levels_stop_at_the_byte_budget(monkeypatch):
     # a 10-node path has 10 levels of 10 * 2 bytes, and an 11th is built to
     # find that the 10th is the last
-    path10 = path_topology(10)
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20)
-    assert len(_reach_levels(path10)) == 10
+    assert len(path_topology(10).levels) == 10
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20 - 1)
     with pytest.raises(InvalidConfig) as exc:
-        _reach_levels(path10)
+        path_topology(10).levels
     assert str(exc.value) == (
         f"routing on 10 nodes needs more than 10 reach levels, past the {219 / 2**20:g} MiB budget"
     )
@@ -163,7 +162,7 @@ def test_reach_level_budget_far_above_every_shipped_topology():
     for path in shipped:
         topo = cli.build_config(cli.parse_scenario(path)).topology
         n = topo.node_count
-        assert 100 * (len(_reach_levels(topo)) + 1) * n * -(-n // 8) <= topology.REACH_LEVEL_BUDGET
+        assert 100 * (len(topo.levels) + 1) * n * -(-n // 8) <= topology.REACH_LEVEL_BUDGET
 
 
 @given(
@@ -229,7 +228,7 @@ def test_route_length_matches_bfs_oracle():
             for dst in range(n):
                 if src == dst:
                     continue
-                route = shortest_route(topo, src, dst, [])
+                route = shortest_route(topo, src, dst)
                 assert len(route) - 1 == bfs_distance(topo, src, dst)
                 assert is_valid_route(topo, route)
                 assert route[0] == src and route[-1] == dst
@@ -238,8 +237,10 @@ def test_route_length_matches_bfs_oracle():
 def test_route_deterministic():
     rng = random.Random(99)
     topo = generate_random_topology(20, 0.2, rng)
+    # a twin of the same graph builds its own reach levels
+    twin = NetworkTopology(topo.node_count, topo.adjacency)
     for src, dst in [(0, 19), (3, 7), (15, 2)]:
-        assert shortest_route(topo, src, dst, []) == shortest_route(topo, src, dst, [])
+        assert shortest_route(topo, src, dst) == shortest_route(twin, src, dst)
 
 
 def all_min_paths(topo: NetworkTopology, src: int, dst: int) -> list[Route]:
@@ -268,7 +269,7 @@ def test_route_lexicographically_smallest():
     for src in range(topo.node_count):
         for dst in range(topo.node_count):
             if src != dst:
-                assert shortest_route(topo, src, dst, []) == min(all_min_paths(topo, src, dst))
+                assert shortest_route(topo, src, dst) == min(all_min_paths(topo, src, dst))
 
 
 def test_edge_ids_number_directions_in_sorted_order():
@@ -278,30 +279,33 @@ def test_edge_ids_number_directions_in_sorted_order():
     assert list(topo.edge_ids.values()) == list(range(len(directions)))
 
 
-def test_route_levels_are_built_once_and_cached_by_the_caller():
+def test_route_levels_are_built_once_and_kept_with_the_topology():
     topo = grid_topology(4, 4)
-    levels = []
-    assert shortest_route(topo, 0, 15, levels) == (0, 1, 2, 3, 7, 11, 15)
-    built = list(levels)
+    with pytest.raises(InvalidConfig):
+        shortest_route(topo, 5, 5)
+    assert "levels" not in vars(topo)
+    assert shortest_route(topo, 0, 15) == (0, 1, 2, 3, 7, 11, 15)
+    built = topo.levels
     diameter = max(bfs_distance(topo, a, b) for a in range(16) for b in range(16))
-    assert len(levels) == diameter + 1 == 7
+    assert len(built) == diameter + 1 == 7
     for src, dst in [(3, 15), (15, 0), (5, 6)]:
-        assert shortest_route(topo, src, dst, levels) == min(all_min_paths(topo, src, dst))
-    assert len(levels) == len(built)
-    assert all(a is b for a, b in zip(levels, built))
-    # a memo builds its levels on its first lookup, not before
+        assert shortest_route(topo, src, dst) == min(all_min_paths(topo, src, dst))
+    assert topo.levels is built
+    # the derived tables are not fields: equality and repr see the graph only
+    assert topo == grid_topology(4, 4) and repr(topo) == repr(grid_topology(4, 4))
+    # a memo builds the levels on its first lookup, not before
+    topo = grid_topology(4, 4)
     memo = RouteMemo(topo)
-    assert memo._levels == []
+    assert "levels" not in vars(topo)
     memo[0, 15]
-    assert len(memo._levels) == 7
+    assert len(topo.levels) == 7
 
 
 def test_route_along_a_long_path():
     topo = path_topology(200)
-    levels = []
-    assert shortest_route(topo, 0, 199, levels) == tuple(range(200))
-    assert shortest_route(topo, 199, 0, levels) == tuple(range(199, -1, -1))
-    assert len(levels) == 200
+    assert shortest_route(topo, 0, 199) == tuple(range(200))
+    assert shortest_route(topo, 199, 0) == tuple(range(199, -1, -1))
+    assert len(topo.levels) == 200
 
 
 def test_route_across_a_grid_takes_the_smallest_of_its_ties():
@@ -309,7 +313,7 @@ def test_route_across_a_grid_takes_the_smallest_of_its_ties():
     for src, dst in [(0, 35), (35, 0), (5, 30), (30, 5)]:
         paths = all_min_paths(topo, src, dst)
         assert len(paths) == 252
-        assert shortest_route(topo, src, dst, []) == min(paths)
+        assert shortest_route(topo, src, dst) == min(paths)
 
 
 def test_route_on_a_sparse_random_graph_matches_networkx_oracle():
@@ -317,11 +321,10 @@ def test_route_on_a_sparse_random_graph_matches_networkx_oracle():
     topo = generate_random_topology(300, 0.005, random.Random(5))
     graph = nx.Graph(sorted(topo.edge_ids))
     rng = random.Random(6)
-    levels = []
     for _ in range(200):
         src, dst = rng.sample(range(topo.node_count), 2)
         oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
-        assert shortest_route(topo, src, dst, levels) == oracle
+        assert shortest_route(topo, src, dst) == oracle
 
 
 def test_reverse_route_examples():
@@ -336,7 +339,7 @@ def test_reverse_route_involution(hops):
 
 
 def test_reversed_route_still_valid(path10):
-    route = shortest_route(path10, 0, 9, [])
+    route = shortest_route(path10, 0, 9)
     assert is_valid_route(path10, reverse_route(route))
 
 
@@ -359,4 +362,4 @@ def test_route_matches_networkx_oracle(topo):
         for dst in range(topo.node_count):
             if src != dst:
                 oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
-                assert shortest_route(topo, src, dst, []) == oracle
+                assert shortest_route(topo, src, dst) == oracle
