@@ -10,10 +10,10 @@ import argparse
 import math
 import os
 import sys
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import replace
-from itertools import islice, repeat
+from functools import partial
 from pathlib import Path
 
 from . import engine
@@ -290,32 +290,30 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _run_seed(data: dict, seed: int) -> engine.Metrics:
+    """One seed of a sweep, on a config built just before it runs and dropped
+    when it returns.  No check in ``build_config`` depends on the seed, so
+    one that fails does so at each process's first seed, before any run."""
+    return _run(data["path"], build_config(data, seed))
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     data = parse_scenario(Path(args.scenario), args.set or (), "sweep takes its seeds from --seeds")
     seeds = _expand_seeds(args.seeds)
-    # no check in build_config depends on the seed, so one that fails does
-    # so for the first seed, before any run
-    configs = (build_config(data, seed) for seed in seeds)
-
+    run_seed = partial(_run_seed, data)
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:
         # imported here, so that a serial sweep and a plain import load no pool
         from concurrent.futures import ProcessPoolExecutor
 
+        # one chunk of seeds per worker: each unpickles the scenario, and
+        # builds a topology file's reach levels, once
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # one config per free worker: the next is built only once the
-            # oldest result is in, so at most ``jobs`` are held at a time
-            pending = deque(pool.submit(_run, data["path"], c) for c in islice(configs, jobs))
-            results = []
-            while pending:
-                results.append(pending.popleft().result())
-                pending.extend(pool.submit(_run, data["path"], c) for c in islice(configs, 1))
+            results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
     else:
-        # map drops each config, with the reach levels its topology holds,
-        # before the next is built
-        results = list(map(_run, repeat(data["path"]), configs))
+        results = list(map(run_seed, seeds))
 
     out_dir = Path(args.out)
     outputs = []

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -798,46 +799,56 @@ def test_sweep_counts_never_identified_seeds_as_infinite(tmp_path):
     assert agg[1:] == ["1,,,,,", "2,,,,,", "3,,,,,", "summary,,inf,inf,inf,3"]
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    scenario = small_scenario(tmp_path)
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert main(["sweep", "--scenario", str(scenario), "--out", str(serial), "--seeds", "1..4"]) == 0
-    assert main(
-        ["sweep", "--scenario", str(scenario), "--out", str(parallel), "--seeds", "1..4", "--jobs", "2"]
-    ) == 0
-    for name in ["aggregate.csv"] + [f"metrics_seed{s}.csv" for s in range(1, 5)]:
-        assert (serial / name).read_text() == (parallel / name).read_text()
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    # a topology file named by absolute path, and star10.scn's, named
+    # relative to the scenario's directory
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for name, scenario in [("small", small_scenario(tmp_path)), ("star10", SCENARIOS / "star10.scn")]:
+        serial = tmp_path / name / "serial"
+        parallel = tmp_path / name / "parallel"
+        argv = ["sweep", "--scenario", str(scenario), "--seeds", "1..4"]
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert main(argv + ["--out", str(parallel), "--jobs", "2"]) == 0
+        for file in ["aggregate.csv"] + [f"metrics_seed{s}.csv" for s in range(1, 5)]:
+            assert (serial / file).read_text() == (parallel / file).read_text()
 
 
-def in_process_pool(sizes: list[int], events: list[str] | None = None) -> type:
+def in_process_pool(sizes: list[int]) -> type:
     """A stand-in for ProcessPoolExecutor that appends its size to ``sizes``
-    and runs each submitted call in this process when its result is asked
-    for, so no worker process starts; each such ask appends "result" to
-    ``events``.  Its ``map`` is ``Executor``'s own, which, like
-    ProcessPoolExecutor's, submits every item before the first result."""
-
-    class InProcessFuture:
-        def __init__(self, fn, args, kwargs):
-            self._call = fn, args, kwargs
-
-        def result(self, timeout=None):
-            if events is not None:
-                events.append("result")
-            fn, args, kwargs = self._call
-            return fn(*args, **kwargs)
-
-        def cancel(self):
-            return False
+    and runs each submitted call in this process, so no worker process
+    starts."""
 
     class InProcessPool(concurrent.futures.Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def submit(self, fn, /, *args, **kwargs):
-            return InProcessFuture(fn, args, kwargs)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
 
     return InProcessPool
+
+
+def pid_log(path: Path):
+    """A function that appends its arguments, after the id of the process
+    that calls it, as one line of ``path``.  A process pool's workers are
+    forked from this process, so calls made in them are recorded too."""
+
+    def log(*items):
+        with open(path, "a") as f:
+            f.write(" ".join(map(str, (os.getpid(), *items))) + "\n")
+
+    return log
+
+
+def read_pid_log(path: Path) -> dict[int, list[list[str]]]:
+    """The lines ``pid_log`` wrote to ``path``, by process id."""
+    by_pid: dict[int, list[list[str]]] = {}
+    for line in path.read_text().splitlines():
+        pid, *items = line.split()
+        by_pid.setdefault(int(pid), []).append(items)
+    return by_pid
 
 
 @pytest.mark.parametrize("cpus, jobs, expected", [(2, 64, 2), (8, 64, 3), (8, 2, 2), (1, 64, None)])
@@ -854,24 +865,59 @@ def test_sweep_jobs_clamped(tmp_path, monkeypatch, cpus, jobs, expected):
     assert (out / "metrics_seed3.csv").exists()
 
 
-def test_parallel_sweep_builds_one_config_per_free_worker(tmp_path, monkeypatch):
-    """A sweep with two workers holds at most two configs: two are built
-    before the first result is asked for, then one more after each."""
-    events = []
-    real_build = cli.build_config
+def test_pooled_sweep_builds_each_config_in_the_worker_that_runs_it(tmp_path, monkeypatch):
+    """A pooled sweep builds no config in this process: a worker builds each
+    of its seeds' configs just before that seed runs, so it holds one at a
+    time, and the pool is sent seeds, not configs."""
+    log = pid_log(tmp_path / "calls")
+    real_build, real_run = cli.build_config, cli.engine.run
 
     def recording_build(data, seed=None):
-        events.append("build")
+        log("build", seed)
         return real_build(data, seed)
 
+    def recording_run(config):
+        log("run", config.seed)
+        return real_run(config)
+
     monkeypatch.setattr(cli, "build_config", recording_build)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool([], events))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.engine, "run", recording_run)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     scenario = small_scenario(tmp_path)
     code = main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep"),
                  "--seeds", "1..5", "--jobs", "2", "--set", "max_ticks=10"])
     assert code == 0
-    assert events == ["build", "build"] + ["result", "build"] * 3 + ["result", "result"]
+    by_pid = read_pid_log(tmp_path / "calls")
+    assert os.getpid() not in by_pid
+    ran = []
+    for calls in by_pid.values():
+        seeds = [seed for step, seed in calls if step == "run"]
+        assert calls == [[step, seed] for seed in seeds for step in ("build", "run")]
+        ran += seeds
+    assert sorted(ran, key=int) == ["1", "2", "3", "4", "5"]
+
+
+def test_pooled_sweep_builds_the_reach_levels_once_per_worker(tmp_path, monkeypatch):
+    """Each worker of a pooled sweep gets one chunk of seeds, and with it one
+    copy of a topology file's topology, which keeps its reach levels once
+    built: two workers build them twice in all, not once per seed, and this
+    process, which routes nothing, not at all."""
+    log = pid_log(tmp_path / "levels")
+    build = topology.NetworkTopology.levels.build
+
+    @functools.wraps(build)
+    def recording_build(topo):
+        log("levels")
+        return build(topo)
+
+    monkeypatch.setattr(topology.NetworkTopology.levels, "build", recording_build)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code = main(["sweep", "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(tmp_path / "o"),
+                 "--seeds", "1..6", "--jobs", "2", "--set", "max_ticks=5"])
+    assert code == 0
+    by_pid = read_pid_log(tmp_path / "levels")
+    assert os.getpid() not in by_pid
+    assert sum(map(len, by_pid.values())) == 2
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -985,16 +1031,20 @@ def test_serial_sweep_drops_each_config_before_building_the_next(tmp_path, monke
     ],
 )
 def test_sweep_rejected_by_build_config_runs_nothing(tmp_path, monkeypatch, capsys, body, message):
-    # build_config's checks do not depend on the seed, so the first seed's
-    # config fails before any simulation runs
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
+    # build_config's checks do not depend on the seed, so each process's
+    # first seed's config fails before any simulation runs; with --jobs 2
+    # the fault comes from a worker, forked with this engine.run
+    ran = tmp_path / "ran"
+    monkeypatch.setattr(cli.engine, "run", lambda config: ran.touch())
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     scenario = write_scenario(tmp_path, body)
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..3"]) == 2
-    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
-    assert runs == []
-    assert not out.exists()
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep{jobs}"
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..3"]
+        assert main(argv + ["--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+        assert not ran.exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", [["1", "1"], ["1..2", "2"]])
