@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -45,7 +46,6 @@ def _file_name(value: str) -> str:
 
 
 _SCALAR_KEYS = {
-    "seed": int,
     "ant_count": int,
     "inc": float,
     "dec": float,
@@ -69,8 +69,8 @@ def _set_key(data: dict, key: str, tokens: list[str], where: str) -> None:
         elif key == "infect_at":
             tick, node = (int(x) for x in tokens)
             data["infect_at"].append((tick, node))
-        elif key == "nodes":
-            (data["nodes"],) = (int(x) for x in tokens)
+        elif key in ("nodes", "seed"):
+            (data[key],) = (int(x) for x in tokens)
         elif key == "random_topology":
             n, p = tokens
             data["random_topology"] = (int(n), float(p))
@@ -116,16 +116,14 @@ def _read_file(path: Path, keys: Iterable[str] | None = None) -> dict:
     return data
 
 
-def parse_scenario(path: Path, overrides: Iterable[str] = (), seed_from: str | None = None) -> dict:
+def parse_scenario(path: Path, overrides: Iterable[str] = ()) -> dict:
     """Read the scenario file at ``path``, apply ``overrides`` (``key=value``
     strings, each replacing the value of ``infected`` or of a scalar key,
-    each key at most once), and check its one topology source.  A command
-    that takes its seed from a flag says so in ``seed_from``, and a ``seed``
-    override is then an error with that text.  Inline ``nodes``/``edge`` lines or a
-    ``topology_file`` (relative to the scenario's directory) are built once,
-    into ``data["topology"]``; a ``random_topology`` is drawn per seed by
-    ``build_config``.  ``data["path"]`` keeps ``path``, for the faults
-    ``build_config`` finds."""
+    each key at most once), and check its one topology source.  Inline
+    ``nodes``/``edge`` lines or a ``topology_file`` (relative to the
+    scenario's directory) are built once, into ``data["topology"]``; a
+    ``random_topology`` is drawn per seed by ``build_config``.
+    ``data["path"]`` keeps ``path``, for the faults ``build_config`` finds."""
     data = _read_file(path)
     data["path"] = path
     overridden: set[str] = set()
@@ -135,8 +133,6 @@ def parse_scenario(path: Path, overrides: Iterable[str] = (), seed_from: str | N
             raise InvalidConfig(f"override {item!r} is not of the form key=value")
         if key != "infected" and key not in _SCALAR_KEYS:
             raise InvalidConfig(f"override {item!r}: --set takes no key {key!r}")
-        if key == "seed" and seed_from:
-            raise InvalidConfig(f"override {item!r}: {seed_from}")
         if key in overridden:
             raise InvalidConfig(f"override {item!r}: duplicate key {key!r}")
         overridden.add(key)
@@ -218,10 +214,14 @@ def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = (
     """Write all output files: each goes to a temp file beside its target,
     and the temp files replace their targets only once every one is
     complete.  ``staged`` names further targets whose temp files the caller
-    has already written in full; they are replaced along with the rest.  On
-    a failure while writing, the temp files are removed and existing
-    outputs keep their old contents."""
+    has already written in full; they are replaced along with the rest.  A
+    target that is a directory is refused by name before anything is
+    written.  On a failure while writing, the temp files are removed and
+    existing outputs keep their old contents."""
     targets = [path for path, _ in outputs] + list(staged)
+    for path in targets:
+        if path.is_dir():  # its replace would fail after earlier ones were done
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     temps: list[Path] = []
     try:
         for path, content in outputs:
@@ -267,8 +267,7 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 
 
 def cmd_run(args) -> int:
-    seed_from = None if args.seed is None else "run takes its seed from --seed"
-    data = parse_scenario(Path(args.scenario), args.set or (), seed_from)
+    data = parse_scenario(Path(args.scenario), args.set or ())
     config = build_config(data, args.seed)
     out_dir = Path(args.out)
     events = out_dir / "events.log"
@@ -300,7 +299,7 @@ def _run_seed(data: dict, seed: int) -> engine.Metrics:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
-    data = parse_scenario(Path(args.scenario), args.set or (), "sweep takes its seeds from --seeds")
+    data = parse_scenario(Path(args.scenario), args.set or ())
     seeds = _expand_seeds(args.seeds)
     run_seed = partial(_run_seed, data)
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)

@@ -419,7 +419,6 @@ BASE = "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 0 4\n"
 # a value for every key --set accepts, other than the default except for
 # ant_choice, whose only value is its default
 OVERRIDE_VALUES = {
-    "seed": "5",
     "ant_count": "2",
     "inc": "7.5",
     "dec": "0.5",
@@ -462,12 +461,25 @@ def test_scenario_without_parameters_takes_the_dataclass_defaults(tmp_path):
     assert config == SimulationConfig(topology=topology, seed=0)
 
 
-@pytest.mark.parametrize("item", ["nodes=3", "edge=0 1", "infect_at=1 2", "random_topology=5 0.1"])
-def test_override_of_a_structural_key_names_it(tmp_path, capsys, item):
+def test_scenario_seed_line_is_the_default_seed(tmp_path):
+    data = cli.parse_scenario(write_scenario(tmp_path, BASE + "seed 5\n"))
+    assert cli.build_config(data).seed == 5
+    assert cli.build_config(data, 9).seed == 9
+
+
+# seed is a file-only key: run takes it from --seed, sweep from --seeds
+@pytest.mark.parametrize(
+    "item", ["nodes=3", "edge=0 1", "infect_at=1 2", "random_topology=5 0.1", "seed=5"]
+)
+def test_override_of_a_structural_key_names_it(tmp_path, monkeypatch, capsys, item):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
     scenario = small_scenario(tmp_path)
     argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", item]
     assert main(argv) == 2
-    assert repr(item.partition("=")[0]) in capsys.readouterr().err
+    key = item.partition("=")[0]
+    assert capsys.readouterr().err == f"error: override {item!r}: --set takes no key {key!r}\n"
+    assert runs == []
     assert not (tmp_path / "o").exists()
 
 
@@ -627,6 +639,29 @@ def test_failed_write_keeps_existing_outputs(tmp_path, monkeypatch):
     assert code == 3
     assert len(calls) == 2
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "command, old, blocked",
+    [
+        (["run"], "metrics.csv", "events.log"),
+        (["sweep", "--seeds", "1", "2"], "metrics_seed1.csv", "metrics_seed2.csv"),
+    ],
+    ids=["run", "sweep"],
+)
+def test_directory_target_replaces_no_output(tmp_path, capsys, command, old, blocked):
+    # the blocked target comes after the old one, so a replace that failed
+    # only at the directory would already have overwritten the old file
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / old).write_text("old\n")
+    argv = [*command, "--scenario", str(scenario), "--out", str(out), "--set", "max_ticks=5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out / blocked}'\n"
+    assert sorted(path.name for path in out.iterdir()) == sorted([old, blocked])
+    assert (out / old).read_text() == "old\n"
+    assert list((out / blocked).iterdir()) == []
 
 
 def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch):
@@ -1074,7 +1109,7 @@ def test_sweep_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
 
 
 def test_sweep_seed_override_rejected(tmp_path, monkeypatch, capsys):
-    # a sweep's seeds come from --seeds alone
+    # a sweep's seeds come from --seeds alone, and --set takes no seed
     runs = []
     monkeypatch.setattr(cli.engine, "run", runs.append)
     out = tmp_path / "sweep"
@@ -1082,7 +1117,7 @@ def test_sweep_seed_override_rejected(tmp_path, monkeypatch, capsys):
                  "--seeds", "1", "2", "--set", "seed=99", "--set", "max_ticks=50"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: override 'seed=99': sweep takes its seeds from --seeds\n"
+        "error: override 'seed=99': --set takes no key 'seed'\n"
     )
     assert runs == []
     assert not out.exists()
@@ -1091,11 +1126,6 @@ def test_sweep_seed_override_rejected(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        pytest.param(
-            ["run", "--seed", "3", "--set", "seed=5", "--set", "max_ticks=5"],
-            "error: override 'seed=5': run takes its seed from --seed\n",
-            id="run-seed-flag-and-override",
-        ),
         pytest.param(
             ["run", "--set", "max_ticks=5", "--set", "max_ticks=7"],
             "error: override 'max_ticks=7': duplicate key 'max_ticks'\n",
@@ -1116,14 +1146,6 @@ def test_second_value_for_one_input_rejected(tmp_path, monkeypatch, capsys, argv
     assert capsys.readouterr().err == message
     assert runs == []
     assert not out.exists()
-
-
-def test_run_takes_a_seed_override_without_seed_flag(tmp_path):
-    out = tmp_path / "o"
-    argv = ["run", "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(out),
-            "--set", "seed=5", "--set", "max_ticks=5"]
-    assert main(argv) == 0
-    assert "seed: 5\n" in (out / "summary.txt").read_text()
 
 
 def test_sweep_bad_seed_token(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import ast
+import re
 import types
 from pathlib import Path
 
 import anttrack
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_demos_import_only_names_the_package_exports():
@@ -27,3 +30,12 @@ def test_demos_import_only_names_the_package_exports():
     }
     unused = sorted(exported - {name for _, name in imported})
     assert unused == []
+
+
+def test_each_demo_has_one_stdout_pin_in_ci():
+    """CI's ``sha256sum -c`` checks only the files it has pin lines for, so
+    a demo without a pin would pass unchecked: each demo has exactly one
+    pin line, and each pin names a demo."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    pins = re.findall(r"^ *[0-9a-f]{64}  (\S+)\.out$", text, re.MULTILINE)
+    assert sorted(pins) == [demo.name for demo in DEMOS]

@@ -44,7 +44,9 @@ SHAPES = {
     "infect_at": [[0, 2, -1, 99999999999], NODE_IDS],
     "random_topology": [[0, 1, 2, 6, engine.MAX_RANDOM_TOPOLOGY_NODES + 1, 200000], FLOATS],
 }
-STRUCTURAL = ["nodes", "edge", "random_topology", "infected", "infect_at"]
+# keys a scenario file takes other than the scalar ones; --set takes only
+# infected of them, and refuses the others by name
+STRUCTURAL = ["seed", "nodes", "edge", "random_topology", "infected", "infect_at"]
 BASES = [
     "nodes 4\nedge 0 1\nedge 1 2\nedge 2 3\n",
     "topology_file net.topo\n",
@@ -75,7 +77,7 @@ def scenarios(draw) -> tuple[str, list[str]]:
     ``--set`` list.  Only a malformed example has structural, unknown or
     repeated keys, or no or a second topology source."""
     malformed = draw(st.booleans())
-    keys = sorted(cli._SCALAR_KEYS.keys() - {"topology_file"}) + ["infected", "infect_at"]
+    keys = sorted(cli._SCALAR_KEYS.keys() - {"topology_file"}) + ["seed", "infected", "infect_at"]
     if malformed:
         keys = sorted(cli._SCALAR_KEYS) + STRUCTURAL + ["mystery"]
     repeats = malformed and draw(st.booleans())
