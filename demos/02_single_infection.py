@@ -12,6 +12,7 @@ from anttrack import (
     NetworkTopology,
     SimulationConfig,
     TrafficRates,
+    event_log,
     metrics_to_csv,
     run,
 )
@@ -36,7 +37,7 @@ config = SimulationConfig(
     infections=((0, INFECTED),),
     max_ticks=200,
     seed=11,
-    log=events.write,
+    sink=event_log(topology, events.write),
 )
 metrics = run(config)
 log = events.getvalue().splitlines()

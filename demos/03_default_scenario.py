@@ -1,11 +1,11 @@
 """The default 75-node scenario with three infected nodes and three agents.
 
 Shows the identification latency per infected node, the cost accounting
-recovered from the event log, and how little the agents themselves add to
-network traffic: one hop per agent per tick plus the declaration reports.
+counted by the run's sink at the end of each tick, and how little the agents
+themselves add to network traffic: one hop per agent per tick plus the
+declaration reports.
 """
 
-import io
 import statistics
 
 from anttrack import (
@@ -18,7 +18,15 @@ from anttrack import (
 
 SEED = 42
 topology = generate_random_topology(75, 0.02, derive_rng(SEED, "topology"))
-events = io.StringIO()
+agent_hops, confirm_hops, reports = [], [], []
+
+
+def count(tick, new_packets, moved, values, outcomes, ants, declared):
+    agent_hops.append(len(ants))
+    confirm_hops.append(len(values))
+    reports.append(len(declared))
+
+
 config = SimulationConfig(
     topology=topology,
     rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
@@ -26,12 +34,11 @@ config = SimulationConfig(
     infections=((0, 5), (0, 23), (0, 61)),
     max_ticks=1000,
     seed=SEED,
-    log=events.write,
+    sink=count,
 )
 print(f"topology: 75 nodes, {len(topology.edge_ids) // 2} connections, seed {SEED}")
 
 metrics = run(config)
-log = events.getvalue().splitlines()
 
 ##############################################################################
 # Identification results.
@@ -43,23 +50,12 @@ print(f"all three identified by tick {metrics.all_identified_tick}")
 print(f"false declarations: {len(metrics.false_declaration_tick)}")
 
 ##############################################################################
-# Traffic accounting from the log.  Confirmation packets belong to the
-# surrounding confirmation protocol; the agents add only their own hops
-# and the declaration reports.
+# Traffic accounting, counted per tick by the sink.  Confirmation packets
+# belong to the surrounding confirmation protocol; the agents add only their
+# own hops and the declaration reports.
 
-agent_hops = [0] * config.max_ticks
-confirm_hops = [0] * config.max_ticks
-reports = 0
-for line in log:
-    tag, tick, _ = line.split(",", 2)
-    if tag == "ANT":
-        agent_hops[int(tick)] += 1
-    elif tag == "PHERO":
-        confirm_hops[int(tick)] += 1
-    elif tag == "DECL":
-        reports += 1
 print(f"\nagent hops per tick: always {min(agent_hops)} (= number of agents)")
-print(f"declaration reports over the whole run: {reports}")
+print(f"declaration reports over the whole run: {sum(reports)}")
 print(
     "confirmation hops per tick (baseline protocol traffic): "
     f"mean {statistics.fmean(confirm_hops):.1f}, max {max(confirm_hops)}"

@@ -10,6 +10,7 @@ infected.
 from .engine import (
     SimulationConfig,
     derive_rng,
+    event_log,
     generate_random_topology,
     metrics_to_csv,
     run,

@@ -210,6 +210,14 @@ def _temp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
+def _refuse_directories(targets: Iterable[Path]) -> None:
+    """Refuse by name a target that is a directory, whose replace would fail
+    after earlier ones were done; the commands call this before any run."""
+    for path in targets:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = ()) -> None:
     """Write all output files: each goes to a temp file beside its target,
     and the temp files replace their targets only once every one is
@@ -219,9 +227,7 @@ def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = (
     written.  On a failure while writing, the temp files are removed and
     existing outputs keep their old contents."""
     targets = [path for path, _ in outputs] + list(staged)
-    for path in targets:
-        if path.is_dir():  # its replace would fail after earlier ones were done
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    _refuse_directories(targets)
     temps: list[Path] = []
     try:
         for path, content in outputs:
@@ -270,17 +276,20 @@ def cmd_run(args) -> int:
     data = parse_scenario(Path(args.scenario), args.set or ())
     config = build_config(data, args.seed)
     out_dir = Path(args.out)
-    events = out_dir / "events.log"
+    targets = [out_dir / name for name in ("metrics.csv", "summary.txt", "events.log")]
+    _refuse_directories(targets)
+    metrics_csv, summary, events = targets
     events_tmp = _temp_path(events)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         # the log streams to its temp file one tick at a time
         with open(events_tmp, "w", encoding="utf-8", buffering=1 << 16) as f:
-            metrics = _run(data["path"], replace(config, log=f.write))
+            sink = engine.event_log(config.topology, f.write)
+            metrics = _run(data["path"], replace(config, sink=sink))
         _write_outputs(
             [
-                (out_dir / "metrics.csv", engine.metrics_to_csv(metrics)),
-                (out_dir / "summary.txt", _summary_text(config, metrics)),
+                (metrics_csv, engine.metrics_to_csv(metrics)),
+                (summary, _summary_text(config, metrics)),
             ],
             staged=(events,),
         )
@@ -301,6 +310,9 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     data = parse_scenario(Path(args.scenario), args.set or ())
     seeds = _expand_seeds(args.seeds)
+    out_dir = Path(args.out)
+    paths = [out_dir / f"metrics_seed{seed}.csv" for seed in seeds] + [out_dir / "aggregate.csv"]
+    _refuse_directories(paths)
     run_seed = partial(_run_seed, data)
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:
@@ -314,15 +326,14 @@ def cmd_sweep(args) -> int:
     else:
         results = list(map(run_seed, seeds))
 
-    out_dir = Path(args.out)
     outputs = []
     rows = [
         "seed,all_identified_tick,median_all_identified_tick,min_all_identified_tick,"
         "max_all_identified_tick,never_identified"
     ]
     ticks = []
-    for seed, metrics in zip(seeds, results):
-        outputs.append((out_dir / f"metrics_seed{seed}.csv", engine.metrics_to_csv(metrics)))
+    for seed, path, metrics in zip(seeds, paths, results):
+        outputs.append((path, engine.metrics_to_csv(metrics)))
         tick = metrics.all_identified_tick
         rows.append(f"{seed},{'' if tick is None else tick},,,,")
         ticks.append(math.inf if tick is None else tick)
@@ -330,7 +341,7 @@ def cmd_sweep(args) -> int:
     # a seed that never identified every infected node counts as infinite
     stats = (statistics.median(ticks), min(ticks), max(ticks))
     rows.append(f"summary,,{','.join(f'{x:.15g}' for x in stats)},{ticks.count(math.inf)}")
-    outputs.append((out_dir / "aggregate.csv", "\n".join(rows) + "\n"))
+    outputs.append((paths[-1], "\n".join(rows) + "\n"))
     _write_outputs(outputs)
     return 0
 

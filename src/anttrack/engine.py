@@ -4,12 +4,11 @@ Intra-tick order is fixed: (1) scheduled infections, (2) traffic generation,
 (3) confirmation movement (pheromone updates), (4) packet movement
 (inspections; confirmations spawned here first move next tick), (5) agent
 steps against the now-stable field in ant_id order, each declaration filed
-right after the step that makes it.  A logged run formats the tick's records
-once, at the end of the tick, and reads each field write's direction from
-its confirmation; its FIELD digest is the field after packet movement, which
-the agents leave unchanged.  A run is a pure function of its config: the
-master seed derives independent substreams per role, so traffic and
-detection randomness do not depend on how many agents are deployed.
+right after the step that makes it, and (6) the tick's report to its sink.
+The event log, one sink, digests the field after packet movement, which the
+agents leave unchanged.  A run is a pure function of its config: the master
+seed derives independent substreams per role, so traffic and detection
+randomness do not depend on how many agents are deployed.
 """
 
 from __future__ import annotations
@@ -51,11 +50,13 @@ class SimulationConfig:
     """One run's inputs, checked on construction.  ``infections`` is the
     infection schedule: (tick, node) pairs, each node at most once; a node
     is infected at the start of its tick, so tick 0 gives the nodes infected
-    from the outset.  ``log`` is where the event log goes: ``run`` calls it
-    once at the end of each tick with that tick's record lines, each
-    newline-terminated, and keeps none of them.  With ``log=None`` it formats
-    no record line and computes no FIELD digest.  The metrics are the same
-    either way."""
+    from the outset.  At the end of each tick ``run`` calls ``sink(tick,
+    new_packets, moved, values, outcomes, ants, declared)``: the packets
+    spawned, the confirmations moved (each at its new position) and the value
+    each wrote, the packets detected or delivered, every agent, and the (ant
+    id, node) declarations.  A sink reads them during the call, as ``run``
+    mutates them later; a run builds nothing for ``sink=None``, and its
+    metrics do not depend on the sink."""
 
     topology: NetworkTopology
     params: PheromoneParams = PheromoneParams()
@@ -65,7 +66,7 @@ class SimulationConfig:
     infections: tuple[tuple[int, int], ...] = ()
     max_ticks: int = 1000
     seed: int = 0
-    log: Callable[[str], object] | None = None
+    sink: Callable[..., object] | None = None
 
     def __post_init__(self):
         n = self.topology.node_count
@@ -79,8 +80,8 @@ class SimulationConfig:
             raise InvalidConfig(f"ant_count must be >= 0, got {self.ant_count}")
         if self.ant_count > MAX_ANT_COUNT:
             raise InvalidConfig(f"ant_count must be <= {MAX_ANT_COUNT}, got {self.ant_count}")
-        if self.log is not None and not callable(self.log):
-            raise InvalidConfig(f"log must be a callable or None, got {self.log!r}")
+        if self.sink is not None and not callable(self.sink):
+            raise InvalidConfig(f"sink must be a callable or None, got {self.sink!r}")
         seen = set()
         for tick, node in self.infections:
             if tick < 0:
@@ -115,14 +116,14 @@ def _field_digest(records: list[bytes]) -> str:
 _pack_value = struct.Struct("<d").pack
 
 
-def _tick_logger(topology: NetworkTopology, write: Callable[[str], object]):
-    """A logged run's per-tick function: it formats one tick's record lines,
-    each newline-terminated, in log order, and passes them to ``write`` as one
-    string.  Its tables, built here once per run, are lists indexed by edge id
-    through ``edge_ids``, the one (u, v) -> edge id map: the FIELD-digest
-    record, empty until a confirmation first crosses the direction; its
-    ``<ii`` (u, v) head; the zero PHERO text with its record; and the
-    ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO prefixes."""
+def event_log(topology: NetworkTopology, write: Callable[[str], object]):
+    """The event log's sink for a run on ``topology``: it formats a tick's
+    record lines, each newline-terminated, in log order, and passes them to
+    ``write`` as one string.  Its tables, built here once per run, are lists
+    indexed by edge id through ``edge_ids``, the one (u, v) -> edge id map:
+    the FIELD-digest record, empty until a confirmation first crosses the
+    direction; its ``<ii`` (u, v) head; the zero PHERO text with its record;
+    and the ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO prefixes."""
     ids = topology.edge_ids
     pairs = list(ids)
     records = [b""] * len(pairs)
@@ -131,7 +132,7 @@ def _tick_logger(topology: NetworkTopology, write: Callable[[str], object]):
     good = [f"{u},{v},good," for u, v in pairs]
     bad = [f"{u},{v},bad," for u, v in pairs]
 
-    def log_tick(tick, new_packets, moved, values, outcomes, ants, declared) -> None:
+    def sink(tick, new_packets, moved, values, outcomes, ants, declared) -> None:
         """A confirmation in ``moved`` now at position p wrote its value in
         ``values`` to ``route[p + 1] -> route[p]``, and its PHERO line repacks
         that direction's digest record.  Only a clean write can leave zero, so
@@ -162,13 +163,11 @@ def _tick_logger(topology: NetworkTopology, write: Callable[[str], object]):
         lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)
         write("\n".join(lines) + "\n")
 
-    return log_tick
+    return sink
 
 
 def run(config: SimulationConfig) -> Metrics:
-    """Execute max_ticks ticks of the scenario and return its metrics.  With
-    ``config.log`` set, each tick's tick-stamped PKT/PHERO/FIELD/ANT/DECL
-    record lines go to it as one string at the end of that tick."""
+    """Execute max_ticks ticks of the scenario and return its metrics."""
     topo = config.topology
     traffic_rng = derive_rng(config.seed, "traffic")
     detect_rng = derive_rng(config.seed, "detect")
@@ -186,7 +185,6 @@ def run(config: SimulationConfig) -> Metrics:
         AntState(i, location=randbelow(ant_rngs[i].getrandbits, topo.node_count))
         for i in range(config.ant_count)
     ]
-    log_tick = None if config.log is None else _tick_logger(topo, config.log)
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -214,8 +212,8 @@ def run(config: SimulationConfig) -> Metrics:
                 filed = first_declared if node in infected else false_declared
                 filed.setdefault(node, tick)
 
-        if log_tick is not None:
-            log_tick(tick, new_packets, moved, values, outcomes, ants, declared)
+        if config.sink is not None:
+            config.sink(tick, new_packets, moved, values, outcomes, ants, declared)
 
     if infected and infected.keys() <= first_declared.keys():
         metrics.all_identified_tick = max(first_declared[n] for n in infected)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from anttrack import cli
-from anttrack.engine import Metrics, SimulationConfig, run
+from anttrack.engine import Metrics, SimulationConfig, event_log, run
 from anttrack.pheromone import PheromoneField
 from anttrack.topology import NetworkTopology, Route
 
@@ -97,7 +97,7 @@ def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
     """Run with the event log streamed into memory; the metrics and the
     log's record lines."""
     log = io.StringIO()
-    metrics = run(replace(config, log=log.write))
+    metrics = run(replace(config, sink=event_log(config.topology, log.write)))
     return metrics, log.getvalue().splitlines()
 
 

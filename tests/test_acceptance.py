@@ -227,13 +227,12 @@ def test_criterion_6_reinfection_latency_ballpark():
 
 
 def test_criterion_7_storage_bound_after_long_run():
-    # every direction a confirmation crossed, read from the run's PHERO lines
+    # every direction a confirmation crossed: one now at position p of its
+    # route crossed route[p + 1] -> route[p]
     crossed = set()
 
-    def collect(text):
-        crossed.update(
-            tuple(line.split(",")[2:4]) for line in text.splitlines() if line.startswith("PHERO,")
-        )
+    def collect(tick, new_packets, moved, values, outcomes, ants, declared):
+        crossed.update((c.route[c.position + 1], c.route[c.position]) for c in moved)
 
     config = SimulationConfig(
         topology=generate_random_topology(10, 0.2, derive_rng(9, "topology")),
@@ -242,7 +241,7 @@ def test_criterion_7_storage_bound_after_long_run():
         infections=((0, 4),),
         max_ticks=10_000,
         seed=9,
-        log=collect,
+        sink=collect,
     )
     run(config)
     touched = len(crossed)

@@ -646,12 +646,19 @@ def test_failed_write_keeps_existing_outputs(tmp_path, monkeypatch):
     [
         (["run"], "metrics.csv", "events.log"),
         (["sweep", "--seeds", "1", "2"], "metrics_seed1.csv", "metrics_seed2.csv"),
+        (["sweep", "--seeds", "1", "2", "--jobs", "2"], "metrics_seed1.csv", "aggregate.csv"),
     ],
-    ids=["run", "sweep"],
+    ids=["run", "sweep", "sweep-jobs2"],
 )
-def test_directory_target_replaces_no_output(tmp_path, capsys, command, old, blocked):
+def test_directory_target_replaces_no_output(tmp_path, monkeypatch, capsys, command, old, blocked):
     # the blocked target comes after the old one, so a replace that failed
-    # only at the directory would already have overwritten the old file
+    # only at the directory would already have overwritten the old file; the
+    # targets are known before the first tick, so no simulation runs
+    runs, sizes = [], []
+    real_run = cli.engine.run
+    monkeypatch.setattr(cli.engine, "run", lambda config: runs.append(config) or real_run(config))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     scenario = small_scenario(tmp_path)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
@@ -659,6 +666,7 @@ def test_directory_target_replaces_no_output(tmp_path, capsys, command, old, blo
     argv = [*command, "--scenario", str(scenario), "--out", str(out), "--set", "max_ticks=5"]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out / blocked}'\n"
+    assert runs == [] and sizes == []
     assert sorted(path.name for path in out.iterdir()) == sorted([old, blocked])
     assert (out / old).read_text() == "old\n"
     assert list((out / blocked).iterdir()) == []
@@ -973,11 +981,11 @@ def test_sweep_asks_for_no_log_and_run_asks_for_the_log(tmp_path, monkeypatch, j
                  "--seeds", "1..3", "--jobs", str(jobs), "--set", "max_ticks=10"])
     assert code == 0
     assert sizes == ([] if jobs == 1 else [2])
-    assert [(c.seed, c.log) for c in configs] == [(1, None), (2, None), (3, None)]
+    assert [(c.seed, c.sink) for c in configs] == [(1, None), (2, None), (3, None)]
 
     configs.clear()
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
-    assert len(configs) == 1 and callable(configs[0].log)
+    assert len(configs) == 1 and callable(configs[0].sink)
     assert (tmp_path / "run" / "events.log").stat().st_size > 0
 
 

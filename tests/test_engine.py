@@ -12,6 +12,7 @@ from anttrack import cli
 from anttrack.engine import (
     SimulationConfig,
     derive_rng,
+    event_log,
     generate_random_topology,
     metrics_to_csv,
     run,
@@ -179,7 +180,7 @@ def test_all_identified_recomputed_for_late_infection():
         pytest.param({"infections": ((0, 0), (-1, 1))}, id="overrides4"),
         pytest.param({"infections": ((0, 0), (5, 0))}, id="overrides5"),  # node 0 infected twice
         pytest.param({"infections": ((0, -1),)}, id="overrides6"),
-        pytest.param({"log": True}, id="overrides7"),
+        pytest.param({"sink": True}, id="overrides7"),
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -210,7 +211,7 @@ def test_one_node_topology_rejected():
 )
 def test_log_free_run_has_the_same_metrics(scenario, overrides):
     config = scenario_config(scenario, overrides)
-    assert config.log is None
+    assert config.sink is None
     logged, log = logged_run(config)
     assert log
     assert run(config) == logged
@@ -348,6 +349,40 @@ def test_logged_run_memory_stays_flat(tmp_path):
     assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        pytest.param("star10", [], id="star10"),
+        pytest.param("default75", ["max_ticks=200"], id="default75"),
+    ],
+)
+def test_sink_values_match_the_event_log_per_tick(scenario, overrides):
+    """The event log is one sink over the seven values a run reports each
+    tick: a tee sink that records their lengths and feeds ``event_log``
+    sees, every tick, one value per record line of its kind."""
+    config = scenario_config(scenario, overrides)
+    lengths, chunks = [], []
+    log = event_log(config.topology, chunks.append)
+
+    def tee(tick, new_packets, moved, values, outcomes, ants, declared):
+        lengths.append((tick, *map(len, (new_packets, moved, values, outcomes, ants, declared))))
+        log(tick, new_packets, moved, values, outcomes, ants, declared)
+
+    run(replace(config, sink=tee))
+    assert [row[0] for row in lengths] == list(range(config.max_ticks))
+    assert len(chunks) == config.max_ticks
+    for (tick, spawned, moved, values, ended, ants, declared), chunk in zip(lengths, chunks):
+        records = [line.split(",") for line in chunk.splitlines()]
+        assert {int(r[1]) for r in records} == {tick}
+        tags = Counter(r[2] if r[0] == "PKT" else r[0] for r in records)
+        assert tags["spawn"] == spawned, tick
+        assert tags["PHERO"] == values == moved, tick
+        assert tags["detected"] + tags["delivered"] == ended, tick
+        assert tags["ANT"] == ants, tick
+        assert tags["DECL"] == declared, tick
+        assert tags["FIELD"] == 1, tick
+
+
 def test_streamed_log_conserves_records():
     """The log reaches its writer as one newline-terminated chunk per tick,
     holding only that tick's records: one FIELD line, one ANT line per
@@ -357,7 +392,7 @@ def test_streamed_log_conserves_records():
     config = small_config(infections=((0, 3), (40, 7)), max_ticks=120)
     rates = config.rates
     chunks = []
-    run(replace(config, log=chunks.append))
+    run(replace(config, sink=event_log(config.topology, chunks.append)))
     assert len(chunks) == config.max_ticks
     spawned, ended = Counter(), Counter()
     for tick, chunk in enumerate(chunks):
