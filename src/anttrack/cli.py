@@ -1,7 +1,7 @@
 """Command-line entry point: scenario runs, seed sweeps, and pheromone
-value traces.
+value traces, each of which commits its outputs together or not at all.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 143 SIGTERM.
 """
 
 from __future__ import annotations
@@ -10,11 +10,15 @@ import argparse
 import errno
 import math
 import os
+import signal
 import sys
+import threading
 from collections import Counter
 from collections.abc import Iterable
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 from . import engine
@@ -210,35 +214,48 @@ def _temp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
-def _refuse_directories(targets: Iterable[Path]) -> None:
-    """Refuse by name a target that is a directory, whose replace would fail
-    after earlier ones were done; the commands call this before any run."""
-    for path in targets:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+@contextmanager
+def _outputs(directory: Path, names: list[str]):
+    """Stage the files ``names`` in ``directory``: refuse a target that is a
+    directory by name, make ``directory``, and yield a temp path beside each
+    target.  A clean exit checks the targets again, so that no replace fails
+    after earlier ones, then replaces them all; any failure, a signal too,
+    removes the temps and each directory made here."""
+    targets = [directory / name for name in names]
 
+    def refuse_directories():
+        for path in targets:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
-def _write_outputs(outputs: list[tuple[Path, str]], staged: tuple[Path, ...] = ()) -> None:
-    """Write all output files: each goes to a temp file beside its target,
-    and the temp files replace their targets only once every one is
-    complete.  ``staged`` names further targets whose temp files the caller
-    has already written in full; they are replaced along with the rest.  A
-    target that is a directory is refused by name before anything is
-    written.  On a failure while writing, the temp files are removed and
-    existing outputs keep their old contents."""
-    targets = [path for path, _ in outputs] + list(staged)
-    _refuse_directories(targets)
-    temps: list[Path] = []
+    refuse_directories()
+    temps = [_temp_path(path) for path in targets]
+    # a regular file on the way fails its mkdir, before any run
+    missing = takewhile(lambda d: not d.is_dir(), [directory, *directory.parents])
+    made: list[Path] = []
     try:
-        for path, content in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temps.append(_temp_path(path))
-            temps[-1].write_text(content, encoding="utf-8")
-        for tmp, path in zip(temps + [_temp_path(p) for p in staged], targets):
+        for d in reversed(list(missing)):
+            d.mkdir()
+            made.append(d)
+        yield temps
+        refuse_directories()
+        for tmp, path in zip(temps, targets):
             os.replace(tmp, path)
-    finally:
+    except BaseException:
+        # a failed cleanup must not hide the error that caused it
         for tmp in temps:
-            tmp.unlink(missing_ok=True)
+            with suppress(OSError):
+                tmp.unlink()
+        for d in reversed(made):
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
+def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
+    """Write each text in full to its temp path from ``_outputs``."""
+    for tmp, content in outputs:
+        tmp.write_text(content, encoding="utf-8")
 
 
 def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> str:
@@ -275,26 +292,14 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
 def cmd_run(args) -> int:
     data = parse_scenario(Path(args.scenario), args.set or ())
     config = build_config(data, args.seed)
-    out_dir = Path(args.out)
-    targets = [out_dir / name for name in ("metrics.csv", "summary.txt", "events.log")]
-    _refuse_directories(targets)
-    metrics_csv, summary, events = targets
-    events_tmp = _temp_path(events)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    names = ["metrics.csv", "summary.txt", "events.log"]
+    with _outputs(Path(args.out), names) as (metrics_csv, summary, events):
         # the log streams to its temp file one tick at a time
-        with open(events_tmp, "w", encoding="utf-8", buffering=1 << 16) as f:
+        with open(events, "w", encoding="utf-8", buffering=1 << 16) as f:
             sink = engine.event_log(config.topology, f.write)
             metrics = _run(data["path"], replace(config, sink=sink))
-        _write_outputs(
-            [
-                (metrics_csv, engine.metrics_to_csv(metrics)),
-                (summary, _summary_text(config, metrics)),
-            ],
-            staged=(events,),
-        )
-    finally:
-        events_tmp.unlink(missing_ok=True)
+        texts = [engine.metrics_to_csv(metrics), _summary_text(config, metrics)]
+        _write_outputs(list(zip((metrics_csv, summary), texts)))
     return 0
 
 
@@ -310,39 +315,33 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     data = parse_scenario(Path(args.scenario), args.set or ())
     seeds = _expand_seeds(args.seeds)
-    out_dir = Path(args.out)
-    paths = [out_dir / f"metrics_seed{seed}.csv" for seed in seeds] + [out_dir / "aggregate.csv"]
-    _refuse_directories(paths)
+    names = [f"metrics_seed{seed}.csv" for seed in seeds] + ["aggregate.csv"]
     run_seed = partial(_run_seed, data)
     jobs = min(args.jobs, len(seeds), os.cpu_count() or 1)
-    if jobs > 1:
-        # imported here, so that a serial sweep and a plain import load no pool
-        from concurrent.futures import ProcessPoolExecutor
+    with _outputs(Path(args.out), names) as temps:
+        if jobs > 1:
+            # imported here, so that a serial sweep and a plain import load no pool
+            from concurrent.futures import ProcessPoolExecutor
 
-        # one chunk of seeds per worker: each unpickles the scenario, and
-        # builds a topology file's reach levels, once
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
-    else:
-        results = list(map(run_seed, seeds))
-
-    outputs = []
-    rows = [
-        "seed,all_identified_tick,median_all_identified_tick,min_all_identified_tick,"
-        "max_all_identified_tick,never_identified"
-    ]
-    ticks = []
-    for seed, path, metrics in zip(seeds, paths, results):
-        outputs.append((path, engine.metrics_to_csv(metrics)))
-        tick = metrics.all_identified_tick
-        rows.append(f"{seed},{'' if tick is None else tick},,,,")
-        ticks.append(math.inf if tick is None else tick)
-    import statistics  # here, not at module level, so that only a sweep loads it
-    # a seed that never identified every infected node counts as infinite
-    stats = (statistics.median(ticks), min(ticks), max(ticks))
-    rows.append(f"summary,,{','.join(f'{x:.15g}' for x in stats)},{ticks.count(math.inf)}")
-    outputs.append((paths[-1], "\n".join(rows) + "\n"))
-    _write_outputs(outputs)
+            # one chunk of seeds per worker: each unpickles the scenario, and
+            # builds a topology file's reach levels, once
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
+        else:
+            results = list(map(run_seed, seeds))
+        rows = ["seed,all_identified_tick,median_all_identified_tick,min_all_identified_tick,"
+                "max_all_identified_tick,never_identified"]
+        ticks = []
+        for seed, metrics in zip(seeds, results):
+            tick = metrics.all_identified_tick
+            rows.append(f"{seed},{'' if tick is None else tick},,,,")
+            ticks.append(math.inf if tick is None else tick)
+        import statistics  # here, not at module level, so that only a sweep loads it
+        # a seed that never identified every infected node counts as infinite
+        stats = (statistics.median(ticks), min(ticks), max(ticks))
+        rows.append(f"summary,,{','.join(f'{x:.15g}' for x in stats)},{ticks.count(math.inf)}")
+        texts = [engine.metrics_to_csv(metrics) for metrics in results]
+        _write_outputs(list(zip(temps, texts + ["\n".join(rows) + "\n"])))
     return 0
 
 
@@ -412,7 +411,9 @@ def render_trace(events: list[bool], params: PheromoneParams) -> str:
 def cmd_trace(args) -> int:
     params = PheromoneParams(increase=args.inc, decay=args.dec)
     events = trace_events(args.mode, args.packets, args.events)
-    _write_outputs([(Path(args.out), render_trace(events, params))])
+    out = Path(args.out)
+    with _outputs(out.parent, [out.name]) as (tmp,):
+        _write_outputs([(tmp, render_trace(events, params))])
     return 0
 
 
@@ -449,8 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """Run one command.  While it runs, SIGTERM ends it as Ctrl-C does,
+    through its outputs' cleanup, with exit 143; only the main thread may
+    set a signal handler."""
     args = build_parser().parse_args(argv)
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminated) if on_main else None
     try:
         return args.func(args)
     except InvalidConfig as exc:
@@ -459,6 +469,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

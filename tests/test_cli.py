@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import re
+import signal
 import stat
 import statistics
 import subprocess
@@ -261,7 +262,7 @@ def test_run_past_the_reach_level_budget_exits_2_and_writes_nothing(tmp_path, ca
         f"error: {scenario}: routing on 3000 nodes needs more than 238 reach levels, "
         "past the 256 MiB budget\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
@@ -672,18 +673,15 @@ def test_directory_target_replaces_no_output(tmp_path, monkeypatch, capsys, comm
     assert list((out / blocked).iterdir()) == []
 
 
-def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch):
-    scenario = small_scenario(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
-    before = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert sorted(before) == ["events.log", "metrics.csv", "summary.txt"]
+def fail_150th_ant_step(monkeypatch, out: Path) -> tuple[list, list[str]]:
+    """Make the 150th agent step raise OSError: with the small scenario's
+    two agents, that is tick 74 of 120, with the log streaming.  Returns the
+    list of steps taken and the list that gets the names of the temp files
+    in ``out`` when the step fails."""
     real_step = cli.engine.ant_step
-    calls = []
-    temps_seen = []
+    calls, temps_seen = [], []
 
     def fail_150th_step(*args, **kwargs):
-        # two agents, so this is tick 74 of 120, with the log streaming
         calls.append(1)
         if len(calls) == 150:
             temps_seen.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
@@ -691,10 +689,154 @@ def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(cli.engine, "ant_step", fail_150th_step)
+    return calls, temps_seen
+
+
+def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["events.log", "metrics.csv", "summary.txt"]
+    calls, temps_seen = fail_150th_ant_step(monkeypatch, out)
     assert main(["run", "--scenario", str(scenario), "--out", str(out), "--seed", "8"]) == 3
     assert len(calls) == 150
     assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_run_failing_mid_simulation_removes_the_directories_it_made(tmp_path, monkeypatch):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "a" / "b" / "c"
+    _, temps_seen = fail_150th_ant_step(monkeypatch, out)
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 3
+    assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
+    assert not (tmp_path / "a").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.scn"]
+
+
+@pytest.mark.parametrize("held", [{}, {"notes.txt": "mine\n"}], ids=["empty", "unrelated-file"])
+def test_run_failing_mid_simulation_keeps_an_existing_out_directory(tmp_path, monkeypatch, held):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, text in held.items():
+        (out / name).write_text(text)
+    _, temps_seen = fail_150th_ant_step(monkeypatch, out)
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 3
+    assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
+    assert {path.name: path.read_text() for path in out.iterdir()} == held
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["run"], "fo"),
+        (["run"], "fo/sub"),
+        (["sweep", "--seeds", "1", "2"], "fo"),
+        (["sweep", "--seeds", "1", "2"], "fo/sub"),
+        (["sweep", "--seeds", "1", "2", "--jobs", "2"], "fo"),
+        (["sweep", "--seeds", "1", "2", "--jobs", "2"], "fo/sub"),
+        (["trace", "--mode", "fig1"], "fo/sub"),
+    ],
+    ids=["run", "run-under", "sweep", "sweep-under", "sweep-jobs2", "sweep-jobs2-under", "trace-under"],
+)
+def test_out_at_or_under_a_regular_file_runs_nothing(tmp_path, monkeypatch, capsys, command, out):
+    # the staging directory is made before the first tick, and the file
+    # refuses it there
+    runs, sizes = [], []
+    real_run = cli.engine.run
+    monkeypatch.setattr(cli.engine, "run", lambda config: runs.append(config) or real_run(config))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    scenario = small_scenario(tmp_path)
+    fo = tmp_path / "fo"
+    fo.write_bytes(b"kept\n")
+    argv = [*command, "--out", str(tmp_path / out)]
+    if command[0] != "trace":
+        argv += ["--scenario", str(scenario)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno 17] File exists: '{fo}'\n"
+    assert runs == [] and sizes == []
+    assert fo.read_bytes() == b"kept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fo", "scenario.scn"]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [(["run"], "events.log"), (["sweep", "--seeds", "1", "2"], "aggregate.csv")],
+    ids=["run", "sweep"],
+)
+def test_directory_made_at_a_target_during_the_run_replaces_no_output(
+    tmp_path, monkeypatch, capsys, command, blocked
+):
+    # the last target becomes a directory while the simulation runs: the
+    # check before the first replace finds it, so no output is replaced
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "out"
+    argv = [*command, "--scenario", str(scenario), "--out", str(out)]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    real_run = cli.engine.run
+
+    def run_then_block(config):
+        if (out / blocked).is_file():
+            (out / blocked).unlink()
+            (out / blocked).mkdir()
+        return real_run(config)
+
+    monkeypatch.setattr(cli.engine, "run", run_then_block)
+    # a one-tick run declares nothing, so every output file would change
+    assert main([*argv, "--set", "max_ticks=1"]) == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out / blocked}'\n"
+    after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert after == {name: data for name, data in before.items() if name != blocked}
+    assert list((out / blocked).iterdir()) == []
+
+
+def test_sigterm_mid_run_exits_143_and_leaves_nothing(tmp_path):
+    """``timeout`` and service managers stop a command with SIGTERM; it
+    cleans up as Ctrl-C does, so the streaming log's temp file goes with
+    the ``--out`` directory the run made."""
+    body = SMALL.format(topo=SCENARIOS / "star10.topo")
+    scenario = write_scenario(tmp_path, body.replace("max_ticks 120", f"max_ticks {10**24}"))
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parent.parent
+    child = subprocess.Popen(
+        [sys.executable, "-m", "anttrack.cli", "run", "--scenario", str(scenario), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stderr=subprocess.PIPE,
+    )
+    temp = out / f".events.log.{child.pid}.tmp"
+    try:
+        deadline = time.monotonic() + 60
+        # once the log has flushed once, the simulation is under way
+        while not (temp.exists() and temp.stat().st_size > 0):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, err) == (143, b"")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("packets, code", [("1", 0), ("0", 2)])
+def test_main_restores_the_sigterm_handler(tmp_path, packets, code):
+    before = signal.getsignal(signal.SIGTERM)
+    argv = ["trace", "--mode", "fig2", "--packets", packets, "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == code
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_main_runs_off_the_main_thread(tmp_path):
+    """Only the main thread may set a signal handler, so elsewhere ``main``
+    leaves SIGTERM as it is."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        done = pool.submit(main, ["trace", "--mode", "fig1", "--out", str(tmp_path / "t.csv")])
+        assert done.result() == 0
+    assert (tmp_path / "t.csv").exists()
 
 
 def test_trace_fig1_values(tmp_path):
