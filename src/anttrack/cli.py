@@ -175,9 +175,9 @@ def _given(data: dict, *keys: str, **renamed: str) -> dict:
 def build_config(data: dict, seed: int | None = None) -> engine.SimulationConfig:
     """One seed's SimulationConfig from a parsed scenario: the seed (the
     scenario's when ``seed`` is None), a ``random_topology`` draw from it,
-    and the dataclasses, which check themselves; a fault they find starts
-    with the scenario's path.  It opens no file, and no check it makes
-    depends on the seed."""
+    and the dataclasses, which check themselves, reach levels too; a fault
+    they find starts with the scenario's path.  It opens no file, and only
+    the reach levels' check depends on the seed, via ``random_topology``."""
     seed = data.get("seed", engine.SimulationConfig.seed) if seed is None else seed
     infections = [(0, node) for node in data.get("infected", ())] + data["infect_at"]
     try:
@@ -200,20 +200,6 @@ def build_config(data: dict, seed: int | None = None) -> engine.SimulationConfig
         raise InvalidConfig(f"{data['path']}: {exc}")
 
 
-def _run(path: Path, config: engine.SimulationConfig) -> engine.Metrics:
-    """``engine.run`` on a config of the scenario at ``path``.  A fault the
-    run itself finds (reach levels past their budget, at the first route)
-    starts with the scenario's path, as those ``build_config`` finds do."""
-    try:
-        return engine.run(config)
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"{path}: {exc}")
-
-
-def _temp_path(path: Path) -> Path:
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-
 @contextmanager
 def _outputs(directory: Path, names: list[str]):
     """Stage the files ``names`` in ``directory``: refuse a target that is a
@@ -229,7 +215,7 @@ def _outputs(directory: Path, names: list[str]):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     refuse_directories()
-    temps = [_temp_path(path) for path in targets]
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
     # a regular file on the way fails its mkdir, before any run
     missing = takewhile(lambda d: not d.is_dir(), [directory, *directory.parents])
     made: list[Path] = []
@@ -297,7 +283,7 @@ def cmd_run(args) -> int:
         # the log streams to its temp file one tick at a time
         with open(events, "w", encoding="utf-8", buffering=1 << 16) as f:
             sink = engine.event_log(config.topology, f.write)
-            metrics = _run(data["path"], replace(config, sink=sink))
+            metrics = engine.run(replace(config, sink=sink))
         texts = [engine.metrics_to_csv(metrics), _summary_text(config, metrics)]
         _write_outputs(list(zip((metrics_csv, summary), texts)))
     return 0
@@ -305,9 +291,9 @@ def cmd_run(args) -> int:
 
 def _run_seed(data: dict, seed: int) -> engine.Metrics:
     """One seed of a sweep, on a config built just before it runs and dropped
-    when it returns.  No check in ``build_config`` depends on the seed, so
-    one that fails does so at each process's first seed, before any run."""
-    return _run(data["path"], build_config(data, seed))
+    when it returns.  A failing check fails at each process's first seed,
+    before any run, but for the reach levels of a ``random_topology`` draw."""
+    return engine.run(build_config(data, seed))
 
 
 def cmd_sweep(args) -> int:
@@ -321,12 +307,20 @@ def cmd_sweep(args) -> int:
     with _outputs(Path(args.out), names) as temps:
         if jobs > 1:
             # imported here, so that a serial sweep and a plain import load no pool
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # one chunk of seeds per worker: each unpickles the scenario, and
             # builds a topology file's reach levels, once
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
+                try:
+                    results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
+                except BaseException:
+                    # a worker takes a signal as its chunk's error, and the pool's exit
+                    # waits for every chunk: kill them, so a SIGTERM ends the sweep at once
+                    for worker in multiprocessing.active_children():
+                        worker.kill()
+                    raise
         else:
             results = list(map(run_seed, seeds))
         rows = ["seed,all_identified_tick,median_all_identified_tick,min_all_identified_tick,"

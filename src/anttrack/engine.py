@@ -91,6 +91,8 @@ class SimulationConfig:
             if node in seen:
                 raise InvalidConfig(f"node {node} would be infected twice")
             seen.add(node)
+        # last, routing's reach levels: a config past their budget never runs
+        self.topology.levels
 
 
 @dataclass

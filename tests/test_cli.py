@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import math
@@ -253,8 +254,9 @@ def ring_scenario(tmp_path: Path, n: int) -> Path:
 
 
 def test_run_past_the_reach_level_budget_exits_2_and_writes_nothing(tmp_path, capsys):
-    # a 3000-node ring needs 1501 reach levels of 3000 * 375 bytes; the
-    # first route of the first tick finds that 239 would pass the budget
+    # a 3000-node ring needs 1501 reach levels of 3000 * 375 bytes; its
+    # config, built before any output is staged, finds that 239 would pass
+    # the budget
     scenario = ring_scenario(tmp_path, 3000)
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
@@ -267,8 +269,8 @@ def test_run_past_the_reach_level_budget_exits_2_and_writes_nothing(tmp_path, ca
 
 def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
     """The refusal crosses the process pool.  Its workers are forked from
-    this process, so they route under the lowered budget: a 300-node ring's
-    151 levels of 11,400 bytes pass 1 MiB after 91."""
+    this process, so they build configs under the lowered budget: a 300-node
+    ring's 151 levels of 11,400 bytes pass 1 MiB after 91."""
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     scenario = ring_scenario(tmp_path, 300)
@@ -389,6 +391,18 @@ def test_invalid_override_value(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'\n"
     )
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "1"]], ids=["run", "sweep"])
+def test_override_without_equals_rejected(tmp_path, monkeypatch, capsys, command):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    out = tmp_path / "o"
+    argv = [*command, "--scenario", str(small_scenario(tmp_path)), "--out", str(out)]
+    assert main([*argv, "--set", "max_ticks"]) == 2
+    assert capsys.readouterr().err == "error: override 'max_ticks' is not of the form key=value\n"
+    assert runs == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -822,6 +836,37 @@ def test_sigterm_mid_run_exits_143_and_leaves_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled sweep needs two cores")
+def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
+    """A SIGTERM sent to a pooled sweep's own process, not to its group,
+    kills its workers rather than waiting for their chunks of seeds (about
+    4 s here), and the sweep exits 143 with nothing left: no ``--out``
+    directory and no process in its group."""
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parent.parent
+    child = subprocess.Popen(
+        [sys.executable, "-m", "anttrack.cli", "sweep", "--scenario", str(SCENARIOS / "default75.scn"),
+         "--seeds", "1..40", "--jobs", "2", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.5)  # so the workers are under way
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=2)
+        assert (child.returncode, err) == (143, b"")
+        assert not out.exists()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+
+
 @pytest.mark.parametrize("packets, code", [("1", 0), ("0", 2)])
 def test_main_restores_the_sigterm_handler(tmp_path, packets, code):
     before = signal.getsignal(signal.SIGTERM)
@@ -1086,7 +1131,7 @@ def test_pooled_sweep_builds_the_reach_levels_once_per_worker(tmp_path, monkeypa
     """Each worker of a pooled sweep gets one chunk of seeds, and with it one
     copy of a topology file's topology, which keeps its reach levels once
     built: two workers build them twice in all, not once per seed, and this
-    process, which routes nothing, not at all."""
+    process, which builds no config, not at all."""
     log = pid_log(tmp_path / "levels")
     build = topology.NetworkTopology.levels.build
 
@@ -1188,7 +1233,7 @@ def test_sweep_builds_each_config_just_before_its_run(tmp_path, monkeypatch):
 
 
 def test_serial_sweep_drops_each_config_before_building_the_next(tmp_path, monkeypatch):
-    """A topology keeps its reach levels once it has routed, so a serial
+    """A topology keeps its reach levels once built, so a serial
     sweep over random topologies holds one seed's config, and one set of
     levels, at a time."""
     built = []

@@ -303,7 +303,7 @@ def test_log_free_run_memory_stays_flat():
 
     Beyond its inputs, a log-free run holds three things. The route memo
     holds at most one route per ordered node pair (75 x 74 here), and the
-    topology its reach levels, built in full at the first lookup. The
+    topology its reach levels, built in full with the config. The
     in-flight set holds only packets and confirmations younger than the
     network's diameter, since each moves
     one hop per tick and traffic enters at a fixed rate. The metrics hold at

@@ -157,6 +157,19 @@ def test_reach_levels_stop_at_the_byte_budget(monkeypatch):
     )
 
 
+def test_config_builds_the_reach_levels_and_is_refused_past_their_budget(monkeypatch):
+    # a config that builds can run: its topology's levels are built with it
+    topo = path_topology(10)
+    SimulationConfig(topo)
+    assert len(vars(topo)["levels"]) == 10
+    monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20 - 1)
+    with pytest.raises(InvalidConfig) as exc:
+        SimulationConfig(path_topology(10))
+    assert str(exc.value) == (
+        f"routing on 10 nodes needs more than 10 reach levels, past the {219 / 2**20:g} MiB budget"
+    )
+
+
 def test_reach_level_budget_far_above_every_shipped_topology():
     shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
     for path in shipped:
