@@ -36,7 +36,7 @@ config = SimulationConfig(
     seed=SEED,
     sink=count,
 )
-print(f"topology: 75 nodes, {len(topology.edge_ids) // 2} connections, seed {SEED}")
+print(f"topology: 75 nodes, {sum(map(len, topology.adjacency)) // 2} connections, seed {SEED}")
 
 metrics = run(config)
 

@@ -37,7 +37,7 @@ class AntMode(Enum):
 WANDERING, TRACKING = AntMode.WANDERING, AntMode.TRACKING
 
 
-@dataclass
+@dataclass(slots=True)
 class AntState:
     ant_id: int
     location: int

@@ -247,7 +247,7 @@ def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
 def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> str:
     lines = [
         f"nodes: {config.topology.node_count}",
-        f"connections: {len(config.topology.edge_ids) // 2}",
+        f"connections: {sum(map(len, config.topology.adjacency)) // 2}",
         f"seed: {config.seed}",
         f"ticks: {config.max_ticks}",
         f"ants: {config.ant_count}",

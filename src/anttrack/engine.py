@@ -122,12 +122,12 @@ def event_log(topology: NetworkTopology, write: Callable[[str], object]):
     """The event log's sink for a run on ``topology``: it formats a tick's
     record lines, each newline-terminated, in log order, and passes them to
     ``write`` as one string.  Its tables, built here once per run, are lists
-    indexed by edge id through ``edge_ids``, the one (u, v) -> edge id map:
-    the FIELD-digest record, empty until a confirmation first crosses the
+    indexed by edge id, read through the topology's ``out_ids`` rows: the
+    FIELD-digest record, empty until a confirmation first crosses the
     direction; its ``<ii`` (u, v) head; the zero PHERO text with its record;
     and the ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO prefixes."""
-    ids = topology.edge_ids
-    pairs = list(ids)
+    rows = topology.out_ids
+    pairs = [(u, v) for u, row in rows.items() for v in row]
     records = [b""] * len(pairs)
     heads = [struct.pack("<ii", u, v) for u, v in pairs]
     zeros = [(f"{u},{v},good,0", head + _pack_value(0.0)) for (u, v), head in zip(pairs, heads)]
@@ -149,7 +149,7 @@ def event_log(topology: NetworkTopology, write: Callable[[str], object]):
         phero = []
         for conf, value in zip(moved, values):
             route, p = conf.route, conf.position
-            e = ids[route[p + 1], route[p]]
+            e = rows[route[p + 1]][route[p]]
             if value:
                 phero.append(f"{(bad if conf.bad else good)[e]}{value:.9g}")
                 records[e] = heads[e] + _pack_value(value)

@@ -5,9 +5,9 @@ confirmation events: a detected-attack confirmation adds a fixed boost, a
 clean confirmation multiplies the whole value by a decay factor.  The value
 is algebraically the sum, over past bad events, of boost * decay^(number of
 clean events seen since that bad event).  The live representation is the
-O(1) running value, one float per directed connection in a
-``PheromoneField``; it holds the only implementation of the update rule.
-The literal sum is ``closed_form_value``, the independent cross-check.
+O(1) running value in a ``PheromoneField``, one float per direction at its
+``out_ids`` id, and the field holds the only implementation of the update
+rule.  The literal sum is ``closed_form_value``, the independent check.
 """
 
 from __future__ import annotations
@@ -62,31 +62,41 @@ def closed_form_value(events, params: PheromoneParams) -> float:
 class PheromoneField:
     """Directed pheromone values for every connection of a topology.
 
-    One float per directed connection, at the topology's CSR edge id, in a
-    single ``array('d')``.  Both directions of a connection are independent.
-    Reads never write, so read paths cannot perturb the field.  A node pair
-    that is not a connection raises ``KeyError`` naming the pair.
+    One float per directed connection in a single ``array('d')``, at its id
+    ``topology.out_ids[u][v]``.  Both directions of a connection are
+    independent.  Reads never write, so read paths cannot perturb the field.
+    A pair that is not a connection, or names a node outside the topology,
+    raises ``KeyError`` naming the pair.
     """
 
     def __init__(self, topology):
-        self._ids = topology.edge_ids
-        self._values = array("d", bytes(8 * len(self._ids)))
+        self._rows = topology.out_ids
+        self._values = array("d", bytes(8 * sum(map(len, topology.adjacency))))
 
     def apply_good(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
         """A clean confirmation crossed the direction: decay its value."""
-        i = self._ids[from_node, to_node]
+        try:
+            i = self._rows[from_node][to_node]
+        except KeyError:
+            raise KeyError((from_node, to_node)) from None
         value = self._values[i] = self._values[i] * params.decay
         return value
 
     def apply_bad(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
         """A detected-attack confirmation crossed the direction: boost it."""
-        i = self._ids[from_node, to_node]
+        try:
+            i = self._rows[from_node][to_node]
+        except KeyError:
+            raise KeyError((from_node, to_node)) from None
         value = self._values[i] = self._values[i] + params.increase
         return value
 
     def read_level(self, from_node: int, to_node: int) -> float:
         """Current value for a direction; 0.0 if never touched."""
-        return self._values[self._ids[from_node, to_node]]
+        try:
+            return self._values[self._rows[from_node][to_node]]
+        except KeyError:
+            raise KeyError((from_node, to_node)) from None
 
     @property
     def bytes_per_direction(self) -> int:

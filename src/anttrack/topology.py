@@ -61,19 +61,21 @@ class NetworkTopology:
     Each directed connection (u, v) has an id in CSR order: node u's
     connections take consecutive ids in the order of its sorted neighbours,
     after those of every smaller node, so ids follow (u, v) order and run
-    from 0 to 2E - 1.  ``edge_ids`` maps (u, v) to its id.
+    from 0 to 2E - 1.  ``out_ids[u][v]`` is the id of u -> v, one dict row
+    per node: a lookup hashes two ints, not a (u, v) tuple, and a negative
+    node is a missing key where a list would index another node's row.
     """
 
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
 
     @_built_once
-    def edge_ids(self) -> dict[tuple[int, int], int]:
-        ids: dict[tuple[int, int], int] = {}
+    def out_ids(self) -> dict[int, dict[int, int]]:
+        rows, first = {}, 0
         for u, ns in enumerate(self.adjacency):
-            for v in ns:
-                ids[u, v] = len(ids)
-        return ids
+            rows[u] = dict(zip(ns, range(first, first + len(ns))))
+            first += len(ns)
+        return rows
 
     @classmethod
     def from_edges(cls, node_count: int, edge_pairs) -> NetworkTopology:

@@ -69,11 +69,17 @@ def confirmation_path(conf) -> Route:
     return conf.route[conf.position::-1]
 
 
+def directions(topo: NetworkTopology) -> list[tuple[int, int]]:
+    """Every directed connection (u, v) in edge-id order, read from the
+    adjacency lists alone: u ascending, then u's sorted neighbours."""
+    return [(u, v) for u, ns in enumerate(topo.adjacency) for v in ns]
+
+
 def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
     """True if route is a simple path over existing connections."""
     if len(route) < 2 or len(set(route)) != len(route):
         return False
-    return all((a, b) in topo.edge_ids for a, b in zip(route, route[1:]))
+    return set(zip(route, route[1:])) <= set(directions(topo))
 
 
 class RecordingField(PheromoneField):
@@ -103,15 +109,21 @@ def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
 
 @dataclass
 class BandwidthStats:
-    ant_moves: int = 0
+    ant_lines: int = 0
     declarations: int = 0
     confirmation_hops: int = 0
 
     @property
+    def agent_hops(self) -> int:
+        """Agent hops: one ANT line per agent step, but an agent that
+        declares stays put for that step."""
+        return self.ant_lines - self.declarations
+
+    @property
     def agent_total(self) -> int:
-        """Traffic attributable to the agents themselves; confirmations are
-        part of the surrounding confirmation protocol, not agent overhead."""
-        return self.ant_moves + self.declarations
+        """Record lines attributable to the agents themselves; confirmations
+        are part of the surrounding confirmation protocol, not agent overhead."""
+        return self.ant_lines + self.declarations
 
 
 def compute_bandwidth_stats(log: list[str]) -> dict[int, BandwidthStats]:
@@ -125,7 +137,7 @@ def compute_bandwidth_stats(log: list[str]) -> dict[int, BandwidthStats]:
         if per_tick is None:
             per_tick = stats[tick] = BandwidthStats()
         if tag == "ANT":
-            per_tick.ant_moves += 1
+            per_tick.ant_lines += 1
         elif tag == "DECL":
             per_tick.declarations += 1
         elif tag == "PHERO":

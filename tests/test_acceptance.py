@@ -258,12 +258,14 @@ def test_criterion_8_bandwidth_accounting(default_run):
     _, log = default_run
     stats = compute_bandwidth_stats(log)
     assert set(stats) == set(range(1000))
-    decl_total = 0
+    hops = decl_total = 0
     for tick, row in stats.items():
-        assert row.ant_moves == 3, f"tick {tick}"
+        assert row.ant_lines == 3, f"tick {tick}"
         assert row.agent_total == 3 + row.declarations
+        hops += row.agent_hops
         decl_total += row.declarations
-    report(8, f"3 agent hops per tick plus {decl_total} declaration reports over 1000 ticks")
+    report(8, f"{hops} agent hops plus {decl_total} declaration reports over 1000 ticks "
+              "(3 ANT lines per tick)")
 
 
 def test_criterion_9_determinism(default_run):

@@ -10,7 +10,7 @@ from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams
 from anttrack.topology import NetworkTopology
 
-from conftest import grid_topology, path_topology, star_topology
+from conftest import directions, grid_topology, path_topology, star_topology
 
 PARAMS = PheromoneParams()
 
@@ -121,7 +121,7 @@ def test_declared_hotspot_does_not_recapture_through_same_edge(path3):
 def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
     rng = random.Random(99)
     field = PheromoneField(grid4x4)
-    for a, b in grid4x4.edge_ids:
+    for a, b in directions(grid4x4):
         if rng.random() < 0.5:
             field.apply_bad(a, b, PARAMS)
     ant = AntState(0, location=0)
@@ -143,12 +143,12 @@ def test_ants_never_modify_pheromones(grid4x4):
     field = PheromoneField(grid4x4)
     field.apply_bad(5, 6, PARAMS)
     field.apply_bad(9, 5, PARAMS)
-    before = {key: field.read_level(*key) for key in grid4x4.edge_ids}
+    before = {key: field.read_level(*key) for key in directions(grid4x4)}
     ant = AntState(0, location=2)
     rng = random.Random(4)
     for _ in range(200):
         ant_step(ant, grid4x4, field, PARAMS, rng)
-    assert {key: field.read_level(*key) for key in grid4x4.edge_ids} == before
+    assert {key: field.read_level(*key) for key in directions(grid4x4)} == before
 
 
 def test_trajectory_deterministic(grid4x4):
@@ -193,8 +193,8 @@ def trail_scenes(draw):
         tie, math.inf,
     ]
     here = draw(st.integers(0, topo.node_count - 1))
-    # the oracle's neighbor list comes from the directions, not the adjacency
-    neighbors = sorted(v for u, v in topo.edge_ids if u == here)
+    # the oracle's neighbor list comes from the id rows, not the adjacency
+    neighbors = sorted(topo.out_ids[here])
     return {
         "topo": topo,
         "params": PheromoneParams(threshold=threshold),

@@ -25,6 +25,7 @@ from anttrack.transport import DetectorModel
 from conftest import (
     SCENARIOS,
     compute_bandwidth_stats,
+    directions,
     logged_run,
     path_topology,
     scenario_config,
@@ -280,7 +281,7 @@ def test_field_lines_match_replayed_phero_records(scenario, overrides):
             writes, ended, ending = [], ending, []
     assert len(digests) == config.max_ticks
     if not config.infections:
-        assert levels == dict.fromkeys(config.topology.edge_ids, 0.0)
+        assert levels == dict.fromkeys(directions(config.topology), 0.0)
         assert digests[-1] != hashlib.sha1(b"").hexdigest()[:16]
 
 
@@ -426,8 +427,8 @@ def test_bandwidth_accounting():
     stats = compute_bandwidth_stats(log)
     assert set(stats) == set(range(60))
     for tick, row in stats.items():
-        assert row.ant_moves == 3
-        assert row.agent_total == row.ant_moves + row.declarations
+        assert row.ant_lines == 3
+        assert row.agent_total == row.ant_lines + row.declarations
     # confirmation hops recovered from the log match the PHERO line count
     assert sum(r.confirmation_hops for r in stats.values()) == sum(
         1 for line in log if line.startswith("PHERO,")
@@ -462,7 +463,7 @@ def test_random_topology_two_nodes():
 def test_random_topology_complete():
     n = 8
     topo = generate_random_topology(n, 1.0, random.Random(0))
-    assert len(topo.edge_ids) == n * (n - 1)
+    assert len(directions(topo)) == n * (n - 1)
 
 
 def test_random_topology_connected_and_reproducible():

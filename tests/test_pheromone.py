@@ -9,7 +9,7 @@ from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_value
 from anttrack.topology import InvalidConfig, NetworkTopology
 
-from conftest import RecordingField
+from conftest import RecordingField, directions
 
 GOOD, BAD = False, True
 
@@ -227,7 +227,7 @@ def test_field_untouched_reads_zero(path3):
     field = PheromoneField(path3)
     assert field.read_level(0, 1) == 0.0
     # reading must not materialize state
-    assert all(field.read_level(*key) == 0.0 for key in path3.edge_ids)
+    assert all(field.read_level(*key) == 0.0 for key in directions(path3))
 
 
 def test_field_bad_then_good(path3):
@@ -253,7 +253,28 @@ def test_field_rejects_non_connections(path3):
         field.apply_bad(3, 2, DEFAULTS)
     with pytest.raises(KeyError, match=re.escape("(2, 3)")):
         field.apply_good(2, 3, DEFAULTS)
-    assert all(field.read_level(*key) == 0.0 for key in path3.edge_ids)
+    assert all(field.read_level(*key) == 0.0 for key in directions(path3))
+
+
+def test_field_rejects_nodes_outside_the_topology(path3):
+    # pairs that per-node rows kept in a list would alias: row -1 is node
+    # 2's, so (-1, 1) would read 2 -> 1; row -3 is node 0's, so (-3, 1) would
+    # write 0 -> 1; row -2 is node 1's, so (-2, 0) would write 1 -> 0
+    field = PheromoneField(path3)
+    field.apply_bad(2, 1, DEFAULTS)
+    field.apply_bad(0, 1, DEFAULTS)
+    before = [field.read_level(*key) for key in directions(path3)]
+    with pytest.raises(KeyError, match=re.escape("(-1, 1)")):
+        field.read_level(-1, 1)
+    with pytest.raises(KeyError, match=re.escape("(-3, 1)")):
+        field.apply_good(-3, 1, DEFAULTS)
+    with pytest.raises(KeyError, match=re.escape("(-2, 0)")):
+        field.apply_bad(-2, 0, DEFAULTS)
+    with pytest.raises(KeyError, match=re.escape("(1, -1)")):
+        field.read_level(1, -1)
+    with pytest.raises(KeyError, match=re.escape("(5, 1)")):
+        field.apply_bad(5, 1, DEFAULTS)
+    assert [field.read_level(*key) for key in directions(path3)] == before
 
 
 def test_threshold_is_strict():
@@ -309,5 +330,5 @@ def test_field_matches_dict_oracle(script):
         else:
             levels[u, v] = levels.get((u, v), 0.0) * params.decay
             assert field.apply_good(u, v, params) == levels[u, v]
-    for key in topo.edge_ids:
+    for key in directions(topo):
         assert field.read_level(*key) == levels.get(key, 0.0)

@@ -13,13 +13,14 @@ from anttrack.pheromone import PheromoneParams
 from anttrack.transport import DetectorModel
 
 from conftest import (
-    SCENARIOS, grid_topology, is_valid_route, pairwise_random_edges, path_topology, reverse_route,
+    SCENARIOS, directions, grid_topology, is_valid_route, pairwise_random_edges, path_topology,
+    reverse_route,
 )
 
 
 def undirected_edges(topo: NetworkTopology) -> set[tuple[int, int]]:
     """Each connection once, as its (a, b) direction with a < b."""
-    return {(a, b) for a, b in topo.edge_ids if a < b}
+    return {(a, b) for a, b in directions(topo) if a < b}
 
 
 def bfs_distance(topo: NetworkTopology, src: int, dst: int) -> int:
@@ -40,7 +41,7 @@ def bfs_distance(topo: NetworkTopology, src: int, dst: int) -> int:
 def test_smallest_connected_graph():
     topo = NetworkTopology.from_edges(2, [(0, 1)])
     assert topo.node_count == 2
-    assert topo.edge_ids == {(0, 1): 0, (1, 0): 1}
+    assert topo.out_ids == {0: {1: 0}, 1: {0: 1}}
     assert topo.adjacency[0] == (1,)
 
 
@@ -287,9 +288,11 @@ def test_route_lexicographically_smallest():
 
 def test_edge_ids_number_directions_in_sorted_order():
     topo = generate_random_topology(30, 0.1, random.Random(3))
-    directions = sorted((u, v) for u, ns in enumerate(topo.adjacency) for v in ns)
-    assert list(topo.edge_ids) == directions
-    assert list(topo.edge_ids.values()) == list(range(len(directions)))
+    expected = sorted((u, v) for u, ns in enumerate(topo.adjacency) for v in ns)
+    rows = topo.out_ids
+    assert list(rows) == list(range(topo.node_count))
+    assert [(u, v) for u, row in rows.items() for v in row] == expected
+    assert [i for row in rows.values() for i in row.values()] == list(range(len(expected)))
 
 
 def test_route_levels_are_built_once_and_kept_with_the_topology():
@@ -332,7 +335,7 @@ def test_route_across_a_grid_takes_the_smallest_of_its_ties():
 def test_route_on_a_sparse_random_graph_matches_networkx_oracle():
     nx = pytest.importorskip("networkx")
     topo = generate_random_topology(300, 0.005, random.Random(5))
-    graph = nx.Graph(sorted(topo.edge_ids))
+    graph = nx.Graph(directions(topo))
     rng = random.Random(6)
     for _ in range(200):
         src, dst = rng.sample(range(topo.node_count), 2)
@@ -370,7 +373,7 @@ def connected_graphs(draw):
 @given(connected_graphs())
 def test_route_matches_networkx_oracle(topo):
     nx = pytest.importorskip("networkx")
-    graph = nx.Graph(sorted(topo.edge_ids))
+    graph = nx.Graph(directions(topo))
     for src in range(topo.node_count):
         for dst in range(topo.node_count):
             if src != dst:
