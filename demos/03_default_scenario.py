@@ -7,17 +7,13 @@ an agent that declares stays where it is, plus the declaration reports.
 """
 
 import statistics
+from dataclasses import replace
+from pathlib import Path
 
-from anttrack import (
-    SimulationConfig,
-    TrafficRates,
-    derive_rng,
-    generate_random_topology,
-    run,
-)
+from anttrack import run
+from anttrack.cli import build_config, parse_scenario
 
-SEED = 42
-topology = generate_random_topology(75, 0.02, derive_rng(SEED, "topology"))
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "default75.scn"
 agent_hops, confirm_hops, reports = [], [], []
 
 
@@ -27,16 +23,9 @@ def count(tick, new_packets, moved, values, outcomes, ants, declared):
     reports.append(len(declared))
 
 
-config = SimulationConfig(
-    topology=topology,
-    rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
-    ant_count=3,
-    infections=((0, 5), (0, 23), (0, 61)),
-    max_ticks=1000,
-    seed=SEED,
-    sink=count,
-)
-print(f"topology: 75 nodes, {sum(map(len, topology.adjacency)) // 2} connections, seed {SEED}")
+config = replace(build_config(parse_scenario(SCENARIO)), sink=count)
+connections = sum(map(len, config.topology.adjacency)) // 2
+print(f"topology: 75 nodes, {connections} connections, seed {config.seed}")
 
 metrics = run(config)
 

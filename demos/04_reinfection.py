@@ -6,27 +6,17 @@ new trails form within a tick or two; what dominates the response time is
 an agent breaking away from the old trails and stumbling onto a new one.
 """
 
-from anttrack import (
-    SimulationConfig,
-    TrafficRates,
-    derive_rng,
-    generate_random_topology,
-    run,
-)
+from pathlib import Path
 
-NEW_NODE, AT_TICK = 40, 300
+from anttrack import run
+from anttrack.cli import build_config, parse_scenario
 
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "reinfection75.scn"
+scenario = parse_scenario(SCENARIO)
+[(AT_TICK, NEW_NODE)] = scenario["infect_at"]
 latencies = []
 for seed in range(1, 11):
-    topology = generate_random_topology(75, 0.02, derive_rng(seed, "topology"))
-    config = SimulationConfig(
-        topology=topology,
-        rates=TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3),
-        ant_count=3,
-        infections=((0, 5), (0, 23), (0, 61), (AT_TICK, NEW_NODE)),
-        max_ticks=600,
-        seed=seed,
-    )
+    config = build_config(scenario, seed)
     metrics = run(config)
     declared = metrics.first_declaration_tick.get(NEW_NODE)
     latency = None if declared is None else declared - AT_TICK

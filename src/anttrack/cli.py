@@ -1,7 +1,8 @@
 """Command-line entry point: scenario runs, seed sweeps, and pheromone
 value traces, each of which commits its outputs together or not at all.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 143 SIGTERM.
+Exit codes: 0 success, 1 a pooled sweep's worker died, 2 configuration
+error, 3 I/O error, 143 SIGTERM.
 """
 
 from __future__ import annotations
@@ -309,17 +310,21 @@ def cmd_sweep(args) -> int:
             # imported here, so that a serial sweep and a plain import load no pool
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             # one chunk of seeds per worker: each unpickles the scenario, and
             # builds a topology file's reach levels, once
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 try:
                     results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
-                except BaseException:
+                except BaseException as exc:
                     # a worker takes a signal as its chunk's error, and the pool's exit
                     # waits for every chunk: kill them, so a SIGTERM ends the sweep at once
                     for worker in multiprocessing.active_children():
                         worker.kill()
+                    if isinstance(exc, BrokenProcessPool):
+                        # SystemExit prints its message as one line, no traceback, and exits 1
+                        raise SystemExit("error: a --jobs worker process died mid-sweep")
                     raise
         else:
             results = list(map(run_seed, seeds))
@@ -456,6 +461,8 @@ def main(argv=None) -> int:
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _terminated) if on_main else None
     try:
+        if not args.out:
+            raise InvalidConfig("--out must name a path, got ''")
         return args.func(args)
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .ant import AntState, ant_step
 from .pheromone import PheromoneField, PheromoneParams
 from .topology import InvalidConfig, NetworkTopology, randbelow
-from .traffic import RouteMemo, TrafficRates, generate_tick_traffic
+from .traffic import TrafficRates, generate_tick_traffic, route_cache
 from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
 
 
@@ -181,7 +181,7 @@ def run(config: SimulationConfig) -> Metrics:
     pending_infections = sorted(config.infections)
 
     pheromones = PheromoneField(topo)
-    routes = RouteMemo(topo)
+    routes = route_cache(topo)
     inflight = InFlight()
     ants = [
         AntState(i, location=randbelow(ant_rngs[i].getrandbits, topo.node_count))

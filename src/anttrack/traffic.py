@@ -8,8 +8,9 @@ node never infects it, which keeps the ground truth exact for metrics.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
 from .transport import Packet
@@ -45,18 +46,10 @@ class TrafficRates:
             )
 
 
-class RouteMemo(dict):
-    """Routes memoised in a dict keyed ``(src, dst)`` for one run:
-    ``memo[src, dst]`` is the minimum-hop route from src to dst, computed on
-    the first lookup of the pair from the topology's reach levels."""
-
-    def __init__(self, topology: NetworkTopology):
-        super().__init__()
-        self._topology = topology
-
-    def __missing__(self, pair: tuple[int, int]) -> Route:
-        route = self[pair] = shortest_route(self._topology, *pair)
-        return route
+def route_cache(topology: NetworkTopology) -> Callable[[int, int], Route]:
+    """Routes cached for one run: ``routes(src, dst)`` is the minimum-hop
+    route from src to dst, computed on the first call for the pair."""
+    return cache(partial(shortest_route, topology))
 
 
 def generate_tick_traffic(
@@ -65,7 +58,7 @@ def generate_tick_traffic(
     rates: TrafficRates,
     rng: random.Random,
     first_id: int,
-    routes: RouteMemo,
+    routes: Callable[[int, int], Route],
 ) -> list[Packet]:
     """Packets entering the network this tick.
 
@@ -86,13 +79,13 @@ def generate_tick_traffic(
         dst = randbelow(getrandbits, n - 1)
         if dst >= src:
             dst += 1
-        packets.append(Packet(pid, False, routes[src, dst]))
+        packets.append(Packet(pid, False, routes(src, dst)))
         pid += 1
     for node in sorted(infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
             dst = randbelow(getrandbits, n - 1)
             if dst >= node:
                 dst += 1
-            packets.append(Packet(pid, True, routes[node, dst]))
+            packets.append(Packet(pid, True, routes(node, dst)))
             pid += 1
     return packets

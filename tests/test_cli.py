@@ -867,6 +867,50 @@ def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
         child.wait()
 
 
+DYING_POOL = """
+import os, sys
+from anttrack import cli
+cli.os.cpu_count = lambda: 2
+cli.engine.run = lambda config: os._exit(9)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_pooled_sweep_whose_worker_dies_exits_1_with_one_error_line(tmp_path):
+    """Each forked worker ends itself with ``os._exit(9)`` at its first
+    seed: the sweep prints one error line naming the dead worker, no
+    traceback, exits 1 and leaves no ``--out`` directory."""
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, "-c", DYING_POOL, "sweep", "--scenario", str(SCENARIOS / "star10.scn"),
+         "--seeds", "1..4", "--jobs", "2", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (
+        1, "error: a --jobs worker process died mid-sweep\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--scenario", str(SCENARIOS / "star10.scn")],
+     ["sweep", "--scenario", str(SCENARIOS / "star10.scn"), "--seeds", "1"],
+     ["trace", "--mode", "fig1"]],
+    ids=["run", "sweep", "trace"],
+)
+def test_empty_out_is_refused_by_name(tmp_path, monkeypatch, capsys, command):
+    """An empty ``--out`` would name the working directory: every command
+    refuses it before it runs and writes nothing there."""
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out must name a path, got ''\n"
+    assert runs == [] and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("packets, code", [("1", 0), ("0", 2)])
 def test_main_restores_the_sigterm_handler(tmp_path, packets, code):
     before = signal.getsignal(signal.SIGTERM)

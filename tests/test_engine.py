@@ -19,7 +19,7 @@ from anttrack.engine import (
 )
 from anttrack.pheromone import PheromoneParams
 from anttrack.topology import InvalidConfig, NetworkTopology
-from anttrack.traffic import RouteMemo, TrafficRates
+from anttrack.traffic import TrafficRates, route_cache
 from anttrack.transport import DetectorModel
 
 from conftest import (
@@ -285,43 +285,43 @@ def test_field_lines_match_replayed_phero_records(scenario, overrides):
         assert digests[-1] != hashlib.sha1(b"").hexdigest()[:16]
 
 
-def full_memo_peak(topo):
-    """Peak bytes of a route memo holding a route for every node pair."""
+def full_cache_peak(topo):
+    """Peak bytes of a route cache holding a route for every node pair."""
 
-    def fill_memo():
-        memo = RouteMemo(topo)
+    def fill_cache():
+        routes = route_cache(topo)
         for src in range(topo.node_count):
             for dst in range(topo.node_count):
                 if src != dst:
-                    memo[src, dst]
+                    routes(src, dst)
 
-    return traced_peak(fill_memo)
+    return traced_peak(fill_cache)
 
 
 def test_log_free_run_memory_stays_flat():
     """A log-free default75 run peaks at the same memory over 4N ticks as
-    over N, give or take what the route memo adds.
+    over N, give or take what the route cache adds.
 
-    Beyond its inputs, a log-free run holds three things. The route memo
+    Beyond its inputs, a log-free run holds three things. The route cache
     holds at most one route per ordered node pair (75 x 74 here), and the
     topology its reach levels, built in full with the config. The
     in-flight set holds only packets and confirmations younger than the
     network's diameter, since each moves
     one hop per tick and traffic enters at a fixed rate. The metrics hold at
     most one entry per node. Between N and 4N ticks, then, the peak can grow
-    by no more than the part of the memo still unfilled at N, which is less
-    than a full memo (about 1.2 MB, measured below; the run grows by about
+    by no more than the part of the cache still unfilled at N, which is less
+    than a full cache (about 1.2 MB, measured below; the run grows by about
     0.4 MB). A logged run adds only one tick's record lines, which
     test_logged_run_memory_stays_flat checks.
     """
     n = 200
-    # each run, and the full memo, on a topology of its own, since the reach
+    # each run, and the full cache, on a topology of its own, since the reach
     # levels are kept with the topology once built
     config_n, config_4n = scenario_config("default75"), scenario_config("default75")
     peak_n = traced_peak(lambda: run(replace(config_n, max_ticks=n)))
     peak_4n = traced_peak(lambda: run(replace(config_4n, max_ticks=4 * n)))
-    full_memo = full_memo_peak(scenario_config("default75").topology)
-    assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
+    full_cache = full_cache_peak(scenario_config("default75").topology)
+    assert peak_4n - peak_n <= full_cache, (peak_n, peak_4n, full_cache)
 
 
 def test_logged_run_memory_stays_flat(tmp_path):
@@ -332,7 +332,7 @@ def test_logged_run_memory_stays_flat(tmp_path):
     strings) to the events.log temp file as one string and keeps none of
     them, so what a logged run adds to a log-free one is one tick's lines
     and the file's buffer, whatever max_ticks is (the peak grows by about
-    0.3 MB here, as the route memo fills). Holding the whole log and
+    0.3 MB here, as the route cache fills). Holding the whole log and
     joining it for the write would add about 40 kB per tick, or 12 MB over
     the 3N extra ticks.
     """
@@ -346,8 +346,8 @@ def test_logged_run_memory_stays_flat(tmp_path):
 
     peak_n = traced_peak(lambda: cli_run(n))
     peak_4n = traced_peak(lambda: cli_run(4 * n))
-    full_memo = full_memo_peak(scenario_config("default75").topology)
-    assert peak_4n - peak_n <= full_memo, (peak_n, peak_4n, full_memo)
+    full_cache = full_cache_peak(scenario_config("default75").topology)
+    assert peak_4n - peak_n <= full_cache, (peak_n, peak_4n, full_cache)
 
 
 @pytest.mark.parametrize(

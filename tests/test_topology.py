@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from anttrack import cli, topology
 from anttrack.topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
-from anttrack.traffic import RouteMemo, TrafficRates
+from anttrack.traffic import TrafficRates, route_cache
 from anttrack.engine import SimulationConfig, derive_rng, generate_random_topology
 from anttrack.pheromone import PheromoneParams
 from anttrack.transport import DetectorModel
@@ -309,11 +309,11 @@ def test_route_levels_are_built_once_and_kept_with_the_topology():
     assert topo.levels is built
     # the derived tables are not fields: equality and repr see the graph only
     assert topo == grid_topology(4, 4) and repr(topo) == repr(grid_topology(4, 4))
-    # a memo builds the levels on its first lookup, not before
+    # a route cache builds the levels on its first lookup, not before
     topo = grid_topology(4, 4)
-    memo = RouteMemo(topo)
+    routes = route_cache(topo)
     assert "levels" not in vars(topo)
-    memo[0, 15]
+    routes(0, 15)
     assert len(topo.levels) == 7
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from anttrack.engine import generate_random_topology
 from anttrack.topology import InvalidConfig, shortest_route
-from anttrack.traffic import RouteMemo, TrafficRates, generate_tick_traffic
+from anttrack.traffic import TrafficRates, generate_tick_traffic, route_cache
 
 
 def fresh_traffic(topology, infected, rates, rng, first_id):
-    """One tick of traffic routed through a memo of its own."""
-    return generate_tick_traffic(topology, infected, rates, rng, first_id, RouteMemo(topology))
+    """One tick of traffic routed through a route cache of its own."""
+    return generate_tick_traffic(topology, infected, rates, rng, first_id, route_cache(topology))
 
 
 def test_rates_validation():
@@ -54,14 +54,14 @@ def test_packets_carry_shortest_routes(grid4x4):
 def test_route_memo_keeps_traffic_unchanged(grid4x4):
     infected = {0}
     rates = TrafficRates(good_packets_per_tick=10, attack_packets_per_infected_per_tick=3)
-    memo = RouteMemo(grid4x4)
+    routes = route_cache(grid4x4)
     rng_memo, rng_fresh = random.Random(4), random.Random(4)
     for tick in range(20):
-        assert generate_tick_traffic(grid4x4, infected, rates, rng_memo, 0, memo) == (
+        assert generate_tick_traffic(grid4x4, infected, rates, rng_memo, 0, routes) == (
             fresh_traffic(grid4x4, infected, rates, rng_fresh, 0)
         )
-    route = memo[0, 15]
-    assert memo[0, 15] is route == shortest_route(grid4x4, 0, 15)
+    route = routes(0, 15)
+    assert routes(0, 15) is route == shortest_route(grid4x4, 0, 15)
 
 
 def test_identical_seeds_identical_traffic():

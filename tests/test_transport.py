@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from anttrack import transport
 from anttrack.pheromone import PheromoneField, PheromoneParams
 from anttrack.topology import shortest_route
-from anttrack.traffic import RouteMemo, TrafficRates, generate_tick_traffic
+from anttrack.traffic import TrafficRates, generate_tick_traffic, route_cache
 from anttrack.transport import (
     DetectorModel,
     InFlight,
@@ -175,7 +175,7 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
     rates = TrafficRates(good_packets_per_tick=6, attack_packets_per_infected_per_tick=2)
     field = PheromoneField(grid4x4)
     state = InFlight()
-    routes = RouteMemo(grid4x4)
+    routes = route_cache(grid4x4)
 
     spawned_ids = []
     ended_ids = []
