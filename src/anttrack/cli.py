@@ -1,8 +1,8 @@
 """Command-line entry point: scenario runs, seed sweeps, and pheromone
 value traces, each of which commits its outputs together or not at all.
 
-Exit codes: 0 success, 1 a pooled sweep's worker died, 2 configuration
-error, 3 I/O error, 143 SIGTERM.
+Exit codes: 0 success, 1 a pooled sweep's worker died (of any signal too),
+2 configuration error, 3 I/O error, 143 SIGTERM.
 """
 
 from __future__ import annotations
@@ -254,15 +254,13 @@ def _summary_text(config: engine.SimulationConfig, metrics: engine.Metrics) -> s
         f"ants: {config.ant_count}",
         f"infected nodes: {len(metrics.infection_tick)}",
     ]
-    for node in sorted(metrics.infection_tick):
+    for node, itick in sorted(metrics.infection_tick.items()):
         dtick = metrics.first_declaration_tick.get(node)
         if dtick is None:
-            lines.append(f"  node {node}: infected at {metrics.infection_tick[node]}, never declared")
+            fate = "never declared"
         else:
-            lines.append(
-                f"  node {node}: infected at {metrics.infection_tick[node]}, "
-                f"declared at {dtick} (latency {dtick - metrics.infection_tick[node]})"
-            )
+            fate = f"declared at {dtick} (latency {dtick - itick})"
+        lines.append(f"  node {node}: infected at {itick}, {fate}")
     late = sum(tick >= config.max_ticks for tick, _ in config.infections)
     if late:
         lines.append(f"infections scheduled after the last tick: {late}")
@@ -313,13 +311,14 @@ def cmd_sweep(args) -> int:
             from concurrent.futures.process import BrokenProcessPool
 
             # one chunk of seeds per worker: each unpickles the scenario, and
-            # builds a topology file's reach levels, once
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # builds a topology file's reach levels, once; a forked worker would
+            # keep main's SIGTERM handler and take the signal as its chunk's error
+            with ProcessPoolExecutor(jobs, initializer=signal.signal,
+                                     initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
                 try:
                     results = list(pool.map(run_seed, seeds, chunksize=-(-len(seeds) // jobs)))
                 except BaseException as exc:
-                    # a worker takes a signal as its chunk's error, and the pool's exit
-                    # waits for every chunk: kill them, so a SIGTERM ends the sweep at once
+                    # kill the workers: the pool's exit would wait for every chunk
                     for worker in multiprocessing.active_children():
                         worker.kill()
                     if isinstance(exc, BrokenProcessPool):

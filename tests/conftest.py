@@ -1,6 +1,6 @@
 import io
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -105,44 +105,6 @@ def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
     log = io.StringIO()
     metrics = run(replace(config, sink=event_log(config.topology, log.write)))
     return metrics, log.getvalue().splitlines()
-
-
-@dataclass
-class BandwidthStats:
-    ant_lines: int = 0
-    declarations: int = 0
-    confirmation_hops: int = 0
-
-    @property
-    def agent_hops(self) -> int:
-        """Agent hops: one ANT line per agent step, but an agent that
-        declares stays put for that step."""
-        return self.ant_lines - self.declarations
-
-    @property
-    def agent_total(self) -> int:
-        """Record lines attributable to the agents themselves; confirmations
-        are part of the surrounding confirmation protocol, not agent overhead."""
-        return self.ant_lines + self.declarations
-
-
-def compute_bandwidth_stats(log: list[str]) -> dict[int, BandwidthStats]:
-    """Per-tick traffic accounting recovered from the event log's record
-    lines: the oracle for what the agents and confirmations cost."""
-    stats: dict[int, BandwidthStats] = {}
-    for line in log:
-        tag, tick_s, _ = line.split(",", 2)
-        tick = int(tick_s)
-        per_tick = stats.get(tick)
-        if per_tick is None:
-            per_tick = stats[tick] = BandwidthStats()
-        if tag == "ANT":
-            per_tick.ant_lines += 1
-        elif tag == "DECL":
-            per_tick.declarations += 1
-        elif tag == "PHERO":
-            per_tick.confirmation_hops += 1
-    return stats
 
 
 @pytest.fixture

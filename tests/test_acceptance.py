@@ -8,10 +8,12 @@ limits, and breadth-first search for routing.  Criteria 5, 6 and 8-10 run
 the shipped ``default75`` and ``reinfection75`` scenario files.
 """
 
+import io
 import math
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +21,7 @@ from anttrack.cli import main, trace_events
 from anttrack.engine import (
     SimulationConfig,
     derive_rng,
+    event_log,
     generate_random_topology,
     metrics_to_csv,
     run,
@@ -27,7 +30,6 @@ from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_valu
 from anttrack.traffic import TrafficRates
 
 from conftest import (
-    compute_bandwidth_stats,
     grid_topology,
     logged_run,
     path_topology,
@@ -45,7 +47,20 @@ def report(criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def default_run():
-    return logged_run(scenario_config("default75"))
+    """The default75 run's metrics and event log lines, and per tick its
+    agent hops, declaration reports and agents, counted by a sink teed
+    with the log.  An agent that declares stays put for that step, so its
+    hops are its agents less its declarations."""
+    config = scenario_config("default75")
+    log, counts = io.StringIO(), []
+    log_tick = event_log(config.topology, log.write)
+
+    def tee(tick, new_packets, moved, values, outcomes, ants, declared):
+        counts.append((len(ants) - len(declared), len(declared), len(ants)))
+        log_tick(tick, new_packets, moved, values, outcomes, ants, declared)
+
+    metrics = run(replace(config, sink=tee))
+    return metrics, log.getvalue().splitlines(), counts
 
 
 def median_with_failures(values):
@@ -255,21 +270,16 @@ def test_criterion_7_storage_bound_after_long_run():
 
 
 def test_criterion_8_bandwidth_accounting(default_run):
-    _, log = default_run
-    stats = compute_bandwidth_stats(log)
-    assert set(stats) == set(range(1000))
-    hops = decl_total = 0
-    for tick, row in stats.items():
-        assert row.ant_lines == 3, f"tick {tick}"
-        assert row.agent_total == 3 + row.declarations
-        hops += row.agent_hops
-        decl_total += row.declarations
-    report(8, f"{hops} agent hops plus {decl_total} declaration reports over 1000 ticks "
-              "(3 ANT lines per tick)")
+    *_, counts = default_run
+    hops, declarations, agents = zip(*counts)
+    assert len(counts) == 1000
+    assert set(agents) == {3}
+    report(8, f"{sum(hops)} agent hops plus {sum(declarations)} declaration reports over "
+              "1000 ticks (3 agents per tick)")
 
 
 def test_criterion_9_determinism(default_run):
-    metrics_a, log_a = default_run
+    metrics_a, log_a, _ = default_run
     metrics_b, log_b = logged_run(scenario_config("default75"))
     assert log_a == log_b
     assert metrics_to_csv(metrics_a) == metrics_to_csv(metrics_b)
@@ -277,7 +287,7 @@ def test_criterion_9_determinism(default_run):
 
 
 def test_criterion_10_agents_do_not_perturb_the_field(default_run):
-    _, log_with = default_run
+    _, log_with, _ = default_run
     _, log_without = logged_run(scenario_config("default75", ["ant_count=0"]))
     field_with = [line for line in log_with if line.startswith("FIELD,")]
     field_without = [line for line in log_without if line.startswith("FIELD,")]

@@ -836,12 +836,11 @@ def test_sigterm_mid_run_exits_143_and_leaves_nothing(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled sweep needs two cores")
-def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
-    """A SIGTERM sent to a pooled sweep's own process, not to its group,
-    kills its workers rather than waiting for their chunks of seeds (about
-    4 s here), and the sweep exits 143 with nothing left: no ``--out``
-    directory and no process in its group."""
+def sigterm_a_pooled_sweep(tmp_path, kill):
+    """Start a default75 sweep of 40 seeds on two workers in a session of its
+    own, and once its workers are under way, signal it by ``kill(pid,
+    SIGTERM)``: it exits 143 within 2 s, printing nothing, and leaves no
+    ``--out`` directory and no process in its group."""
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parent.parent
     child = subprocess.Popen(
@@ -855,7 +854,7 @@ def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
             assert child.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         time.sleep(0.5)  # so the workers are under way
-        child.send_signal(signal.SIGTERM)
+        kill(child.pid, signal.SIGTERM)
         _, err = child.communicate(timeout=2)
         assert (child.returncode, err) == (143, b"")
         assert not out.exists()
@@ -867,23 +866,40 @@ def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
         child.wait()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled sweep needs two cores")
+def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
+    """A SIGTERM sent to a pooled sweep's own process, not to its group,
+    kills its workers rather than waiting for their chunks of seeds (about
+    4 s here)."""
+    sigterm_a_pooled_sweep(tmp_path, os.kill)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled sweep needs two cores")
+def test_sigterm_to_a_pooled_sweeps_group_ends_it_at_once(tmp_path):
+    """A SIGTERM sent to a pooled sweep's whole process group, as
+    ``timeout`` sends it, reaches the workers too: each dies of it, and
+    the sweep still exits 143, not as a sweep whose worker died."""
+    sigterm_a_pooled_sweep(tmp_path, os.killpg)
+
+
 DYING_POOL = """
-import os, sys
+import os, signal, sys
 from anttrack import cli
 cli.os.cpu_count = lambda: 2
-cli.engine.run = lambda config: os._exit(9)
+cli.engine.run = lambda config: {death}
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_pooled_sweep_whose_worker_dies_exits_1_with_one_error_line(tmp_path):
-    """Each forked worker ends itself with ``os._exit(9)`` at its first
-    seed: the sweep prints one error line naming the dead worker, no
+def sweep_with_dying_workers(tmp_path, death):
+    """A star10 sweep on two workers, each of which runs ``death`` at its
+    first seed: the sweep prints one error line naming the dead worker, no
     traceback, exits 1 and leaves no ``--out`` directory."""
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parent.parent
     child = subprocess.run(
-        [sys.executable, "-c", DYING_POOL, "sweep", "--scenario", str(SCENARIOS / "star10.scn"),
+        [sys.executable, "-c", DYING_POOL.format(death=death), "sweep",
+         "--scenario", str(SCENARIOS / "star10.scn"),
          "--seeds", "1..4", "--jobs", "2", "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
@@ -891,6 +907,17 @@ def test_pooled_sweep_whose_worker_dies_exits_1_with_one_error_line(tmp_path):
         1, "error: a --jobs worker process died mid-sweep\n"
     )
     assert not out.exists()
+
+
+def test_pooled_sweep_whose_worker_dies_exits_1_with_one_error_line(tmp_path):
+    sweep_with_dying_workers(tmp_path, "os._exit(9)")
+
+
+def test_pooled_sweep_whose_worker_takes_sigterm_exits_1_with_one_error_line(tmp_path):
+    """A SIGTERM to one worker alone kills it as any signal does: a worker
+    that kept the handler of the sweep it was forked from would take the
+    signal as its chunk's error, and the sweep would exit 143, silently."""
+    sweep_with_dying_workers(tmp_path, "os.kill(os.getpid(), signal.SIGTERM)")
 
 
 @pytest.mark.parametrize(
@@ -1090,10 +1117,10 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
 def in_process_pool(sizes: list[int]) -> type:
     """A stand-in for ProcessPoolExecutor that appends its size to ``sizes``
     and runs each submitted call in this process, so no worker process
-    starts."""
+    starts and no worker initializer runs."""
 
     class InProcessPool(concurrent.futures.Executor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
 
         def submit(self, fn, /, *args, **kwargs):
