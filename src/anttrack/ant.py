@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import NetworkTopology, randbelow
+from .topology import NetworkTopology
 
 
 class AntMode(Enum):
@@ -55,21 +55,24 @@ def ant_step(
     """Advance the agent one decision step and mutate its state; return the
     node declared infected, or None if the agent moved.
 
-    One pass over the neighbors in ascending id order keeps the first
-    strictly above the best level so far, starting from the threshold, so
-    ties go to the smallest id.  With a trail the agent tracks and follows
-    it.  Without one, a tracking agent declares its current node infected
-    and resumes wandering, staying put for this step; a wandering agent
-    moves to a uniform random neighbor.
+    One pass over ``topology.out_pairs[here]``, the neighbors in ascending
+    id order with their edge ids, reads ``pheromones.values`` by edge id and
+    keeps the first neighbor strictly above the best level so far, starting
+    from the threshold, so ties go to the smallest id.  With a trail the
+    agent tracks and follows it.  Without one, a tracking agent declares its
+    current node infected and resumes wandering, staying put for this step;
+    a wandering agent moves to a uniform random neighbor.  A node without
+    neighbors, only possible in a one-node topology, raises ``ValueError``.
     """
     here = ant.location
     banned = ant.came_from
-    neighbors = topology.adjacency[here]
+    row = topology.out_pairs[here]
+    values = pheromones.values
     nxt = None
     best = params.threshold
-    for nb in neighbors:
+    for nb, e in row:
         if nb != banned:
-            level = pheromones.read_level(here, nb)
+            level = values[e]
             if level > best:
                 nxt, best = nb, level
     if nxt is not None:
@@ -79,7 +82,16 @@ def ant_step(
         ant.came_from = None
         return here
     else:
-        nxt = neighbors[randbelow(rng.getrandbits, len(neighbors))]
+        # randbelow(rng.getrandbits, n) without its two calls: the same
+        # words, so the same neighbor and the same generator state
+        n = len(row)
+        if not n:
+            raise ValueError(f"node {here} has no neighbors to move to")
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        nxt = row[r][0]
     ant.came_from = here
     ant.location = nxt
     return None

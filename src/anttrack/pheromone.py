@@ -62,16 +62,17 @@ def closed_form_value(events, params: PheromoneParams) -> float:
 class PheromoneField:
     """Directed pheromone values for every connection of a topology.
 
-    One float per directed connection in a single ``array('d')``, at its id
-    ``topology.out_ids[u][v]``.  Both directions of a connection are
-    independent.  Reads never write, so read paths cannot perturb the field.
-    A pair that is not a connection, or names a node outside the topology,
-    raises ``KeyError`` naming the pair.
+    One float per directed connection in the public ``array('d')``
+    ``values``, at its id ``topology.out_ids[u][v]``; agents read it by edge
+    id.  Only ``apply_good`` and ``apply_bad`` write it.  Both directions of
+    a connection are independent.  Reads never write, so read paths cannot
+    perturb the field.  A pair that is not a connection, or names a node
+    outside the topology, raises ``KeyError`` naming the pair.
     """
 
     def __init__(self, topology):
         self._rows = topology.out_ids
-        self._values = array("d", bytes(8 * sum(map(len, topology.adjacency))))
+        self.values = array("d", bytes(8 * sum(map(len, topology.adjacency))))
 
     def apply_good(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
         """A clean confirmation crossed the direction: decay its value."""
@@ -79,7 +80,7 @@ class PheromoneField:
             i = self._rows[from_node][to_node]
         except KeyError:
             raise KeyError((from_node, to_node)) from None
-        value = self._values[i] = self._values[i] * params.decay
+        value = self.values[i] = self.values[i] * params.decay
         return value
 
     def apply_bad(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
@@ -88,17 +89,17 @@ class PheromoneField:
             i = self._rows[from_node][to_node]
         except KeyError:
             raise KeyError((from_node, to_node)) from None
-        value = self._values[i] = self._values[i] + params.increase
+        value = self.values[i] = self.values[i] + params.increase
         return value
 
     def read_level(self, from_node: int, to_node: int) -> float:
         """Current value for a direction; 0.0 if never touched."""
         try:
-            return self._values[self._rows[from_node][to_node]]
+            return self.values[self._rows[from_node][to_node]]
         except KeyError:
             raise KeyError((from_node, to_node)) from None
 
     @property
     def bytes_per_direction(self) -> int:
         """Storage of one directed connection's value."""
-        return self._values.itemsize
+        return self.values.itemsize

@@ -64,6 +64,8 @@ class NetworkTopology:
     from 0 to 2E - 1.  ``out_ids[u][v]`` is the id of u -> v, one dict row
     per node: a lookup hashes two ints, not a (u, v) tuple, and a negative
     node is a missing key where a list would index another node's row.
+    ``out_pairs`` lists the same ids row by row for agents, and ``levels``
+    holds the reach levels routing reads.
     """
 
     node_count: int
@@ -76,6 +78,15 @@ class NetworkTopology:
             rows[u] = dict(zip(ns, range(first, first + len(ns))))
             first += len(ns)
         return rows
+
+    @_built_once
+    def out_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``out_pairs[u]`` is u's ``(v, id of u -> v)`` pairs in ascending v,
+        read from the ``out_ids`` rows.  An agent scans one prebuilt tuple,
+        which allocates nothing per step, where an items view or a CSR slice
+        would allocate on every step."""
+        rows = self.out_ids
+        return tuple(tuple(rows[u].items()) for u in range(self.node_count))
 
     @classmethod
     def from_edges(cls, node_count: int, edge_pairs) -> NetworkTopology:

@@ -46,8 +46,22 @@ def pytest(work: Path, tests: list[str]) -> tuple[int | None, str]:
     return result.returncode, result.stdout + result.stderr
 
 
+def load_mutants() -> list[dict]:
+    return json.loads((ROOT / "tests" / "mutants.json").read_text())
+
+
+def stale_mutants(mutants: list[dict], root: Path = ROOT) -> list[str]:
+    """Names of the mutants whose file is not under ``PACKAGE`` in ``root``,
+    or whose old text does not occur in it exactly once."""
+    return [
+        m["name"] for m in mutants
+        if not (m["file"].startswith(PACKAGE) and (root / m["file"]).is_file())
+        or (root / m["file"]).read_text().count(m["old"]) != 1
+    ]
+
+
 def main() -> int:
-    mutants = json.loads((ROOT / "tests" / "mutants.json").read_text())
+    mutants = load_mutants()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
@@ -55,11 +69,7 @@ def main() -> int:
             shutil.copytree(ROOT / name, work / name, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", work)
 
-        stale = [
-            m["name"] for m in mutants
-            if not (m["file"].startswith(PACKAGE) and (work / m["file"]).is_file())
-            or (work / m["file"]).read_text().count(m["old"]) != 1
-        ]
+        stale = stale_mutants(mutants, work)
         if stale:
             print(f"stale mutants, old text not found exactly once under {PACKAGE}: {stale}")
             return 1

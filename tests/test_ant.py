@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,10 @@ def test_wandering_on_clean_graph_moves_randomly():
         assert ant.location in topo.adjacency[0]
         counts[ant.location] += 1
     assert set(counts) == {1, 3}  # both neighbors get picked
+    # the one node of a one-node topology has no move to draw
+    lone = NetworkTopology.from_edges(1, [])
+    with pytest.raises(ValueError, match="no neighbors"):
+        ant_step(AntState(0, location=0), lone, PheromoneField(lone), PARAMS, random.Random(0))
 
 
 def test_track_following_to_declaration(path3):

@@ -293,6 +293,13 @@ def test_edge_ids_number_directions_in_sorted_order():
     assert list(rows) == list(range(topo.node_count))
     assert [(u, v) for u, row in rows.items() for v in row] == expected
     assert [i for row in rows.values() for i in row.values()] == list(range(len(expected)))
+    # the agents' pair rows: u's (v, id) pairs in ascending v, with the CSR
+    # ids counted here from the (u, v) enumeration, not read from out_ids
+    pairs = topo.out_pairs
+    assert len(pairs) == topo.node_count
+    assert [(u, v, i) for u, row in enumerate(pairs) for v, i in row] == [
+        (u, v, i) for i, (u, v) in enumerate(expected)
+    ]
 
 
 def test_route_levels_are_built_once_and_kept_with_the_topology():
@@ -300,6 +307,9 @@ def test_route_levels_are_built_once_and_kept_with_the_topology():
     with pytest.raises(InvalidConfig):
         shortest_route(topo, 5, 5)
     assert "levels" not in vars(topo)
+    assert "out_pairs" not in vars(topo)
+    pairs = topo.out_pairs
+    assert vars(topo)["out_pairs"] is pairs and topo.out_pairs is pairs
     assert shortest_route(topo, 0, 15) == (0, 1, 2, 3, 7, 11, 15)
     built = topo.levels
     diameter = max(bfs_distance(topo, a, b) for a in range(16) for b in range(16))
