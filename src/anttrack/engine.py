@@ -182,10 +182,10 @@ def run(config: SimulationConfig) -> Metrics:
     pheromones = PheromoneField(topo)
     routes = route_cache(topo)
     inflight = InFlight()
-    ants = [
-        AntState(i, location=randbelow(ant_rngs[i].getrandbits, topo.node_count))
-        for i in range(config.ant_count)
-    ]
+    ants = [AntState(i, randbelow(r.getrandbits, topo.node_count)) for i, r in enumerate(ant_rngs)]
+    # each step's tables, fetched once: the field writes its array in place
+    agents = [(ant, rng.getrandbits) for ant, rng in zip(ants, ant_rngs)]
+    out_pairs, levels, threshold = topo.out_pairs, pheromones.values, config.params.threshold
     next_packet_id = 0
 
     for tick in range(config.max_ticks):
@@ -206,8 +206,8 @@ def run(config: SimulationConfig) -> Metrics:
         inflight.confirmations.extend(spawned)
 
         declared: list[tuple[int, int]] = []
-        for ant in ants:
-            node = ant_step(ant, topo, pheromones, config.params, ant_rngs[ant.ant_id])
+        for ant, getrandbits in agents:
+            node = ant_step(ant, out_pairs, levels, threshold, getrandbits)
             if node is not None:
                 declared.append((ant.ant_id, node))
                 filed = first_declared if node in infected else false_declared

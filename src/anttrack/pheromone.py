@@ -64,10 +64,11 @@ class PheromoneField:
 
     One float per directed connection in the public ``array('d')``
     ``values``, at its id ``topology.out_ids[u][v]``; agents read it by edge
-    id.  Only ``apply_good`` and ``apply_bad`` write it.  Both directions of
-    a connection are independent.  Reads never write, so read paths cannot
-    perturb the field.  A pair that is not a connection, or names a node
-    outside the topology, raises ``KeyError`` naming the pair.
+    id.  Only ``apply_good`` and ``apply_bad`` write it, in place: ``values``
+    is never rebound, so a reader holding the array sees every write.  Both
+    directions of a connection are independent.  Reads never write, so read
+    paths cannot perturb the field.  A pair that is not a connection, or
+    names a node outside the topology, raises ``KeyError`` naming the pair.
     """
 
     def __init__(self, topology):

@@ -14,6 +14,7 @@ from anttrack.topology import NetworkTopology
 from conftest import directions, grid_topology, path_topology, star_topology
 
 PARAMS = PheromoneParams()
+THRESHOLD = PARAMS.threshold
 
 
 def cycle4():
@@ -23,10 +24,11 @@ def cycle4():
 def test_wandering_on_clean_graph_moves_randomly():
     topo = cycle4()
     field = PheromoneField(topo)
+    pairs, levels = topo.out_pairs, field.values
     counts = Counter()
     for seed in range(200):
         ant = AntState(0, location=0)
-        assert ant_step(ant, topo, field, PARAMS, random.Random(seed)) is None
+        assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(seed).getrandbits) is None
         assert ant.mode is AntMode.WANDERING
         assert ant.location in topo.adjacency[0]
         counts[ant.location] += 1
@@ -34,25 +36,27 @@ def test_wandering_on_clean_graph_moves_randomly():
     # the one node of a one-node topology has no move to draw
     lone = NetworkTopology.from_edges(1, [])
     with pytest.raises(ValueError, match="no neighbors"):
-        ant_step(AntState(0, location=0), lone, PheromoneField(lone), PARAMS, random.Random(0))
+        ant_step(AntState(0, location=0), lone.out_pairs, PheromoneField(lone).values, THRESHOLD,
+                 random.Random(0).getrandbits)
 
 
 def test_track_following_to_declaration(path3):
     field = PheromoneField(path3)
+    pairs, levels = path3.out_pairs, field.values
     field.apply_bad(1, 0, PARAMS)
     field.apply_bad(2, 1, PARAMS)
     ant = AntState(0, location=2)
     rng = random.Random(0)
 
-    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) is None
     assert ant.location == 1
     assert ant.mode is AntMode.TRACKING
 
-    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) is None
     assert ant.location == 0
     assert ant.mode is AntMode.TRACKING
 
-    assert ant_step(ant, path3, field, PARAMS, rng) == 0
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) == 0
     assert ant.location == 0
     assert ant.mode is AntMode.WANDERING
     assert ant.came_from is None
@@ -60,50 +64,54 @@ def test_track_following_to_declaration(path3):
 
 def test_greedy_follows_strongest_edge(star10):
     field = PheromoneField(star10)
+    pairs, levels = star10.out_pairs, field.values
     field.apply_bad(0, 4, PARAMS)  # 20
     field.apply_bad(0, 7, PARAMS)
     for _ in range(5):
         field.apply_good(0, 7, PARAMS)  # 20 * 0.95**5 ~ 15.48, also above threshold
     ant = AntState(0, location=0)
-    assert ant_step(ant, star10, field, PARAMS, random.Random(0)) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) is None
     assert ant.location == 4
 
 
 def test_tie_breaks_to_smallest_neighbor(star10):
     field = PheromoneField(star10)
+    pairs, levels = star10.out_pairs, field.values
     field.apply_bad(0, 6, PARAMS)
     field.apply_bad(0, 2, PARAMS)
     ant = AntState(0, location=0)
-    assert ant_step(ant, star10, field, PARAMS, random.Random(0)) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) is None
     assert ant.location == 2
 
 
 def test_tracking_ignores_reverse_of_arrival_edge(path3):
     field = PheromoneField(path3)
+    pairs, levels = path3.out_pairs, field.values
     field.apply_bad(1, 0, PARAMS)
     field.apply_bad(0, 1, PARAMS)  # trail in both directions between 0 and 1
     ant = AntState(0, location=1, mode=AntMode.TRACKING, came_from=2)
-    assert ant_step(ant, path3, field, PARAMS, random.Random(0)) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) is None
     assert ant.location == 0
     # at 0 the only hot edge points back where the ant came from: trail ends
-    assert ant_step(ant, path3, field, PARAMS, random.Random(0)) == 0
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) == 0
     # a tracking ant whose only hot edge is its own arrival edge also stops
     ant = AntState(1, location=1, mode=AntMode.TRACKING, came_from=0)
-    assert ant_step(ant, path3, field, PARAMS, random.Random(0)) == 1
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) == 1
 
 
 def test_arrival_edge_masks_trail_in_any_mode():
     topo = path_topology(2)
     field = PheromoneField(topo)
+    pairs, levels = topo.out_pairs, field.values
     field.apply_bad(1, 0, PARAMS)
     # a freshly placed ant has no arrival edge and sees the trail
     ant = AntState(0, location=1)
-    assert ant_step(ant, topo, field, PARAMS, random.Random(0)) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) is None
     assert ant.location == 0
     assert ant.mode is AntMode.TRACKING
     # an ant that just came from node 0 does not, and keeps wandering
     ant = AntState(1, location=1, came_from=0)
-    assert ant_step(ant, topo, field, PARAMS, random.Random(0)) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, random.Random(0).getrandbits) is None
     assert ant.location == 0
     assert ant.mode is AntMode.WANDERING
 
@@ -112,20 +120,22 @@ def test_declared_hotspot_does_not_recapture_through_same_edge(path3):
     # walk the trail down, declare, leave: the walked edge must not pull the
     # ant straight back into a declare loop
     field = PheromoneField(path3)
+    pairs, levels = path3.out_pairs, field.values
     field.apply_bad(1, 0, PARAMS)
     ant = AntState(0, location=1)
     rng = random.Random(0)
-    assert ant_step(ant, path3, field, PARAMS, rng) is None
-    assert ant_step(ant, path3, field, PARAMS, rng) == 0
-    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) == 0
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) is None
     assert ant.location == 1
-    assert ant_step(ant, path3, field, PARAMS, rng) is None
+    assert ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) is None
     assert ant.mode is AntMode.WANDERING
 
 
 def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
     rng = random.Random(99)
     field = PheromoneField(grid4x4)
+    pairs, levels = grid4x4.out_pairs, field.values
     for a, b in directions(grid4x4):
         if rng.random() < 0.5:
             field.apply_bad(a, b, PARAMS)
@@ -134,7 +144,7 @@ def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
     for tick in range(500):
         was_tracking = ant.mode is AntMode.TRACKING
         loc = ant.location
-        if ant_step(ant, grid4x4, field, PARAMS, rng) is None:
+        if ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits) is None:
             if was_tracking and prev_move is not None:
                 assert (loc, ant.location) != (prev_move[1], prev_move[0]), (
                     f"tracking backtrack at tick {tick}"
@@ -146,25 +156,27 @@ def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
 
 def test_ants_never_modify_pheromones(grid4x4):
     field = PheromoneField(grid4x4)
+    pairs, levels = grid4x4.out_pairs, field.values
     field.apply_bad(5, 6, PARAMS)
     field.apply_bad(9, 5, PARAMS)
     before = {key: field.read_level(*key) for key in directions(grid4x4)}
     ant = AntState(0, location=2)
     rng = random.Random(4)
     for _ in range(200):
-        ant_step(ant, grid4x4, field, PARAMS, rng)
+        ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits)
     assert {key: field.read_level(*key) for key in directions(grid4x4)} == before
 
 
 def test_trajectory_deterministic(grid4x4):
     field = PheromoneField(grid4x4)
+    pairs, levels = grid4x4.out_pairs, field.values
     field.apply_bad(10, 9, PARAMS)
 
     def trajectory(seed):
         ant = AntState(0, location=0)
         rng = random.Random(seed)
         return [
-            (ant_step(ant, grid4x4, field, PARAMS, rng), ant.location, ant.mode)
+            (ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits), ant.location, ant.mode)
             for _ in range(100)
         ]
 
@@ -224,7 +236,8 @@ def test_step_matches_the_literal_rule(scene):
     rng = random.Random(scene["seed"])
     oracle_rng = random.Random(scene["seed"])
 
-    declared = ant_step(ant, topo, field, scene["params"], rng)
+    declared = ant_step(ant, topo.out_pairs, field.values, scene["params"].threshold,
+                        rng.getrandbits)
 
     hot = {
         nb: level for nb, level in levels.items()

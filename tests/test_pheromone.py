@@ -286,12 +286,12 @@ def test_threshold_is_strict():
     field.apply_bad(0, 1, params10)
     assert field.read_level(0, 1) == 10.0
     ant = AntState(0, location=0)
-    ant_step(ant, topo, field, params10, random.Random(0))
+    ant_step(ant, topo.out_pairs, field.values, params10.threshold, random.Random(0).getrandbits)
     assert ant.mode is AntMode.WANDERING
     field.apply_bad(0, 1, PheromoneParams(increase=math.ulp(10.0)))
     assert field.read_level(0, 1) == math.nextafter(10.0, math.inf)
     ant = AntState(1, location=0)
-    ant_step(ant, topo, field, params10, random.Random(0))
+    ant_step(ant, topo.out_pairs, field.values, params10.threshold, random.Random(0).getrandbits)
     assert ant.mode is AntMode.TRACKING
 
 
@@ -319,6 +319,9 @@ def field_scripts(draw):
 def test_field_matches_dict_oracle(script):
     topo, params, ops = script
     field = PheromoneField(topo)
+    # held as engine.run holds it for every agent step of a run: each write
+    # must land in this array, and ``values`` must never be rebound
+    arr = field.values
     levels: dict[tuple[int, int], float] = {}
     for op, (u, v) in ops:
         if op == "read":
@@ -330,5 +333,7 @@ def test_field_matches_dict_oracle(script):
         else:
             levels[u, v] = levels.get((u, v), 0.0) * params.decay
             assert field.apply_good(u, v, params) == levels[u, v]
+        assert field.values is arr
+        assert arr[topo.out_ids[u][v]] == levels[u, v]
     for key in directions(topo):
         assert field.read_level(*key) == levels.get(key, 0.0)
