@@ -53,10 +53,12 @@ class SimulationConfig:
     from the outset.  At the end of each tick ``run`` calls ``sink(tick,
     new_packets, moved, values, outcomes, ants, declared)``: the packets
     spawned, the confirmations moved (each at its new position) and the value
-    each wrote, the packets detected or delivered, every agent, and the (ant
-    id, node) declarations.  A sink reads them during the call, as ``run``
-    mutates them later; a run builds nothing for ``sink=None``, and its
-    metrics do not depend on the sink."""
+    each wrote, the packets that ended (each its own outcome record: ``id``,
+    ``event`` and the node ``route[position]`` where it ended), every agent,
+    and the (ant id, node) declarations.  A sink reads them during the call,
+    as ``run`` mutates them later: an ended packet's position first moves on
+    the next tick.  A run builds nothing for ``sink=None``, and its metrics
+    do not depend on the sink."""
 
     topology: NetworkTopology
     params: PheromoneParams = PheromoneParams()
@@ -158,7 +160,9 @@ def event_log(topology: NetworkTopology, write: Callable[[str], object]):
         if phero:
             sep = f"PHERO,{tick},"
             lines.append(sep + ("\n" + sep).join(phero))
-        lines.extend(f"{pkt_tick}{out.event},{out.packet_id},{out.node}" for out in outcomes)
+        lines.extend(
+            f"{pkt_tick}{out.event},{out.id},{out.route[out.position]}" for out in outcomes
+        )
         lines.append(f"FIELD,{tick},{_field_digest(records)}")
         lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
         lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)

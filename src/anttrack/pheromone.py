@@ -81,7 +81,8 @@ class PheromoneField:
             i = self._rows[from_node][to_node]
         except KeyError:
             raise KeyError((from_node, to_node)) from None
-        value = self.values[i] = self.values[i] * params.decay
+        values = self.values
+        value = values[i] = values[i] * params.decay
         return value
 
     def apply_bad(self, from_node: int, to_node: int, params: PheromoneParams) -> float:
@@ -90,7 +91,8 @@ class PheromoneField:
             i = self._rows[from_node][to_node]
         except KeyError:
             raise KeyError((from_node, to_node)) from None
-        value = self.values[i] = self.values[i] + params.increase
+        values = self.values
+        value = values[i] = values[i] + params.increase
         return value
 
     def read_level(self, from_node: int, to_node: int) -> float:

@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
+from .topology import InvalidConfig, NetworkTopology, Route, shortest_route
 from .transport import Packet
 
 
@@ -68,24 +68,37 @@ def generate_tick_traffic(
     minimum-hop route, taken from ``routes``, which the caller keeps across
     ticks.  Ids are assigned sequentially from first_id.
     """
-    getrandbits = rng.getrandbits
     n = topology.node_count
+    if n < 2:
+        raise ValueError(f"traffic needs two nodes for distinct endpoints, got {n}")
+    # randbelow(getrandbits, n) and randbelow(getrandbits, n - 1) without
+    # their calls, as ant_step draws: the same words, so the same endpoints
+    # and the same generator state
+    getrandbits = rng.getrandbits
+    k, k1 = n.bit_length(), (n - 1).bit_length()
     packets: list[Packet] = []
-    pid = first_id
-    for _ in range(rates.good_packets_per_tick):
-        src = randbelow(getrandbits, n)
+    append = packets.append
+    good = rates.good_packets_per_tick
+    for pid in range(first_id, first_id + good):
+        src = getrandbits(k)
+        while src >= n:
+            src = getrandbits(k)
         # exactly one draw for the other endpoint regardless of outcome, so
         # the stream stays aligned
-        dst = randbelow(getrandbits, n - 1)
+        dst = getrandbits(k1)
+        while dst >= n - 1:
+            dst = getrandbits(k1)
         if dst >= src:
             dst += 1
-        packets.append(Packet(pid, False, routes(src, dst)))
-        pid += 1
+        append(Packet(pid, False, routes(src, dst)))
+    pid = first_id + good
     for node in sorted(infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
-            dst = randbelow(getrandbits, n - 1)
+            dst = getrandbits(k1)
+            while dst >= n - 1:
+                dst = getrandbits(k1)
             if dst >= node:
                 dst += 1
-            packets.append(Packet(pid, True, routes(node, dst)))
+            append(Packet(pid, True, routes(node, dst)))
             pid += 1
     return packets

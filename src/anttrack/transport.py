@@ -5,9 +5,10 @@ A packet travels forward from ``route[0]``, one hop per tick.  The detector
 is asked only where it draws: at every hop of a malicious packet, and at a
 clean packet's destination; a clean packet at an intermediate hop only
 advances its position.  When a packet is detected or delivered it ends, and
-the same record turns around as its confirmation: ``bad`` becomes True if it
-was detected and False if it was delivered, and it walks back toward its
-source along its own route, one hop per tick, from the hop where it ended.
+the same record is both its outcome and its confirmation: ``bad`` becomes
+True if it was detected and False if it was delivered, ``event`` names that
+outcome, and ``route[position]`` is the node where it ended until it walks
+back toward its source along its own route, one hop per tick.
 Confirmations update the directed pheromone state of every connection they
 traverse: bad confirmations boost it, clean confirmations decay it.  That
 direction of travel is what makes the resulting trails point at attack
@@ -35,6 +36,11 @@ class Packet:
     route: Route
     position: int = 0
     bad: bool | None = None
+
+    @property
+    def event(self) -> str:
+        """An ended packet's outcome: "detected" or "delivered"."""
+        return "detected" if self.bad else "delivered"
 
 
 @dataclass(frozen=True)
@@ -75,34 +81,24 @@ class InFlight:
     confirmations: list[Packet] = field(default_factory=list)
 
 
-@dataclass(slots=True)
-class PacketOutcome:
-    """Terminal event for one packet: 'detected' or 'delivered' at a node.
-
-    Not frozen: a frozen dataclass sets each field through
-    ``object.__setattr__``, which made building one about four times dearer,
-    and every run builds one per ended packet (see BENCH_26.json)."""
-
-    packet_id: int
-    event: str
-    node: int
-
-
 def advance_packets(
     state: InFlight, detector: DetectorModel, rng: random.Random
-) -> tuple[list[Packet], list[PacketOutcome]]:
+) -> tuple[list[Packet], list[Packet]]:
     """Advance every packet one hop and run the detector at the new hop where
     it draws: every hop of a malicious packet, a clean one's destination.
 
     Detection ends the packet as a bad confirmation at the detecting node.
     Delivery (including a malicious packet that evaded every check: the
     destination believes it is clean) ends it as a clean confirmation at the
-    destination.  Ended packets are returned, not inserted, so they start
-    walking back only on the next tick.
+    destination.  Ended packets are returned in end order, not inserted, so
+    they start walking back only on the next tick; until then each is its
+    own outcome record, through ``id``, ``event`` and ``route[position]``.
+    The one list is returned as both elements of the ``(spawned, outcomes)``
+    pair, kept only because ``perfbench/tracer.py`` unpacks it: once the
+    benchmark stops wrapping library names, the list alone will do.
     """
     survivors: list[Packet] = []
-    spawned: list[Packet] = []
-    outcomes: list[PacketOutcome] = []
+    ended: list[Packet] = []
     keep = survivors.append
     for pkt in state.packets:
         position = pkt.position = pkt.position + 1
@@ -110,18 +106,16 @@ def advance_packets(
         if not pkt.malicious and position < len(route) - 1:
             keep(pkt)
             continue
-        node = route[position]
         if inspect_at_hop(pkt, detector, rng):
-            pkt.bad, event = True, "detected"
-        elif node == route[-1]:
-            pkt.bad, event = False, "delivered"
+            pkt.bad = True
+        elif route[position] == route[-1]:
+            pkt.bad = False
         else:
             keep(pkt)
             continue
-        spawned.append(pkt)
-        outcomes.append(PacketOutcome(pkt.id, event, node))
+        ended.append(pkt)
     state.packets = survivors
-    return spawned, outcomes
+    return ended, ended
 
 
 def advance_confirmations(
@@ -139,10 +133,8 @@ def advance_confirmations(
     for conf in state.confirmations:
         route, position = conf.route, conf.position - 1
         conf.position = position
-        if conf.bad:
-            record(apply_bad(route[position + 1], route[position], params))
-        else:
-            record(apply_good(route[position + 1], route[position], params))
+        record((apply_bad if conf.bad else apply_good)(
+            route[position + 1], route[position], params))
         if position:
             keep(conf)
     state.confirmations = survivors

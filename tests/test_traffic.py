@@ -6,6 +6,8 @@ from anttrack.engine import generate_random_topology
 from anttrack.topology import InvalidConfig, shortest_route
 from anttrack.traffic import TrafficRates, generate_tick_traffic, route_cache
 
+from conftest import star_topology
+
 
 def fresh_traffic(topology, infected, rates, rng, first_id):
     """One tick of traffic routed through a route cache of its own."""
@@ -89,3 +91,43 @@ def test_malicious_sources_are_infected(star10):
         if pkt.malicious:
             assert pkt.route[0] in infected
 
+
+
+def literal_endpoints(n, infected, rates, rng):
+    """A tick's (src, dst) pairs drawn with ``randrange``, as the rule reads:
+    each good packet a source, then one draw for the other endpoint; each
+    infected node, ascending, one draw per attack packet."""
+    pairs = []
+    for _ in range(rates.good_packets_per_tick):
+        src, dst = rng.randrange(n), rng.randrange(n - 1)
+        pairs.append((src, dst + (dst >= src)))
+    for node in sorted(infected):
+        for _ in range(rates.attack_packets_per_infected_per_tick):
+            dst = rng.randrange(n - 1)
+            pairs.append((node, dst + (dst >= node)))
+    return pairs
+
+
+# 64 and 65: n and n - 1 differ in bit length
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 75, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_endpoints_draw_as_the_stdlib_randrange(n, seed):
+    """The inline endpoint draws give ``randrange``'s values and leave the
+    generator in the same state.  Routes are stubbed by their endpoints."""
+    rates = TrafficRates(good_packets_per_tick=50, attack_packets_per_infected_per_tick=3)
+    infected = {n - 1, 0}
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for first_id in (0, 62):
+        packets = generate_tick_traffic(star_topology(n), infected, rates, rng, first_id,
+                                        lambda src, dst: (src, dst))
+        assert [pkt.route for pkt in packets] == literal_endpoints(n, infected, rates, oracle_rng)
+        assert [pkt.id for pkt in packets] == list(range(first_id, first_id + 56))
+        assert [pkt.malicious for pkt in packets] == [False] * 50 + [True] * 6
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_one_node_topology_is_refused():
+    # an inline draw below n - 1 = 0 would never end
+    rates = TrafficRates(good_packets_per_tick=1, attack_packets_per_infected_per_tick=1)
+    with pytest.raises(ValueError, match="got 1"):
+        fresh_traffic(star_topology(1), set(), rates, random.Random(0), 0)

@@ -13,7 +13,6 @@ from anttrack.transport import (
     DetectorModel,
     InFlight,
     Packet,
-    PacketOutcome,
     advance_confirmations,
     advance_packets,
 )
@@ -50,22 +49,28 @@ def test_good_packet_walkthrough():
     assert len(spawned) == 1
     assert spawned[0].bad is False
     assert confirmation_path(spawned[0]) == (2, 1, 0)
-    assert outcomes[0].packet_id == 0
-    assert outcomes[0].event == "delivered" and outcomes[0].node == 2
+    # the ended packet is its own outcome record
+    out = outcomes[0]
+    assert out.id == 0
+    assert out.event == "delivered" and out.route[out.position] == 2
 
 
 def test_packet_records_are_slotted_and_outcomes_compare_by_value():
-    # Both records are built once per packet on the tick path.  Outcomes are
-    # slotted and not frozen, since a frozen dataclass made each one about
-    # four times dearer to build (BENCH_26.json): bring frozen=True back only
-    # with a measurement.
+    # A packet is built once per packet on the tick path and is its own
+    # outcome record: no second record is built when it ends (BENCH_39.json).
+    # It is slotted and not frozen, since a frozen dataclass made a record
+    # about four times dearer to build (BENCH_26.json): bring frozen=True
+    # back only with a measurement.
     state = InFlight(packets=[Packet(0, True, (0, 1, 2)), Packet(1, False, (0, 1))])
     spawned, outcomes = advance_packets(state, DetectorModel(), random.Random(0))
-    assert [type(out) for out in outcomes] == [PacketOutcome, PacketOutcome]
+    assert [type(out) for out in outcomes] == [Packet, Packet]
     for record in [*spawned, *outcomes]:
         assert not hasattr(record, "__dict__")
-    assert outcomes == [PacketOutcome(0, "detected", 1), PacketOutcome(1, "delivered", 1)]
-    assert PacketOutcome(0, "detected", 1) != PacketOutcome(0, "delivered", 1)
+    assert [(out.id, out.event, out.route[out.position]) for out in outcomes] == [
+        (0, "detected", 1), (1, "delivered", 1)
+    ]
+    assert outcomes == [Packet(0, True, (0, 1, 2), 1, True), Packet(1, False, (0, 1), 1, False)]
+    assert Packet(0, True, (0, 1, 2), 1, True) != Packet(0, True, (0, 1, 2), 1, False)
 
 
 def test_packet_travelling_forward_has_no_kind():
@@ -83,7 +88,9 @@ def test_malicious_detected_at_first_hop():
     assert state.packets == []
     assert spawned[0].bad is True
     assert confirmation_path(spawned[0]) == (1, 0)
-    assert outcomes[0].event == "detected" and outcomes[0].node == 1
+    out = outcomes[0]
+    assert out.id == 0
+    assert out.event == "detected" and out.route[out.position] == 1
 
 
 def test_malicious_evasion_spawns_good_confirm():
@@ -189,13 +196,16 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
         advance_confirmations(state, field, PARAMS)
         new_confirms, outcomes = advance_packets(state, detector, detect_rng)
         # each packet that ends spawns one confirmation, in outcome order,
-        # from the node where it ended; it is bad exactly when detected
+        # from the node where it ended; it is bad exactly when detected, and
+        # a packet that was not detected ended at its destination
         assert len(new_confirms) == len(outcomes)
         for conf, out in zip(new_confirms, outcomes):
-            assert conf.id == out.packet_id
-            assert conf.route[conf.position] == out.node
+            assert conf.id == out.id
+            assert conf.route[conf.position] == out.route[out.position]
             assert (conf.bad is True) == (out.event == "detected")
-        ended_ids.extend(out.packet_id for out in outcomes)
+            if out.event == "delivered":
+                assert out.route[out.position] == out.route[-1]
+        ended_ids.extend(out.id for out in outcomes)
         state.confirmations.extend(new_confirms)
 
     assert state.packets == [] and state.confirmations == []
