@@ -124,12 +124,14 @@ def event_log(topology: NetworkTopology, write: Callable[[str], object]):
     """The event log's sink for a run on ``topology``: it formats a tick's
     record lines, each newline-terminated, in log order, and passes them to
     ``write`` as one string.  Its tables, built here once per run, are lists
-    indexed by edge id, read through the topology's ``out_ids`` rows: the
-    ``<iid`` FIELD-digest record, empty until a confirmation first crosses
-    the direction; the zero PHERO text with its record; and the
-    ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO prefixes."""
-    rows = topology.out_ids
-    pairs = [(u, v) for u, row in rows.items() for v in row]
+    indexed by edge id, read through ``rows``, the topology's ``out_ids``
+    rows in a list indexed by node (every node the sink reads comes from a
+    route, so none is negative): the ``<iid`` FIELD-digest record, empty
+    until a confirmation first crosses the direction; the zero PHERO text
+    with its record; and the ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO
+    prefixes."""
+    rows = list(topology.out_ids.values())
+    pairs = [(u, v) for u, row in enumerate(rows) for v in row]
     records = [b""] * len(pairs)
     zeros = [(f"{u},{v},good,0", _pack_record(u, v, 0.0)) for u, v in pairs]
     good = [f"{u},{v},good," for u, v in pairs]
@@ -148,24 +150,23 @@ def event_log(topology: NetworkTopology, write: Callable[[str], object]):
             for pkt in new_packets
         ]
         phero = []
+        add = phero.append
         for conf, value in zip(moved, values):
             route, p = conf.route, conf.position
             e = rows[route[p + 1]][route[p]]
             if value:
-                phero.append(f"{(bad if conf.bad else good)[e]}{value:.9g}")
+                add(f"{(bad if conf.bad else good)[e]}{value:.9g}")
                 records[e] = _pack_record(route[p + 1], route[p], value)
             else:
                 text, records[e] = zeros[e]
-                phero.append(text)
+                add(text)
         if phero:
             sep = f"PHERO,{tick},"
             lines.append(sep + ("\n" + sep).join(phero))
-        lines.extend(
-            f"{pkt_tick}{out.event},{out.id},{out.route[out.position]}" for out in outcomes
-        )
+        lines += [f"{pkt_tick}{out.event},{out.id},{out.route[out.position]}" for out in outcomes]
         lines.append(f"FIELD,{tick},{_field_digest(records)}")
-        lines.extend(f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants)
-        lines.extend(f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared)
+        lines += [f"ANT,{tick},{ant.ant_id},{ant.location},{ant.mode.value}" for ant in ants]
+        lines += [f"DECL,{tick},{ant_id},{node}" for ant_id, node in declared]
         write("\n".join(lines) + "\n")
 
     return sink

@@ -75,7 +75,8 @@ def generate_tick_traffic(
     # their calls, as ant_step draws: the same words, so the same endpoints
     # and the same generator state
     getrandbits = rng.getrandbits
-    k, k1 = n.bit_length(), (n - 1).bit_length()
+    n1 = n - 1
+    k, k1 = n.bit_length(), n1.bit_length()
     packets: list[Packet] = []
     append = packets.append
     good = rates.good_packets_per_tick
@@ -86,7 +87,7 @@ def generate_tick_traffic(
         # exactly one draw for the other endpoint regardless of outcome, so
         # the stream stays aligned
         dst = getrandbits(k1)
-        while dst >= n - 1:
+        while dst >= n1:
             dst = getrandbits(k1)
         if dst >= src:
             dst += 1
@@ -95,7 +96,7 @@ def generate_tick_traffic(
     for node in sorted(infected):
         for _ in range(rates.attack_packets_per_infected_per_tick):
             dst = getrandbits(k1)
-            while dst >= n - 1:
+            while dst >= n1:
                 dst = getrandbits(k1)
             if dst >= node:
                 dst += 1

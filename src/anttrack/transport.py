@@ -87,6 +87,10 @@ def advance_packets(
     """Advance every packet one hop and run the detector at the new hop where
     it draws: every hop of a malicious packet, a clean one's destination.
 
+    The loop branches on ``malicious`` first.  A malicious packet draws at
+    every hop and is delivered when it evades the draw at ``route[-1]``.  A
+    clean packet at an intermediate hop only compares its position with its
+    route's last index; at its destination its one draw is its outcome.
     Detection ends the packet as a bad confirmation at the detecting node.
     Delivery (including a malicious packet that evaded every check: the
     destination believes it is clean) ends it as a clean confirmation at the
@@ -103,16 +107,19 @@ def advance_packets(
     for pkt in state.packets:
         position = pkt.position = pkt.position + 1
         route = pkt.route
-        if not pkt.malicious and position < len(route) - 1:
+        if pkt.malicious:
+            if inspect_at_hop(pkt, detector, rng):
+                pkt.bad = True
+            elif route[position] == route[-1]:
+                pkt.bad = False
+            else:
+                keep(pkt)
+                continue
+        elif position < len(route) - 1:
             keep(pkt)
             continue
-        if inspect_at_hop(pkt, detector, rng):
-            pkt.bad = True
-        elif route[position] == route[-1]:
-            pkt.bad = False
         else:
-            keep(pkt)
-            continue
+            pkt.bad = inspect_at_hop(pkt, detector, rng)
         ended.append(pkt)
     state.packets = survivors
     return ended, ended
@@ -131,8 +138,8 @@ def advance_confirmations(
     keep, record = survivors.append, values.append
     apply_bad, apply_good = pheromones.apply_bad, pheromones.apply_good
     for conf in state.confirmations:
-        route, position = conf.route, conf.position - 1
-        conf.position = position
+        position = conf.position = conf.position - 1
+        route = conf.route
         record((apply_bad if conf.bad else apply_good)(
             route[position + 1], route[position], params))
         if position:

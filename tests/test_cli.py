@@ -837,15 +837,17 @@ def test_sigterm_mid_run_exits_143_and_leaves_nothing(tmp_path):
 
 
 def sigterm_a_pooled_sweep(tmp_path, kill):
-    """Start a default75 sweep of 40 seeds on two workers in a session of its
-    own, and once its workers are under way, signal it by ``kill(pid,
+    """Start a default75 sweep of 200 seeds on two workers in a session of
+    its own, and once its workers are under way, signal it by ``kill(pid,
     SIGTERM)``: it exits 143 within 2 s, printing nothing, and leaves no
-    ``--out`` directory and no process in its group."""
+    ``--out`` directory and no process in its group.  Each worker's chunk of
+    100 seeds takes about 10 s (2 cores, Python 3.11.7), far past that
+    bound, so a sweep that waits for its workers' chunks fails."""
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parent.parent
     child = subprocess.Popen(
         [sys.executable, "-m", "anttrack.cli", "sweep", "--scenario", str(SCENARIOS / "default75.scn"),
-         "--seeds", "1..40", "--jobs", "2", "--out", str(out)],
+         "--seeds", "1..200", "--jobs", "2", "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=str(src)), stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
@@ -869,8 +871,7 @@ def sigterm_a_pooled_sweep(tmp_path, kill):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pooled sweep needs two cores")
 def test_sigterm_to_a_pooled_sweep_alone_ends_it_at_once(tmp_path):
     """A SIGTERM sent to a pooled sweep's own process, not to its group,
-    kills its workers rather than waiting for their chunks of seeds (about
-    4 s here)."""
+    kills its workers rather than waiting for their chunks of seeds."""
     sigterm_a_pooled_sweep(tmp_path, os.kill)
 
 

@@ -280,12 +280,21 @@ SUBNORMAL = {
     "detect_prob": 1.0, "false_positive_prob": 0.0, "inc": 5e-324, "dec": 0.5,
     "threshold": 5e-324,
 }
+# Every attack evades the detector to its destination and every clean packet
+# is flagged there, so both branches of the packet advance run on every pass.
+EVADE_AND_FLAG = {
+    "nodes": 6, "edges": [(0, 1), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)], "seed": 3,
+    "ticks": 30, "ants": 2, "good": 4, "attack": 2, "infected": {0}, "scripted": [(8, 5)],
+    "detect_prob": 0.0, "false_positive_prob": 1.0, "inc": 10.0, "dec": 0.5,
+    "threshold": 5.0,
+}
 
 
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 @example(NON_ZERO_ZERO_NON_ZERO)
 @example(SUBNORMAL)
+@example(EVADE_AND_FLAG)
 def test_engine_matches_reference(s):
     ref_metrics, ref_log = reference_run(s)
     metrics, log = logged_run(engine_config(s))

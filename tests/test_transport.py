@@ -126,10 +126,15 @@ def test_false_positive_spawns_bad_confirm_full_route():
     assert outcomes[0].event == "detected"
 
 
-@pytest.mark.parametrize("malicious, inspected_at", [(False, [3]), (True, [1, 2, 3])])
+@pytest.mark.parametrize("malicious, inspected_at", [
+    (False, [3]), (True, [1, 2, 3]), (False, [1]), (True, [1]),
+])
 def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected_at):
     """A clean packet meets the detector only at its destination; a
-    malicious one at every hop after its source.  Each meeting is one draw."""
+    malicious one at every hop after its source.  Each meeting is one draw:
+    on the one-hop route (0, 1) both kinds draw once, at node 1.  The route
+    runs from 0 to the last node inspected, the destination, since a
+    detector that never detects ends no packet early."""
     nodes = []
     real_inspect = transport.inspect_at_hop
 
@@ -139,7 +144,7 @@ def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected
 
     monkeypatch.setattr(transport, "inspect_at_hop", counting_inspect)
     rng, reference = random.Random(9), random.Random(9)
-    state = InFlight(packets=[Packet(0, malicious, (0, 1, 2, 3))])
+    state = InFlight(packets=[Packet(0, malicious, tuple(range(inspected_at[-1] + 1)))])
     while state.packets:
         advance_packets(state, DetectorModel(detect_prob=0.0), rng)
     assert nodes == inspected_at
