@@ -129,7 +129,7 @@ def event_log(topology: NetworkTopology, write: Callable[[str], object]):
     route, so none is negative): the ``<iid`` FIELD-digest record, empty
     until a confirmation first crosses the direction; the zero PHERO text
     with its record; and the ``"u,v,good,"`` and ``"u,v,bad,"`` PHERO
-    prefixes."""
+    prefixes: 2E entries each for E connections, whatever ``max_ticks`` is."""
     rows = list(topology.out_ids.values())
     pairs = [(u, v) for u, row in enumerate(rows) for v in row]
     records = [b""] * len(pairs)

@@ -101,8 +101,3 @@ class PheromoneField:
             return self.values[self._rows[from_node][to_node]]
         except KeyError:
             raise KeyError((from_node, to_node)) from None
-
-    @property
-    def bytes_per_direction(self) -> int:
-        """Storage of one directed connection's value."""
-        return self.values.itemsize

@@ -39,9 +39,9 @@ def randbelow(getrandbits, n: int) -> int:
 
 class _built_once:
     """A table derived from a topology, built at its first read and kept on it
-    by ``object.__setattr__``.  ``functools.cached_property`` writes the
-    instance ``__dict__`` instead, which cost sparse1000 about 5% of its ms
-    per tick (9 of 9 benchmark pairs, 2 cores, Python 3.11.7)."""
+    by ``object.__setattr__``, outside its equality and repr.
+    ``functools.cached_property`` in its place cost sparse1000 about 5% of
+    its ms per tick (9 of 9 benchmark pairs, 2 cores, Python 3.11.7)."""
 
     def __init__(self, build):
         self.build = build
@@ -119,7 +119,8 @@ class NetworkTopology:
 
     @_built_once
     def levels(self) -> list[list[int]]:
-        """Breadth-first search from every node at once, one bit per node: for
+        """Breadth-first search from every node at once, one bit per node (the
+        bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD 2013): for
         k = 0 .. diameter, bit w of ``levels[k][v]`` is set iff dist(v, w) <= k.
         Each level counts as n * ceil(n / 8) bytes; a graph whose levels would
         pass ``REACH_LEVEL_BUDGET`` is refused as soon as the next one would."""
@@ -144,8 +145,9 @@ class NetworkTopology:
             levels.append(nxt)
 
 
-# The reach levels' budget: each level holds n ints of n bits.  Far above
-# sparse1000's levels (under 2 MiB) and a 1000-node path's (about 119 MiB).
+# The reach levels' budget: each level holds n ints of n bits, and there are
+# diameter + 1 levels.  Far above sparse1000's (under 2 MiB) and a 1000-node
+# path's (about 119 MiB); routing has no other path, so a graph past it is refused.
 REACH_LEVEL_BUDGET = 256 << 20
 
 

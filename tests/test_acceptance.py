@@ -264,9 +264,9 @@ def test_criterion_7_storage_bound_after_long_run():
     # one float per directed connection, whatever the run length, in the
     # field ``run`` builds; the criterion's bound is 10,000 bytes
     field = PheromoneField(config.topology)
-    assert field.bytes_per_direction == 8
+    assert field.values.itemsize == 8
     report(7, f"{touched} directed connections after 10,000 ticks, "
-              f"{field.bytes_per_direction} bytes of live state per direction")
+              f"{field.values.itemsize} bytes of live state per direction")
 
 
 def test_criterion_8_bandwidth_accounting(default_run):

@@ -211,7 +211,7 @@ def test_periodic_traffic_fixed_point():
 def test_live_state_within_storage_bound():
     # after any number of events a direction's live state is one float
     field = fold([BAD, GOOD] * 500, DEFAULTS, RecordingField)
-    assert field.bytes_per_direction == 8
+    assert field.values.itemsize == 8
     assert type(level(field)) is float
     assert field.written.keys() == {(0, 1)}
 
