@@ -39,8 +39,8 @@ MAX_ANT_COUNT = 10_000
 # A random topology draws every node pair, quadratic in the node count: 10x
 # the largest shipped or benchmark graph (1000 nodes), drawn in seconds.  Its
 # expected edge count n(n - 1)/2 * p is bounded too, since each edge costs
-# about 440 bytes while drawn: the bound admits 1000 nodes at p = 1 (499,500
-# edges, about 240 MiB) and refuses 10,000 nodes at p = 1 (about 20 GiB).
+# about 185 bytes while drawn: the bound admits 1000 nodes at p = 1 (499,500
+# edges, about 90 MiB) and refuses 10,000 nodes at p = 1 (about 9 GiB).
 MAX_RANDOM_TOPOLOGY_NODES = 10_000
 MAX_RANDOM_TOPOLOGY_EDGES = 500_000
 
@@ -226,15 +226,20 @@ def run(config: SimulationConfig) -> Metrics:
     return metrics
 
 
+# the two 32-bit words of one random() draw, first word first
+_unpack_words = struct.Struct("<II").unpack_from
+
+
 def generate_random_topology(
     node_count: int, extra_edge_prob: float, rng: random.Random
 ) -> NetworkTopology:
     """Random connected graph: a random spanning tree plus every remaining
     node pair independently with extra_edge_prob.
 
-    Each non-tree pair (a, b), a < b, gets exactly one ``rng.random()``, in
-    ascending (a, b) order; tree pairs get none.  So a seed fixes the graph
-    and the state the generator leaves ``rng`` in."""
+    Each non-tree pair (a, b), a < b, in ascending (a, b) order, takes the
+    two 32-bit words of one ``rng.random()`` and is kept when that draw,
+    compared exactly, is below extra_edge_prob; tree pairs take none.  So a
+    seed fixes the graph and the state the generator leaves ``rng`` in."""
     if node_count < 2:
         raise InvalidConfig(f"node_count must be >= 2, got {node_count}")
     if node_count > MAX_RANDOM_TOPOLOGY_NODES:
@@ -253,16 +258,28 @@ def generate_random_topology(
     for i in range(1, node_count):
         a, b = order[i], order[randbelow(rng.getrandbits, i)]
         tree_above[min(a, b)].append(max(a, b))
-    draw = rng.random
+    # row a's words come from one getrandbits call; a draw whose first
+    # word's top byte is t lies in [t/256, (t+1)/256), so that byte marks
+    # it kept (1) below p, dropped (0) at or above it, compared (2) across it
+    p = extra_edge_prob
+    marks = bytes(1 if (t + 1) / 256 <= p else 0 if t / 256 >= p else 2 for t in range(256))
     edges: list[tuple[int, int]] = []
     for a in range(node_count):
-        # the draws for a's pairs, in order, split around its tree edges
-        start = a + 1
-        for t in sorted(tree_above[a]) + [node_count]:
-            edges += [(a, b) for b in range(start, t) if draw() < extra_edge_prob]
-            if t < node_count:
-                edges.append((a, t))
-            start = t + 1
+        k = node_count - 1 - a - len(tree_above[a])
+        # pair j's draw is bytes 8j..8j+7, its first word's top byte at 8j+3
+        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        row = bytearray(words[3::8].translate(marks))
+        j = row.find(2)
+        while j >= 0:
+            hi, lo = _unpack_words(words, 8 * j)  # compared as random() computes it
+            row[j] = ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0) < p
+            j = row.find(2, j + 1)
+        for b in sorted(tree_above[a]):
+            row.insert(b - a - 1, 1)
+        j = row.find(1)
+        while j >= 0:
+            edges.append((a, a + 1 + j))
+            j = row.find(1, j + 1)
     return NetworkTopology.from_edges(node_count, edges)
 
 

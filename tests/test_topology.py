@@ -1,9 +1,10 @@
 import hashlib
+import math
 import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anttrack import cli, topology
 from anttrack.topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
@@ -184,6 +185,17 @@ def test_reach_level_budget_far_above_every_shipped_topology():
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
     st.integers(),
 )
+# a pair's draw is settled by its top byte t, in [t/256, (t+1)/256), unless
+# p falls inside that range: none does at 1/256 and 2/256; t = 0 does just
+# below 1/256 and t = 1 just above; then the extremes, and sparse1000's size
+@example(80, 1 / 256, 11)
+@example(80, 2 / 256, 12)
+@example(80, math.nextafter(1 / 256, 0), 13)
+@example(80, math.nextafter(1 / 256, 1), 14)
+@example(80, 5e-324, 15)
+@example(80, 1 - 2**-53, 16)
+@example(80, 1.0, 17)
+@example(1000, 0.001, 18)
 def test_random_topology_draws_as_the_pairwise_oracle(node_count, extra_edge_prob, seed):
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     topo = generate_random_topology(node_count, extra_edge_prob, rng)
