@@ -81,8 +81,8 @@ def ant_step(
         ant.came_from = None
         return here
     else:
-        # randbelow(getrandbits, n) without its two calls: the same words,
-        # so the same neighbor and the same generator state
+        # Random.randrange(n) without its calls: the same words, so the
+        # same neighbor and the same generator state
         n = len(row)
         if not n:
             raise ValueError(f"node {here} has no neighbors to move to")

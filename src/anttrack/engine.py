@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .ant import AntState, ant_step
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import InvalidConfig, NetworkTopology, randbelow
+from .topology import InvalidConfig, NetworkTopology
 from .traffic import TrafficRates, generate_tick_traffic, route_cache
 from .transport import DetectorModel, InFlight, advance_confirmations, advance_packets
 
@@ -187,7 +187,7 @@ def run(config: SimulationConfig) -> Metrics:
     pheromones = PheromoneField(topo)
     routes = route_cache(topo)
     inflight = InFlight()
-    ants = [AntState(i, randbelow(r.getrandbits, topo.node_count)) for i, r in enumerate(ant_rngs)]
+    ants = [AntState(i, r.randrange(topo.node_count)) for i, r in enumerate(ant_rngs)]
     # each step's tables, fetched once: the field writes its array in place
     agents = [(ant, rng.getrandbits) for ant, rng in zip(ants, ant_rngs)]
     out_pairs, levels, threshold = topo.out_pairs, pheromones.values, config.params.threshold
@@ -256,7 +256,7 @@ def generate_random_topology(
     rng.shuffle(order)
     tree_above: list[list[int]] = [[] for _ in range(node_count)]
     for i in range(1, node_count):
-        a, b = order[i], order[randbelow(rng.getrandbits, i)]
+        a, b = order[i], order[rng.randrange(i)]
         tree_above[min(a, b)].append(max(a, b))
     # row a's words come from one getrandbits call; a draw whose first
     # word's top byte is t lies in [t/256, (t+1)/256), so that byte marks

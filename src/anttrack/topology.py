@@ -24,24 +24,12 @@ class InvalidConfig(Exception):
         self.edge = edge
 
 
-def randbelow(getrandbits, n: int) -> int:
-    """A uniform int in [0, n), drawn as ``random.Random.randrange(n)`` draws
-    it: ``n.bit_length()``-bit words from ``getrandbits`` until one is below
-    n.  So it gives the same values and leaves the generator in the same state."""
-    if n < 1:
-        raise ValueError(f"randbelow needs n >= 1, got {n}")
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 class _built_once:
     """A table derived from a topology, built at its first read and kept on it
     by ``object.__setattr__``, outside its equality and repr.
-    ``functools.cached_property`` in its place cost sparse1000 about 5% of
-    its ms per tick (9 of 9 benchmark pairs, 2 cores, Python 3.11.7)."""
+    ``functools.cached_property`` writes ``instance.__dict__``, which on
+    CPython 3.11 and 3.12 doubles the cost of every later attribute read of
+    the topology: sparse1000's ms per tick rose 1.8% (21 of 22 pairs, 3.11.7)."""
 
     def __init__(self, build):
         self.build = build

@@ -71,9 +71,9 @@ def generate_tick_traffic(
     n = topology.node_count
     if n < 2:
         raise ValueError(f"traffic needs two nodes for distinct endpoints, got {n}")
-    # randbelow(getrandbits, n) and randbelow(getrandbits, n - 1) without
-    # their calls, as ant_step draws: the same words, so the same endpoints
-    # and the same generator state
+    # Random.randrange(n) and Random.randrange(n - 1) without their calls,
+    # as ant_step draws: the same words, so the same endpoints and the same
+    # generator state
     getrandbits = rng.getrandbits
     n1 = n - 1
     k, k1 = n.bit_length(), n1.bit_length()

@@ -1,6 +1,5 @@
 import ast
 import io
-import re
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +11,6 @@ from conftest import scenario_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 README = ROOT / "README.md"
 
 
@@ -36,15 +34,6 @@ def test_demos_import_only_names_the_package_exports():
     }
     unused = sorted(exported - {name for _, name in imported})
     assert unused == []
-
-
-def test_each_demo_has_one_stdout_pin_in_ci():
-    """CI's ``sha256sum -c`` checks only the files it has pin lines for, so
-    a demo without a pin would pass unchecked: each demo has exactly one
-    pin line, and each pin names a demo."""
-    text = WORKFLOW.read_text(encoding="utf-8")
-    pins = re.findall(r"^ *[0-9a-f]{64}  (\S+)\.out$", text, re.MULTILINE)
-    assert sorted(pins) == [demo.name for demo in DEMOS]
 
 
 def _fenced_block(text: str, heading: str) -> list[str]:

@@ -1,16 +1,21 @@
 """Golden outputs: `anttrack run` on the pinned scenarios and a serial
 `anttrack sweep` over four seeds must reproduce these files byte for byte,
-and `anttrack trace` its fig1 and fig2 CSVs; each is pinned by its sha256.
-This file is the repo's one home for these pins, and CI also runs it against
-the installed package.
+`anttrack trace` its fig1 and fig2 CSVs, and each script in `demos/` its
+stdout; each is pinned by its sha256.  This file is the repo's one home for
+these pins, and CI also runs it against the installed package.
 
 A change that alters a hash changes observable behaviour and must say why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anttrack
 from anttrack.cli import main
 
 from conftest import SCENARIOS
@@ -82,3 +87,26 @@ def test_trace_output_matches_golden_hash(mode, tmp_path):
     out = tmp_path / f"{mode}.csv"
     assert main(["trace", "--mode", mode, "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == TRACE_GOLDEN[mode]
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+DEMO_GOLDEN = {
+    "01_affinity_function.py": "686421a60645cde6d858c465b8ebe140cec27e4d6b0b804da01aec1705953b9e",
+    "02_single_infection.py": "c0090a4ff3793b0895af62e68f8571a241a0a73388e524309e676881091155d6",
+    "03_default_scenario.py": "97ca18e5aefcb041d4f82e41205c4b24959a25c044956c49deec5d55a98fd6b4",
+    "04_reinfection.py": "38ea418dc55c1800dea44e253b7bf069a3722a744e0b21fd6a99208835d9205d",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_GOLDEN.keys() | {p.name for p in DEMOS.glob("*.py")}))
+def test_demo_stdout_matches_golden_hash(demo, tmp_path):
+    """Each demo has one pin and each pin names a demo.  The demo runs in its
+    own interpreter, importing the ``anttrack`` this test imported: the
+    checkout's ``src/`` or the installed package."""
+    assert demo in DEMO_GOLDEN and (DEMOS / demo).is_file()
+    package_root = str(Path(anttrack.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert sha256(result.stdout) == DEMO_GOLDEN[demo]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from anttrack import cli, topology
-from anttrack.topology import InvalidConfig, NetworkTopology, Route, randbelow, shortest_route
+from anttrack.topology import InvalidConfig, NetworkTopology, Route, shortest_route
 from anttrack.traffic import TrafficRates, route_cache
 from anttrack.engine import SimulationConfig, derive_rng, generate_random_topology
 from anttrack.pheromone import PheromoneParams
@@ -201,30 +201,6 @@ def test_random_topology_draws_as_the_pairwise_oracle(node_count, extra_edge_pro
     topo = generate_random_topology(node_count, extra_edge_prob, rng)
     assert undirected_edges(topo) == pairwise_random_edges(node_count, extra_edge_prob, oracle_rng)
     assert rng.getstate() == oracle_rng.getstate()
-
-
-# 1, every power of two up to 2**70 and its neighbours: bounds one bit
-# apart, and bounds whose draws take several 32-bit words
-BOUNDS = sorted({2**k + d for k in range(71) for d in (-1, 0, 1)} - {0})
-
-
-@given(
-    st.integers(),
-    st.one_of(st.sampled_from(BOUNDS), st.integers(min_value=1, max_value=2**70)),
-    st.integers(min_value=1, max_value=20),
-)
-def test_randbelow_draws_as_the_stdlib_randrange(seed, n, draws):
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    assert [randbelow(rng.getrandbits, n) for _ in range(draws)] == [
-        oracle_rng.randrange(n) for _ in range(draws)
-    ]
-    assert rng.getstate() == oracle_rng.getstate()
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_randbelow_rejects_an_empty_range(n):
-    with pytest.raises(ValueError, match=f"got {n}"):
-        randbelow(random.Random(0).getrandbits, n)
 
 
 @pytest.mark.parametrize(
