@@ -36,8 +36,8 @@ def config_from(tmp_path: Path, body: str, overrides=()) -> SimulationConfig:
     return cli.build_config(cli.parse_scenario(write_scenario(tmp_path, body), overrides))
 
 
-SMALL = """
-topology_file {topo}
+SMALL = f"""
+topology_file {SCENARIOS / "star10.topo"}
 seed 7
 ant_count 2
 good_packets_per_tick 4
@@ -48,7 +48,7 @@ infected 3
 
 
 def small_scenario(tmp_path):
-    return write_scenario(tmp_path, SMALL.format(topo=SCENARIOS / "star10.topo"))
+    return write_scenario(tmp_path, SMALL)
 
 
 def read_trace(path: Path) -> dict[int, tuple[str, float]]:
@@ -101,74 +101,317 @@ def test_summary_counts_infections_at_or_after_the_last_tick(tmp_path):
     assert lines[8] == "infections scheduled after the last tick: 2"
 
 
-def test_unknown_key_names_it(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, "nodes 2\nedge 0 1\nfoo 3\n")
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert "foo" in capsys.readouterr().err
-
-
-MALFORMED_SCENARIO = {
-    "nodes 2\nedge 0 1\nfoo 3\n": "line 3: unknown key 'foo'",
-    "nodes 2\nedge 0 1\nseed soon\n": "line 3: bad value for 'seed': 'soon'",
-    # ant_choice parses only as greedy, the one rule
-    "nodes 2\nedge 0 1\nant_choice proportional\n": "line 3: bad value for 'ant_choice': 'proportional'",
-    "nodes 2\n# a comment\nnodes 3\nedge 0 1\n": "line 3: duplicate key 'nodes'",
-    # a topology fault names the file that holds it, and an edge's line
-    "nodes 3\nedge 0 5\n": "line 2: edge (0, 5) references a node outside [0, 3)",
-    "nodes 3\nedge 0 1\nedge 1 2\n\nedge 2 1\n": "line 5: edge (1, 2) listed more than once",
-    "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
-    "nodes 0\n": "node count must be >= 1, got 0",
-    # so does a fault of the config the file describes
-    "nodes 1\n": "node_count must be >= 2, got 1",
-    "random_topology 1 0.5\n": "node_count must be >= 2, got 1",
-    "nodes 2\nedge 0 1\nmax_ticks 0\n": "max_ticks must be > 0, got 0",
-    "nodes 2\nedge 0 1\ninfected 1 1\n": "node 1 would be infected twice",
-    "nodes 2\nedge 0 1\ninfect_at -1 0\n": "infection tick -1 is negative",
-    "nodes 2\nedge 0 1\nthreshold 0\n": "threshold must be finite and > 0, got 0.0",
-    "nodes 2\nedge 0 1\ngood_packets_per_tick -1\n": "good_packets_per_tick must be >= 0, got -1",
-    "nodes 2\nedge 0 1\nattack_packets_per_infected_per_tick 0\n": (
-        "attack_packets_per_infected_per_tick must be >= 1, got 0"
-    ),
-    "nodes 2\nedge 0 1\ndetect_prob 2\n": "detect_prob must be in [0, 1], got 2.0",
-}
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("text", sorted(MALFORMED_SCENARIO))
-def test_scenario_line_error_names_the_file(tmp_path, capsys, command, text):
-    scenario = write_scenario(tmp_path, text)
-    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]
-    assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
-    assert capsys.readouterr().err == f"error: {scenario}: {MALFORMED_SCENARIO[text]}\n"
-
-
 COUNT_BOUNDS = {
     "ant_count": engine.MAX_ANT_COUNT,
     "good_packets_per_tick": traffic.MAX_GOOD_PACKETS_PER_TICK,
     "attack_packets_per_infected_per_tick": traffic.MAX_ATTACK_PACKETS_PER_INFECTED_PER_TICK,
 }
 
+SHIPPED_SCENARIOS = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
 
-# Unbounded, the first of these hung and the next two ran out of memory
-# while the agents or the first tick's packets were built.
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("ant_count", "9999999999"),
-        ("ant_count", "99999999"),
-        ("good_packets_per_tick", "999999999"),
-        ("attack_packets_per_infected_per_tick", "999999999"),
-    ],
-)
-def test_huge_count_exits_2_at_once_naming_its_key(tmp_path, capsys, key, value):
-    scenario = write_scenario(tmp_path, f"nodes 2\nedge 0 1\n{key} {value}\n")
-    start = time.perf_counter()
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        f"error: {scenario}: {key} must be <= {COUNT_BOUNDS[key]}, got {value}\n"
+
+def write_files(tmp_path: Path, files: dict[str, str | bytes]) -> None:
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+
+
+def ring_files(n: int) -> dict[str, str]:
+    """A scenario of ``max_ticks 5`` on an n-node ring in a topology file."""
+    return {
+        "ring.topo": f"nodes {n}\n" + "".join(f"edge {i} {(i + 1) % n}\n" for i in range(n)),
+        "scenario.scn": "topology_file ring.topo\nmax_ticks 5\n",
+    }
+
+
+# The rows of REFUSED: the files a command line reads, written under
+# tmp_path; its arguments; and its exit code and its one stderr line.
+# "{tmp}" stands for tmp_path.
+SCN = "{tmp}/scenario.scn"
+PAIR = "nodes 2\nedge 0 1\n"  # the smallest topology a run accepts
+
+
+def scenario(body: str, message: str, *args: str) -> tuple:
+    """The scenario file holding ``body``, refused with ``message``."""
+    return {"scenario.scn": body}, ["--scenario", SCN, *args], 2, f"error: {SCN}: {message}"
+
+
+def small(args: list[str], line: str) -> tuple:
+    """The small scenario with ``args``, refused with ``line``."""
+    return {"scenario.scn": SMALL}, ["--scenario", SCN, *args], 2, line
+
+
+def sweep(args: list[str], line: str) -> tuple:
+    """A sweep of the small scenario with ``args``, refused with ``line``."""
+    return {"scenario.scn": SMALL}, ["sweep", "--scenario", SCN, *args], 2, line
+
+
+def topology_file(text: str, message: str) -> tuple:
+    """A scenario whose topology file ``net.topo`` holds ``text``."""
+    files = {"net.topo": text, "scenario.scn": "topology_file net.topo\nmax_ticks 5\n"}
+    return files, ["--scenario", SCN], 2, f"error: {{tmp}}/net.topo: {message}"
+
+
+def not_utf8(bad: str) -> tuple:
+    """A scenario and its topology file, with a comment of the byte 0xff
+    appended to ``bad``."""
+    files = {"scenario.scn": "topology_file net.topo\n", "net.topo": PAIR}
+    text = files[bad]
+    files[bad] = text.encode() + b"# \xff\n"
+    return files, ["--scenario", SCN], 2, (
+        f"error: {{tmp}}/{bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        f"in position {len(text) + 2}: invalid start byte"
     )
-    assert not (tmp_path / "o").exists()
+
+
+# Every command line the CLI refuses, by id.  A row whose arguments start at
+# --scenario runs as "run" and as "sweep --seeds 1..2"; a row for a flag
+# only one command has starts with that command.
+REFUSED = {
+    # a fault of a scenario line names the file and the line
+    "unknown-key": scenario(PAIR + "foo 3\n", "line 3: unknown key 'foo'"),
+    "seed-not-a-number": scenario(PAIR + "seed soon\n", "line 3: bad value for 'seed': 'soon'"),
+    # ant_choice parses only as greedy, the one rule
+    "ant-choice-not-greedy": scenario(
+        PAIR + "ant_choice proportional\n", "line 3: bad value for 'ant_choice': 'proportional'"
+    ),
+    "nodes-repeated": scenario("nodes 2\nnodes 2\nedge 0 1\n", "line 2: duplicate key 'nodes'"),
+    "nodes-repeated-after-a-comment": scenario(
+        "nodes 2\n# a comment\nnodes 3\nedge 0 1\n", "line 3: duplicate key 'nodes'"
+    ),
+    "infected-repeated": scenario(
+        "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\ninfected 3\ninfected 4\n",
+        "line 7: duplicate key 'infected'",
+    ),
+    "random-topology-repeated": scenario(
+        "random_topology 5 0.1\nrandom_topology 6 0.1\n", "line 2: duplicate key 'random_topology'"
+    ),
+    # a topology fault names the file that holds it, and an edge's line
+    "edge-outside-the-nodes": scenario(
+        "nodes 3\nedge 0 5\n", "line 2: edge (0, 5) references a node outside [0, 3)"
+    ),
+    "edge-listed-twice": scenario(
+        "nodes 3\nedge 0 1\nedge 1 2\n\nedge 2 1\n", "line 5: edge (1, 2) listed more than once"
+    ),
+    "node-unreachable": scenario("nodes 3\nedge 0 1\n", "nodes unreachable from node 0: [2]"),
+    "no-nodes": scenario("nodes 0\n", "node count must be >= 1, got 0"),
+    "two-topology-sources": scenario(
+        PAIR + "random_topology 5 0.1\n",
+        "scenario needs exactly one topology source: inline nodes/edge lines, topology_file, "
+        "or random_topology",
+    ),
+    "edge-beside-a-topology-file": (
+        {"net.topo": PAIR, "scenario.scn": "topology_file net.topo\nedge 0 1\n"},
+        ["--scenario", SCN], 2, f"error: {SCN}: edge lines given without a nodes line",
+    ),
+    "topology-file-empty": topology_file("", "missing 'nodes <N>' line"),
+    "topology-file-nodes-not-a-number": topology_file(
+        "nodes x", "line 1: bad value for 'nodes': 'x'"
+    ),
+    "topology-file-edge-of-one-node": topology_file(
+        "nodes 2\nedge 0\n", "line 2: bad value for 'edge': '0'"
+    ),
+    "topology-file-key-link": topology_file(
+        "nodes 2\nlink 0 1\n", "line 2: key 'link' not allowed here, only ['edge', 'nodes']"
+    ),
+    "topology-file-key-seed": topology_file(
+        PAIR + "seed 3\n", "line 3: key 'seed' not allowed here, only ['edge', 'nodes']"
+    ),
+    "topology-file-nodes-repeated": topology_file(
+        "nodes 2\nnodes 2\nedge 0 1\n", "line 2: duplicate key 'nodes'"
+    ),
+    "topology-file-node-unreachable": topology_file(
+        "nodes 3\nedge 0 1\n", "nodes unreachable from node 0: [2]"
+    ),
+    "topology-file-self-loop": topology_file(
+        "nodes 2\nedge 1 1\n", "line 2: edge (1, 1) is a self-loop"
+    ),
+    "topology-file-edge-listed-twice": topology_file(
+        PAIR + "# again\nedge 1 0\n", "line 4: edge (0, 1) listed more than once"
+    ),
+    "scenario-not-utf8": not_utf8("scenario.scn"),
+    "topology-file-not-utf8": not_utf8("net.topo"),
+    "scenario-missing": (
+        {}, ["--scenario", "{tmp}/nope.scn"], 3,
+        "i/o error: [Errno 2] No such file or directory: '{tmp}/nope.scn'",
+    ),
+    # so does a fault of the config the file describes; with the default
+    # rates, a run on one node would need a packet destination other than it
+    "one-node": scenario("nodes 1\n", "node_count must be >= 2, got 1"),
+    "one-node-random-topology": scenario("random_topology 1 0.5\n", "node_count must be >= 2, got 1"),
+    "max-ticks-0": scenario(PAIR + "max_ticks 0\n", "max_ticks must be > 0, got 0"),
+    "infected-twice": scenario(PAIR + "infected 1 1\n", "node 1 would be infected twice"),
+    "infected-twice-in-a-list": scenario(
+        "nodes 3\nedge 0 1\nedge 1 2\ninfected 1 2 1\n", "node 1 would be infected twice"
+    ),
+    "infect-at-negative-tick": scenario(PAIR + "infect_at -1 0\n", "infection tick -1 is negative"),
+    "threshold-0": scenario(PAIR + "threshold 0\n", "threshold must be finite and > 0, got 0.0"),
+    "good-packets-negative": scenario(
+        PAIR + "good_packets_per_tick -1\n", "good_packets_per_tick must be >= 0, got -1"
+    ),
+    "attack-packets-0": scenario(
+        PAIR + "attack_packets_per_infected_per_tick 0\n",
+        "attack_packets_per_infected_per_tick must be >= 1, got 0",
+    ),
+    "detect-prob-2": scenario(PAIR + "detect_prob 2\n", "detect_prob must be in [0, 1], got 2.0"),
+    # Unbounded, the first count hung and the next two ran out of memory
+    # while the agents or the first tick's packets were built; the first two
+    # graphs ran out of memory while one neighbour set per node was built,
+    # and the third drew pairs for minutes.
+    **{
+        f"{key}-{value}": scenario(
+            f"{PAIR}{key} {value}\n", f"{key} must be <= {COUNT_BOUNDS[key]}, got {value}"
+        )
+        for key, value in [
+            ("ant_count", "9999999999"),
+            ("ant_count", "99999999"),
+            ("good_packets_per_tick", "999999999"),
+            ("attack_packets_per_infected_per_tick", "999999999"),
+        ]
+    },
+    "nodes-99999999999": scenario(
+        "nodes 99999999999\n",
+        "nodes unreachable from node 0: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 99999999988 more",
+    ),
+    "nodes-99999999999-one-edge": scenario(
+        "nodes 99999999999\nedge 0 1\n",
+        "nodes unreachable from node 0: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99999999987 more",
+    ),
+    "random-topology-200000": scenario(
+        "random_topology 200000 0.0\n",
+        f"node_count must be <= {engine.MAX_RANDOM_TOPOLOGY_NODES}, got 200000",
+    ),
+    # a 3000-node ring needs 1501 reach levels of 3000 * 375 bytes; its
+    # config, built before any simulation, finds that 239 would pass the budget
+    "reach-level-budget": (
+        ring_files(3000), ["--scenario", SCN], 2,
+        f"error: {SCN}: routing on 3000 nodes needs more than 238 reach levels, "
+        "past the 256 MiB budget",
+    ),
+    # an override names itself, not the scenario file
+    "override-without-equals": small(
+        ["--set", "max_ticks"], "error: override 'max_ticks' is not of the form key=value"
+    ),
+    "override-unknown-key": small(
+        ["--set", "bar=1"], "error: override 'bar=1': --set takes no key 'bar'"
+    ),
+    "override-bad-value": small(
+        ["--set", "max_ticks=soon"],
+        "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'",
+    ),
+    "override-ant-choice-not-greedy": small(
+        ["--set", "ant_choice=proportional"],
+        "error: override 'ant_choice=proportional': bad value for 'ant_choice': 'proportional'",
+    ),
+    # seed is a file-only key: run takes it from --seed, sweep from --seeds
+    **{
+        f"override-{key}": small(
+            ["--set", f"{key}={value}"], f"error: override '{key}={value}': --set takes no key {key!r}"
+        )
+        for key, value in [
+            ("nodes", "3"), ("edge", "0 1"), ("infect_at", "1 2"), ("random_topology", "5 0.1"),
+            ("seed", "5"),
+        ]
+    },
+    "override-seed-beside-max-ticks": small(
+        ["--set", "seed=99", "--set", "max_ticks=50"],
+        "error: override 'seed=99': --set takes no key 'seed'",
+    ),
+    "override-max-ticks-repeated": small(
+        ["--set", "max_ticks=5", "--set", "max_ticks=7"],
+        "error: override 'max_ticks=7': duplicate key 'max_ticks'",
+    ),
+    "override-infected-repeated": small(
+        ["--set", "infected=1", "--set", "infected=2"],
+        "error: override 'infected=2': duplicate key 'infected'",
+    ),
+    # a value that converts but fails a check is the config's fault, and
+    # the config is the scenario's
+    "override-failing-a-check": small(
+        ["--set", "max_ticks=0"], f"error: {SCN}: max_ticks must be > 0, got 0"
+    ),
+    "override-infected-twice": scenario(
+        "nodes 3\nedge 0 1\nedge 1 2\n", "node 1 would be infected twice", "--set", "infected=1 2 1"
+    ),
+    "override-inc-inf": small(
+        ["--set", "inc=inf"], f"error: {SCN}: increase (inc) must be finite and > 0, got inf"
+    ),
+    "override-inc-nan": small(
+        ["--set", "inc=nan"], f"error: {SCN}: increase (inc) must be finite and > 0, got nan"
+    ),
+    "override-dec-nan": small(
+        ["--set", "dec=nan"], f"error: {SCN}: decay (dec) must be in (0, 1), got nan"
+    ),
+    "override-threshold-inf": small(
+        ["--set", "threshold=inf"], f"error: {SCN}: threshold must be finite and > 0, got inf"
+    ),
+    # sweep's own flags
+    "sweep-seed-repeated": sweep(["--seeds", "1", "1"], "error: seeds given more than once: [1]"),
+    "sweep-seed-repeated-by-a-range": sweep(
+        ["--seeds", "1..2", "2"], "error: seeds given more than once: [2]"
+    ),
+    "sweep-seed-not-a-number": sweep(["--seeds", "x"], "error: bad seed 'x'"),
+    **{
+        f"sweep-seed-range-{name}": sweep(["--seeds", token], f"error: bad seed range {token!r}")
+        for name, token in [
+            ("not-numbers", "a..b"),
+            ("without-start", "..5"),
+            ("without-end", "5.."),
+            ("of-three", "1..2..3"),
+            ("descending", "5..3"),
+        ]
+    },
+    "sweep-jobs-0": sweep(["--seeds", "1..2", "--jobs", "0"], "error: --jobs must be >= 1, got 0"),
+    "sweep-jobs-negative": sweep(
+        ["--seeds", "1..2", "--jobs", "-3"], "error: --jobs must be >= 1, got -3"
+    ),
+    # trace's own flags
+    "trace-packets-0": (
+        {}, ["trace", "--mode", "fig2", "--packets", "0"], 2, "error: --packets must be >= 1, got 0"
+    ),
+    "trace-packets-negative": (
+        {}, ["trace", "--mode", "fig2", "--packets", "-5"], 2, "error: --packets must be >= 1, got -5"
+    ),
+    "trace-events-not-g-or-b": (
+        {}, ["trace", "--mode", "custom", "--events", "GXB"], 2,
+        "error: event string may only contain G and B, got 'X'",
+    ),
+    "trace-custom-without-events": (
+        {}, ["trace", "--mode", "custom"], 2, "error: custom mode needs --events"
+    ),
+    "trace-dec-past-1": (
+        {}, ["trace", "--mode", "custom", "--events", "B", "--dec", "1.5"], 2,
+        "error: decay (dec) must be in (0, 1), got 1.5",
+    ),
+}
+
+
+def refused_command_lines():
+    for name, (files, args, code, line) in REFUSED.items():
+        if args[0] == "--scenario":
+            yield pytest.param(files, ["run", *args], code, line, id=f"{name}-run")
+            sweep_args = ["sweep", "--seeds", "1..2", *args]
+            yield pytest.param(files, sweep_args, code, line, id=f"{name}-sweep")
+        else:
+            yield pytest.param(files, args, code, line, id=name)
+
+
+@pytest.mark.parametrize("files, argv, code, line", refused_command_lines())
+def test_refused_command_line(tmp_path, monkeypatch, capsys, files, argv, code, line):
+    """Each refused command line exits with its code and its one stderr line
+    within a second, runs no simulation, and leaves no temp file and no part
+    of its nested --out directory."""
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", runs.append)
+    write_files(tmp_path, files)
+    tmp = str(tmp_path)
+    start = time.perf_counter()
+    exit_code = main([arg.replace("{tmp}", tmp) for arg in argv] + ["--out", f"{tmp}/a/b"])
+    elapsed = time.perf_counter() - start
+    assert (exit_code, capsys.readouterr().err) == (code, line.replace("{tmp}", tmp) + "\n")
+    assert runs == []
+    # the row's own files are all that is left: no --out, no *.tmp
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("key", sorted(COUNT_BOUNDS))
@@ -178,31 +421,8 @@ def test_count_bound_is_accepted_and_far_above_every_shipped_value(tmp_path, key
     assert {"ant_count": config.ant_count, **dataclasses.asdict(config.rates)}[key] == bound
     with pytest.raises(InvalidConfig, match=f"{key} must be <= {bound}, got {bound + 1}"):
         config_from(tmp_path, "nodes 2\nedge 0 1\n", [f"{key}={bound + 1}"])
-    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
-    values = [cli.parse_scenario(path).get(key) for path in shipped]
+    values = [cli.parse_scenario(path).get(key) for path in SHIPPED_SCENARIOS]
     assert bound >= 50 * max(v for v in values if v is not None)
-
-
-# Unbounded, the first two ran out of memory while one neighbour set per
-# node was built, and the third drew pairs for minutes.
-@pytest.mark.parametrize(
-    "body, message",
-    [
-        ("nodes 99999999999\n",
-         "nodes unreachable from node 0: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 99999999988 more"),
-        ("nodes 99999999999\nedge 0 1\n",
-         "nodes unreachable from node 0: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99999999987 more"),
-        ("random_topology 200000 0.0\n",
-         f"node_count must be <= {engine.MAX_RANDOM_TOPOLOGY_NODES}, got 200000"),
-    ],
-)
-def test_huge_topology_exits_2_at_once_naming_its_size(tmp_path, capsys, body, message):
-    scenario = write_scenario(tmp_path, body)
-    start = time.perf_counter()
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
-    assert not (tmp_path / "o").exists()
 
 
 class NoDraws:
@@ -219,8 +439,7 @@ def test_random_topology_bound_is_checked_before_any_draw():
 
 
 def test_random_topology_bound_far_above_every_shipped_graph():
-    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
-    sizes = [cli.parse_scenario(path).get("random_topology", (0, 0.0))[0] for path in shipped]
+    sizes = [cli.parse_scenario(path).get("random_topology", (0, 0.0))[0] for path in SHIPPED_SCENARIOS]
     assert engine.MAX_RANDOM_TOPOLOGY_NODES >= 10 * max(sizes)
 
 
@@ -240,31 +459,8 @@ def test_random_topology_edge_bound_is_checked_before_any_draw():
 
 
 def test_random_topology_edge_bound_far_above_every_shipped_graph():
-    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
-    drawn = [cli.parse_scenario(path).get("random_topology", (0, 0.0)) for path in shipped]
+    drawn = [cli.parse_scenario(path).get("random_topology", (0, 0.0)) for path in SHIPPED_SCENARIOS]
     assert engine.MAX_RANDOM_TOPOLOGY_EDGES >= 100 * max(n * (n - 1) / 2 * p for n, p in drawn)
-
-
-def ring_scenario(tmp_path: Path, n: int) -> Path:
-    """A scenario of ``max_ticks 5`` on an n-node ring in a topology file."""
-    (tmp_path / "ring.topo").write_text(
-        f"nodes {n}\n" + "".join(f"edge {i} {(i + 1) % n}\n" for i in range(n))
-    )
-    return write_scenario(tmp_path, "topology_file ring.topo\nmax_ticks 5\n")
-
-
-def test_run_past_the_reach_level_budget_exits_2_and_writes_nothing(tmp_path, capsys):
-    # a 3000-node ring needs 1501 reach levels of 3000 * 375 bytes; its
-    # config, built before any output is staged, finds that 239 would pass
-    # the budget
-    scenario = ring_scenario(tmp_path, 3000)
-    out = tmp_path / "o"
-    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {scenario}: routing on 3000 nodes needs more than 238 reach levels, "
-        "past the 256 MiB budget\n"
-    )
-    assert not out.exists()
 
 
 def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
@@ -273,7 +469,8 @@ def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypat
     ring's 151 levels of 11,400 bytes pass 1 MiB after 91."""
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    scenario = ring_scenario(tmp_path, 300)
+    write_files(tmp_path, ring_files(300))
+    scenario = tmp_path / "scenario.scn"
     out = tmp_path / "o"
     argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2", "--jobs", "2"]
     assert main(argv) == 2
@@ -286,7 +483,8 @@ def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypat
 
 def test_serial_sweep_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
-    scenario = ring_scenario(tmp_path, 300)
+    write_files(tmp_path, ring_files(300))
+    scenario = tmp_path / "scenario.scn"
     out = tmp_path / "o"
     argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2"]
     assert main(argv) == 2
@@ -295,65 +493,6 @@ def test_serial_sweep_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch,
         "past the 1 MiB budget\n"
     )
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, lines",
-    [
-        ("infected", "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\ninfected 3\ninfected 4\n"),
-        ("nodes", "nodes 2\nnodes 2\nedge 0 1\n"),
-        ("random_topology", "random_topology 5 0.1\nrandom_topology 6 0.1\n"),
-    ],
-)
-def test_repeated_key_names_it(tmp_path, capsys, key, lines):
-    scenario = write_scenario(tmp_path, lines)
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert f"duplicate key {key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-def test_one_node_topology_names_it(tmp_path, capsys):
-    # with the default rates, a run would need a packet destination other
-    # than the only node
-    scenario = write_scenario(tmp_path, "nodes 1\n")
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: {scenario}: node_count must be >= 2, got 1\n"
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "infected_line, overrides",
-    [("infected 1 2 1\n", []), ("", ["--set", "infected=1 2 1"])],
-    ids=["scenario", "override"],
-)
-def test_repeated_infected_node_names_it(tmp_path, capsys, infected_line, overrides):
-    scenario = write_scenario(tmp_path, "nodes 3\nedge 0 1\nedge 1 2\n" + infected_line)
-    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), *overrides]
-    assert main(argv) == 2
-    assert "node 1 would be infected twice" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "override, key",
-    [("inc=inf", "inc"), ("inc=nan", "inc"), ("dec=nan", "dec"), ("threshold=inf", "threshold")],
-)
-def test_non_finite_parameter_rejected(tmp_path, capsys, override, key):
-    scenario = small_scenario(tmp_path)
-    code = main(
-        ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", override]
-    )
-    assert code == 2
-    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
-
-
-def test_unknown_override_key_rejected(tmp_path, capsys):
-    scenario = small_scenario(tmp_path)
-    code = main(
-        ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", "bar=1"]
-    )
-    assert code == 2
-    assert "bar" in capsys.readouterr().err
 
 
 def test_seed_override_determinism(tmp_path):
@@ -380,53 +519,6 @@ def test_set_overrides_apply(tmp_path):
     log = (out / "events.log").read_text()
     assert "ANT," not in log
     assert "FIELD,4," in log and "FIELD,5," not in log
-
-
-def test_invalid_override_value(tmp_path, capsys):
-    scenario = small_scenario(tmp_path)
-    assert main(
-        ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", "max_ticks=soon"]
-    ) == 2
-    # an override names itself, not the scenario file
-    assert capsys.readouterr().err == (
-        "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'\n"
-    )
-
-
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "1"]], ids=["run", "sweep"])
-def test_override_without_equals_rejected(tmp_path, monkeypatch, capsys, command):
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    out = tmp_path / "o"
-    argv = [*command, "--scenario", str(small_scenario(tmp_path)), "--out", str(out)]
-    assert main([*argv, "--set", "max_ticks"]) == 2
-    assert capsys.readouterr().err == "error: override 'max_ticks' is not of the form key=value\n"
-    assert runs == []
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_override_failing_a_check_names_the_scenario(tmp_path, capsys, command):
-    # the value converts, so the fault is the config's, and the config is
-    # the scenario's
-    scenario = small_scenario(tmp_path)
-    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
-            "--set", "max_ticks=0"]
-    assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
-    assert capsys.readouterr().err == f"error: {scenario}: max_ticks must be > 0, got 0\n"
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_ant_choice_override_other_than_greedy_rejected(tmp_path, capsys, command):
-    scenario = small_scenario(tmp_path)
-    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
-            "--set", "ant_choice=proportional"]
-    assert main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 2
-    assert capsys.readouterr().err == (
-        "error: override 'ant_choice=proportional': bad value for 'ant_choice': 'proportional'\n"
-    )
-    assert not (tmp_path / "o").exists()
 
 
 BASE = "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 0 4\n"
@@ -482,39 +574,11 @@ def test_scenario_seed_line_is_the_default_seed(tmp_path):
     assert cli.build_config(data, 9).seed == 9
 
 
-# seed is a file-only key: run takes it from --seed, sweep from --seeds
-@pytest.mark.parametrize(
-    "item", ["nodes=3", "edge=0 1", "infect_at=1 2", "random_topology=5 0.1", "seed=5"]
-)
-def test_override_of_a_structural_key_names_it(tmp_path, monkeypatch, capsys, item):
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    scenario = small_scenario(tmp_path)
-    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--set", item]
-    assert main(argv) == 2
-    key = item.partition("=")[0]
-    assert capsys.readouterr().err == f"error: override {item!r}: --set takes no key {key!r}\n"
-    assert runs == []
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("bad_file", ["scenario.scn", "net.topo"])
-def test_non_utf8_file_names_it(tmp_path, capsys, bad_file):
-    (tmp_path / "scenario.scn").write_text("topology_file net.topo\n")
-    (tmp_path / "net.topo").write_text("nodes 2\nedge 0 1\n")
-    with open(tmp_path / bad_file, "ab") as f:
-        f.write(b"# \xff\n")
-    out = tmp_path / "o"
-    assert main(["run", "--scenario", str(tmp_path / "scenario.scn"), "--out", str(out)]) == 2
-    assert str(tmp_path / bad_file) in capsys.readouterr().err
-    assert not out.exists()
-
-
-def run_on_topology_file(tmp_path, topology_text, scenario_extra=""):
+def run_on_topology_file(tmp_path, topology_text):
     """``anttrack run`` on a short scenario whose topology is the file
     ``net.topo`` holding ``topology_text``; the exit code and output dir."""
     (tmp_path / "net.topo").write_text(topology_text)
-    scenario = write_scenario(tmp_path, "topology_file net.topo\nmax_ticks 5\n" + scenario_extra)
+    scenario = write_scenario(tmp_path, "topology_file net.topo\nmax_ticks 5\n")
     out = tmp_path / "o"
     return main(["run", "--scenario", str(scenario), "--out", str(out)]), out
 
@@ -532,47 +596,6 @@ def test_topology_file_is_order_free(tmp_path):
     code, out = run_on_topology_file(tmp_path, "edge 0 1  # the only connection\nnodes 2\n")
     assert code == 0
     assert "nodes: 2\nconnections: 1\n" in (out / "summary.txt").read_text()
-
-
-# each malformed topology file and the message it is rejected with
-MALFORMED_TOPOLOGY = {
-    "": "missing 'nodes <N>' line",
-    "nodes x": "line 1: bad value for 'nodes': 'x'",
-    "nodes 2\nedge 0\n": "line 2: bad value for 'edge': '0'",
-    "nodes 2\nlink 0 1\n": "line 2: key 'link' not allowed here",
-    "nodes 2\nedge 0 1\nseed 3\n": "line 3: key 'seed' not allowed here",
-    "nodes 2\nnodes 2\nedge 0 1\n": "line 2: duplicate key 'nodes'",
-    "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
-    "nodes 2\nedge 1 1\n": "line 2: edge (1, 1) is a self-loop",
-    "nodes 2\nedge 0 1\n# again\nedge 1 0\n": "line 4: edge (0, 1) listed more than once",
-}
-
-
-@pytest.mark.parametrize("text", list(MALFORMED_TOPOLOGY))
-def test_topology_file_malformed(tmp_path, capsys, text):
-    code, out = run_on_topology_file(tmp_path, text)
-    assert code == 2
-    assert f"{tmp_path / 'net.topo'}: {MALFORMED_TOPOLOGY[text]}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_inline_edge_next_to_topology_file_names_it(tmp_path, capsys):
-    code, out = run_on_topology_file(tmp_path, "nodes 2\nedge 0 1\n", "edge 0 1\n")
-    assert code == 2
-    scenario = tmp_path / "scenario.scn"
-    assert capsys.readouterr().err == f"error: {scenario}: edge lines given without a nodes line\n"
-    assert not out.exists()
-
-
-def test_two_topology_sources_name_the_file(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, "nodes 2\nedge 0 1\nrandom_topology 5 0.1\n")
-    out = tmp_path / "o"
-    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {scenario}: scenario needs exactly one topology source: "
-        "inline nodes/edge lines, topology_file, or random_topology\n"
-    )
-    assert not out.exists()
 
 
 def test_topology_file_brings_only_the_topology(tmp_path):
@@ -605,17 +628,6 @@ SHIPPED_TOPOLOGIES = {
 def test_shipped_topology_file(tmp_path, name):
     config = config_from(tmp_path, f"topology_file {SCENARIOS / name}\n")
     assert config.topology == SHIPPED_TOPOLOGIES[name]
-
-
-def test_missing_scenario_is_io_error(tmp_path):
-    assert main(["run", "--scenario", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o")]) == 3
-
-
-def test_failed_run_leaves_no_outputs(tmp_path):
-    scenario = write_scenario(tmp_path, "nodes 2\nedge 0 1\nmystery 1\n")
-    out = tmp_path / "out"
-    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_unwritable_output_dir(tmp_path):
@@ -812,8 +824,7 @@ def test_sigterm_mid_run_exits_143_and_leaves_nothing(tmp_path):
     """``timeout`` and service managers stop a command with SIGTERM; it
     cleans up as Ctrl-C does, so the streaming log's temp file goes with
     the ``--out`` directory the run made."""
-    body = SMALL.format(topo=SCENARIOS / "star10.topo")
-    scenario = write_scenario(tmp_path, body.replace("max_ticks 120", f"max_ticks {10**24}"))
+    scenario = write_scenario(tmp_path, SMALL.replace("max_ticks 120", f"max_ticks {10**24}"))
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parent.parent
     child = subprocess.Popen(
@@ -969,14 +980,6 @@ def test_trace_fig1_values(tmp_path):
     assert [i for i, (kind, _) in rows.items() if kind == "bad"] == [3, 10, 15]
 
 
-@pytest.mark.parametrize("packets", ["0", "-5"])
-def test_trace_packets_must_be_positive(tmp_path, capsys, packets):
-    out = tmp_path / "fig2.csv"
-    assert main(["trace", "--mode", "fig2", "--packets", packets, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: --packets must be >= 1, got {packets}\n"
-    assert not out.exists()
-
-
 def test_trace_packets_bound_is_accepted_and_refused_past_it():
     bound = cli.MAX_TRACE_PACKETS
     assert bound >= 50 * 200  # the paper's fig2 trace
@@ -1033,21 +1036,12 @@ def test_trace_custom_matches_closed_form(tmp_path):
         )
 
 
-def test_trace_malformed_events(tmp_path, capsys):
-    assert main(["trace", "--mode", "custom", "--events", "GXB", "--out", str(tmp_path / "t.csv")]) == 2
-    assert main(["trace", "--mode", "custom", "--out", str(tmp_path / "t.csv")]) == 2
-
-
-def test_trace_custom_params(tmp_path, capsys):
+def test_trace_custom_params(tmp_path):
     out = tmp_path / "t.csv"
     assert main(
         ["trace", "--mode", "custom", "--events", "B", "--inc", "5", "--dec", "0.5", "--out", str(out)]
     ) == 0
     assert read_trace(out)[1] == ("bad", 5.0)
-    assert main(
-        ["trace", "--mode", "custom", "--events", "B", "--dec", "1.5", "--out", str(out)]
-    ) == 2
-    assert capsys.readouterr().err == "error: decay (dec) must be in (0, 1), got 1.5\n"
 
 
 AGGREGATE_HEADER = (
@@ -1349,99 +1343,6 @@ def test_sweep_rejected_by_build_config_runs_nothing(tmp_path, monkeypatch, caps
         assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", [["1", "1"], ["1..2", "2"]])
-def test_sweep_repeated_seed_rejected(tmp_path, monkeypatch, capsys, seeds):
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    scenario = small_scenario(tmp_path)
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", *seeds]) == 2
-    assert "seeds given more than once: [" in capsys.readouterr().err
-    assert runs == []
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    scenario = small_scenario(tmp_path)
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2",
-                 "--jobs", jobs])
-    assert code == 2
-    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
-    assert runs == []
-    assert not out.exists()
-
-
-def test_sweep_seed_override_rejected(tmp_path, monkeypatch, capsys):
-    # a sweep's seeds come from --seeds alone, and --set takes no seed
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(out),
-                 "--seeds", "1", "2", "--set", "seed=99", "--set", "max_ticks=50"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: override 'seed=99': --set takes no key 'seed'\n"
-    )
-    assert runs == []
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        pytest.param(
-            ["run", "--set", "max_ticks=5", "--set", "max_ticks=7"],
-            "error: override 'max_ticks=7': duplicate key 'max_ticks'\n",
-            id="run-override-repeated",
-        ),
-        pytest.param(
-            ["sweep", "--seeds", "1", "--set", "infected=1", "--set", "infected=2"],
-            "error: override 'infected=2': duplicate key 'infected'\n",
-            id="sweep-override-repeated",
-        ),
-    ],
-)
-def test_second_value_for_one_input_rejected(tmp_path, monkeypatch, capsys, argv, message):
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    out = tmp_path / "o"
-    assert main([*argv, "--scenario", str(SCENARIOS / "star10.scn"), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == message
-    assert runs == []
-    assert not out.exists()
-
-
-def test_sweep_bad_seed_token(tmp_path, capsys):
-    scenario = small_scenario(tmp_path)
-    assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--seeds", "x"]) == 2
-
-
-@pytest.mark.parametrize(
-    "token, message",
-    [
-        pytest.param("x", "bad seed 'x'", id="not-a-number"),
-        pytest.param("a..b", "bad seed range 'a..b'", id="range-not-numbers"),
-        pytest.param("..5", "bad seed range '..5'", id="range-without-start"),
-        pytest.param("5..", "bad seed range '5..'", id="range-without-end"),
-        pytest.param("1..2..3", "bad seed range '1..2..3'", id="range-of-three"),
-        pytest.param("5..3", "bad seed range '5..3'", id="range-descending"),
-    ],
-)
-def test_sweep_seed_token_error_line(tmp_path, monkeypatch, capsys, token, message):
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    out = tmp_path / "o"
-    scenario = small_scenario(tmp_path)
-    assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", token]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert runs == []
-    assert not out.exists()
-
-
 def test_sweep_seed_count_bound_is_accepted_and_refused_past_it():
     bound = cli.MAX_SWEEP_SEEDS
     assert bound >= 50 * 20  # the largest sweep the README and benchmark show
@@ -1499,13 +1400,6 @@ def test_inline_topology_scenario(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert "0,0," in (out / "metrics.csv").read_text()
-
-
-def test_conflicting_topology_sources(tmp_path):
-    scenario = write_scenario(
-        tmp_path, "nodes 2\nedge 0 1\nrandom_topology 5 0.1\ninfected 0\n"
-    )
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_default_scenario_file_runs(tmp_path):

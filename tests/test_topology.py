@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 import re
 
@@ -313,6 +314,17 @@ def test_route_levels_are_built_once_and_kept_with_the_topology():
     assert "levels" not in vars(topo)
     routes(0, 15)
     assert len(topo.levels) == 7
+
+
+def test_pickled_topology_is_rebuilt_without_its_tables():
+    """A pooled sweep's worker unpickles the topology: it gets the graph
+    alone, as a fresh instance, and builds its own tables."""
+    topo = grid_topology(4, 4)
+    built = topo.levels, topo.out_pairs
+    copy = pickle.loads(pickle.dumps(topo))
+    assert copy == topo and copy is not topo
+    assert vars(copy) == {"node_count": 16, "adjacency": topo.adjacency}
+    assert (copy.levels, copy.out_pairs) == built
 
 
 def test_route_along_a_long_path():
