@@ -163,101 +163,95 @@ def not_utf8(bad: str) -> tuple:
     )
 
 
-# Every command line the CLI refuses, by id.  A row whose arguments start at
-# --scenario runs as "run" and as "sweep --seeds 1..2"; a row for a flag
-# only one command has starts with that command.
+# Every command line the CLI refuses: by test name, each test's rows by
+# case id.  A row whose arguments start at --scenario runs as "run" and as
+# "sweep --seeds 1..2"; a row for a flag only one command has starts with
+# that command.
 REFUSED = {
     # a fault of a scenario line names the file and the line
-    "unknown-key": scenario(PAIR + "foo 3\n", "line 3: unknown key 'foo'"),
-    "seed-not-a-number": scenario(PAIR + "seed soon\n", "line 3: bad value for 'seed': 'soon'"),
-    # ant_choice parses only as greedy, the one rule
-    "ant-choice-not-greedy": scenario(
-        PAIR + "ant_choice proportional\n", "line 3: bad value for 'ant_choice': 'proportional'"
-    ),
-    "nodes-repeated": scenario("nodes 2\nnodes 2\nedge 0 1\n", "line 2: duplicate key 'nodes'"),
-    "nodes-repeated-after-a-comment": scenario(
-        "nodes 2\n# a comment\nnodes 3\nedge 0 1\n", "line 3: duplicate key 'nodes'"
-    ),
-    "infected-repeated": scenario(
-        "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\ninfected 3\ninfected 4\n",
-        "line 7: duplicate key 'infected'",
-    ),
-    "random-topology-repeated": scenario(
-        "random_topology 5 0.1\nrandom_topology 6 0.1\n", "line 2: duplicate key 'random_topology'"
-    ),
-    # a topology fault names the file that holds it, and an edge's line
-    "edge-outside-the-nodes": scenario(
-        "nodes 3\nedge 0 5\n", "line 2: edge (0, 5) references a node outside [0, 3)"
-    ),
-    "edge-listed-twice": scenario(
-        "nodes 3\nedge 0 1\nedge 1 2\n\nedge 2 1\n", "line 5: edge (1, 2) listed more than once"
-    ),
-    "node-unreachable": scenario("nodes 3\nedge 0 1\n", "nodes unreachable from node 0: [2]"),
-    "no-nodes": scenario("nodes 0\n", "node count must be >= 1, got 0"),
-    "two-topology-sources": scenario(
-        PAIR + "random_topology 5 0.1\n",
-        "scenario needs exactly one topology source: inline nodes/edge lines, topology_file, "
-        "or random_topology",
-    ),
-    "edge-beside-a-topology-file": (
-        {"net.topo": PAIR, "scenario.scn": "topology_file net.topo\nedge 0 1\n"},
-        ["--scenario", SCN], 2, f"error: {SCN}: edge lines given without a nodes line",
-    ),
-    "topology-file-empty": topology_file("", "missing 'nodes <N>' line"),
-    "topology-file-nodes-not-a-number": topology_file(
-        "nodes x", "line 1: bad value for 'nodes': 'x'"
-    ),
-    "topology-file-edge-of-one-node": topology_file(
-        "nodes 2\nedge 0\n", "line 2: bad value for 'edge': '0'"
-    ),
-    "topology-file-key-link": topology_file(
-        "nodes 2\nlink 0 1\n", "line 2: key 'link' not allowed here, only ['edge', 'nodes']"
-    ),
-    "topology-file-key-seed": topology_file(
-        PAIR + "seed 3\n", "line 3: key 'seed' not allowed here, only ['edge', 'nodes']"
-    ),
-    "topology-file-nodes-repeated": topology_file(
-        "nodes 2\nnodes 2\nedge 0 1\n", "line 2: duplicate key 'nodes'"
-    ),
-    "topology-file-node-unreachable": topology_file(
-        "nodes 3\nedge 0 1\n", "nodes unreachable from node 0: [2]"
-    ),
-    "topology-file-self-loop": topology_file(
-        "nodes 2\nedge 1 1\n", "line 2: edge (1, 1) is a self-loop"
-    ),
-    "topology-file-edge-listed-twice": topology_file(
-        PAIR + "# again\nedge 1 0\n", "line 4: edge (0, 1) listed more than once"
-    ),
-    "scenario-not-utf8": not_utf8("scenario.scn"),
-    "topology-file-not-utf8": not_utf8("net.topo"),
-    "scenario-missing": (
-        {}, ["--scenario", "{tmp}/nope.scn"], 3,
-        "i/o error: [Errno 2] No such file or directory: '{tmp}/nope.scn'",
-    ),
-    # so does a fault of the config the file describes; with the default
-    # rates, a run on one node would need a packet destination other than it
-    "one-node": scenario("nodes 1\n", "node_count must be >= 2, got 1"),
-    "one-node-random-topology": scenario("random_topology 1 0.5\n", "node_count must be >= 2, got 1"),
-    "max-ticks-0": scenario(PAIR + "max_ticks 0\n", "max_ticks must be > 0, got 0"),
-    "infected-twice": scenario(PAIR + "infected 1 1\n", "node 1 would be infected twice"),
-    "infected-twice-in-a-list": scenario(
-        "nodes 3\nedge 0 1\nedge 1 2\ninfected 1 2 1\n", "node 1 would be infected twice"
-    ),
-    "infect-at-negative-tick": scenario(PAIR + "infect_at -1 0\n", "infection tick -1 is negative"),
-    "threshold-0": scenario(PAIR + "threshold 0\n", "threshold must be finite and > 0, got 0.0"),
-    "good-packets-negative": scenario(
-        PAIR + "good_packets_per_tick -1\n", "good_packets_per_tick must be >= 0, got -1"
-    ),
-    "attack-packets-0": scenario(
-        PAIR + "attack_packets_per_infected_per_tick 0\n",
-        "attack_packets_per_infected_per_tick must be >= 1, got 0",
-    ),
-    "detect-prob-2": scenario(PAIR + "detect_prob 2\n", "detect_prob must be in [0, 1], got 2.0"),
+    "test_scenario_line_error_names_the_file": {
+        body: scenario(body, message)
+        for body, message in {
+            PAIR + "foo 3\n": "line 3: unknown key 'foo'",
+            PAIR + "seed soon\n": "line 3: bad value for 'seed': 'soon'",
+            # ant_choice parses only as greedy, the one rule
+            PAIR + "ant_choice proportional\n": "line 3: bad value for 'ant_choice': 'proportional'",
+            "nodes 2\n# a comment\nnodes 3\nedge 0 1\n": "line 3: duplicate key 'nodes'",
+            # a topology fault names the file that holds it, and an edge's line
+            "nodes 3\nedge 0 5\n": "line 2: edge (0, 5) references a node outside [0, 3)",
+            "nodes 3\nedge 0 1\nedge 1 2\n\nedge 2 1\n": "line 5: edge (1, 2) listed more than once",
+            "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
+            "nodes 0\n": "node count must be >= 1, got 0",
+            # so does a fault of the config the file describes; with the
+            # default rates, a run on one node would need a packet
+            # destination other than it
+            "nodes 1\n": "node_count must be >= 2, got 1",
+            "random_topology 1 0.5\n": "node_count must be >= 2, got 1",
+            PAIR + "max_ticks 0\n": "max_ticks must be > 0, got 0",
+            PAIR + "infected 1 1\n": "node 1 would be infected twice",
+            PAIR + "infect_at -1 0\n": "infection tick -1 is negative",
+            PAIR + "threshold 0\n": "threshold must be finite and > 0, got 0.0",
+            PAIR + "good_packets_per_tick -1\n": "good_packets_per_tick must be >= 0, got -1",
+            PAIR + "attack_packets_per_infected_per_tick 0\n": (
+                "attack_packets_per_infected_per_tick must be >= 1, got 0"
+            ),
+            PAIR + "detect_prob 2\n": "detect_prob must be in [0, 1], got 2.0",
+        }.items()
+    },
+    "test_repeated_key_names_it": {
+        f"{key}-{body}": scenario(body, f"line {line}: duplicate key {key!r}")
+        for key, line, body in [
+            ("infected", 7, "nodes 5\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\n"
+                            "infected 3\ninfected 4\n"),
+            ("nodes", 2, "nodes 2\nnodes 2\nedge 0 1\n"),
+            ("random_topology", 2, "random_topology 5 0.1\nrandom_topology 6 0.1\n"),
+        ]
+    },
+    "test_repeated_infected_node_names_it": {
+        "scenario": scenario(
+            "nodes 3\nedge 0 1\nedge 1 2\ninfected 1 2 1\n", "node 1 would be infected twice"
+        ),
+        "override": scenario(
+            "nodes 3\nedge 0 1\nedge 1 2\n", "node 1 would be infected twice", "--set", "infected=1 2 1"
+        ),
+    },
+    "test_two_topology_sources_name_the_file": {
+        "": scenario(
+            PAIR + "random_topology 5 0.1\n",
+            "scenario needs exactly one topology source: inline nodes/edge lines, topology_file, "
+            "or random_topology",
+        ),
+    },
+    "test_inline_edge_next_to_topology_file_names_it": {
+        "": (
+            {"net.topo": PAIR, "scenario.scn": "topology_file net.topo\nedge 0 1\n"},
+            ["--scenario", SCN], 2, f"error: {SCN}: edge lines given without a nodes line",
+        ),
+    },
+    "test_topology_file_malformed": {
+        text: topology_file(text, message)
+        for text, message in {
+            "": "missing 'nodes <N>' line",
+            "nodes x": "line 1: bad value for 'nodes': 'x'",
+            "nodes 2\nedge 0\n": "line 2: bad value for 'edge': '0'",
+            "nodes 2\nlink 0 1\n": "line 2: key 'link' not allowed here, only ['edge', 'nodes']",
+            PAIR + "seed 3\n": "line 3: key 'seed' not allowed here, only ['edge', 'nodes']",
+            "nodes 2\nnodes 2\nedge 0 1\n": "line 2: duplicate key 'nodes'",
+            "nodes 3\nedge 0 1\n": "nodes unreachable from node 0: [2]",
+            "nodes 2\nedge 1 1\n": "line 2: edge (1, 1) is a self-loop",
+            PAIR + "# again\nedge 1 0\n": "line 4: edge (0, 1) listed more than once",
+        }.items()
+    },
+    "test_non_utf8_file_names_it": {bad: not_utf8(bad) for bad in ["scenario.scn", "net.topo"]},
+    "test_missing_scenario_is_io_error": {
+        "": (
+            {}, ["--scenario", "{tmp}/nope.scn"], 3,
+            "i/o error: [Errno 2] No such file or directory: '{tmp}/nope.scn'",
+        ),
+    },
     # Unbounded, the first count hung and the next two ran out of memory
-    # while the agents or the first tick's packets were built; the first two
-    # graphs ran out of memory while one neighbour set per node was built,
-    # and the third drew pairs for minutes.
-    **{
+    # while the agents or the first tick's packets were built.
+    "test_huge_count_exits_2_at_once_naming_its_key": {
         f"{key}-{value}": scenario(
             f"{PAIR}{key} {value}\n", f"{key} must be <= {COUNT_BOUNDS[key]}, got {value}"
         )
@@ -268,150 +262,177 @@ REFUSED = {
             ("attack_packets_per_infected_per_tick", "999999999"),
         ]
     },
-    "nodes-99999999999": scenario(
-        "nodes 99999999999\n",
-        "nodes unreachable from node 0: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 99999999988 more",
-    ),
-    "nodes-99999999999-one-edge": scenario(
-        "nodes 99999999999\nedge 0 1\n",
-        "nodes unreachable from node 0: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99999999987 more",
-    ),
-    "random-topology-200000": scenario(
-        "random_topology 200000 0.0\n",
-        f"node_count must be <= {engine.MAX_RANDOM_TOPOLOGY_NODES}, got 200000",
-    ),
+    # Unbounded, the first two graphs ran out of memory while one neighbour
+    # set per node was built, and the third drew pairs for minutes.
+    "test_huge_topology_exits_2_at_once_naming_its_size": {
+        f"{body}-{message}": scenario(body, message)
+        for body, message in [
+            ("nodes 99999999999\n",
+             "nodes unreachable from node 0: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 99999999988 more"),
+            ("nodes 99999999999\nedge 0 1\n",
+             "nodes unreachable from node 0: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99999999987 more"),
+            ("random_topology 200000 0.0\n",
+             f"node_count must be <= {engine.MAX_RANDOM_TOPOLOGY_NODES}, got 200000"),
+        ]
+    },
     # a 3000-node ring needs 1501 reach levels of 3000 * 375 bytes; its
     # config, built before any simulation, finds that 239 would pass the budget
-    "reach-level-budget": (
-        ring_files(3000), ["--scenario", SCN], 2,
-        f"error: {SCN}: routing on 3000 nodes needs more than 238 reach levels, "
-        "past the 256 MiB budget",
-    ),
-    # an override names itself, not the scenario file
-    "override-without-equals": small(
-        ["--set", "max_ticks"], "error: override 'max_ticks' is not of the form key=value"
-    ),
-    "override-unknown-key": small(
-        ["--set", "bar=1"], "error: override 'bar=1': --set takes no key 'bar'"
-    ),
-    "override-bad-value": small(
-        ["--set", "max_ticks=soon"],
-        "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'",
-    ),
-    "override-ant-choice-not-greedy": small(
-        ["--set", "ant_choice=proportional"],
-        "error: override 'ant_choice=proportional': bad value for 'ant_choice': 'proportional'",
-    ),
-    # seed is a file-only key: run takes it from --seed, sweep from --seeds
-    **{
-        f"override-{key}": small(
-            ["--set", f"{key}={value}"], f"error: override '{key}={value}': --set takes no key {key!r}"
-        )
-        for key, value in [
-            ("nodes", "3"), ("edge", "0 1"), ("infect_at", "1 2"), ("random_topology", "5 0.1"),
-            ("seed", "5"),
-        ]
+    "test_run_past_the_reach_level_budget_exits_2_and_writes_nothing": {
+        "": (
+            ring_files(3000), ["--scenario", SCN], 2,
+            f"error: {SCN}: routing on 3000 nodes needs more than 238 reach levels, "
+            "past the 256 MiB budget",
+        ),
     },
-    "override-seed-beside-max-ticks": small(
-        ["--set", "seed=99", "--set", "max_ticks=50"],
-        "error: override 'seed=99': --set takes no key 'seed'",
-    ),
-    "override-max-ticks-repeated": small(
-        ["--set", "max_ticks=5", "--set", "max_ticks=7"],
-        "error: override 'max_ticks=7': duplicate key 'max_ticks'",
-    ),
-    "override-infected-repeated": small(
-        ["--set", "infected=1", "--set", "infected=2"],
-        "error: override 'infected=2': duplicate key 'infected'",
-    ),
+    # an override names itself, not the scenario file
+    "test_override_without_equals_rejected": {
+        "": small(["--set", "max_ticks"], "error: override 'max_ticks' is not of the form key=value"),
+    },
+    "test_unknown_override_key_rejected": {
+        "": small(["--set", "bar=1"], "error: override 'bar=1': --set takes no key 'bar'"),
+    },
+    "test_invalid_override_value": {
+        "": small(
+            ["--set", "max_ticks=soon"],
+            "error: override 'max_ticks=soon': bad value for 'max_ticks': 'soon'",
+        ),
+    },
+    "test_ant_choice_override_other_than_greedy_rejected": {
+        "": small(
+            ["--set", "ant_choice=proportional"],
+            "error: override 'ant_choice=proportional': bad value for 'ant_choice': 'proportional'",
+        ),
+    },
+    # seed is a file-only key: run takes it from --seed, sweep from --seeds
+    "test_override_of_a_structural_key_names_it": {
+        item: small(
+            ["--set", item], f"error: override {item!r}: --set takes no key {item.partition('=')[0]!r}"
+        )
+        for item in ["nodes=3", "edge=0 1", "infect_at=1 2", "random_topology=5 0.1", "seed=5"]
+    },
+    "test_sweep_seed_override_rejected": {
+        "": small(
+            ["--set", "seed=99", "--set", "max_ticks=50"],
+            "error: override 'seed=99': --set takes no key 'seed'",
+        ),
+    },
+    "test_second_value_for_one_input_rejected": {
+        key: small(
+            ["--set", f"{key}={first}", "--set", f"{key}={second}"],
+            f"error: override '{key}={second}': duplicate key {key!r}",
+        )
+        for key, first, second in [("max_ticks", 5, 7), ("infected", 1, 2)]
+    },
     # a value that converts but fails a check is the config's fault, and
     # the config is the scenario's
-    "override-failing-a-check": small(
-        ["--set", "max_ticks=0"], f"error: {SCN}: max_ticks must be > 0, got 0"
-    ),
-    "override-infected-twice": scenario(
-        "nodes 3\nedge 0 1\nedge 1 2\n", "node 1 would be infected twice", "--set", "infected=1 2 1"
-    ),
-    "override-inc-inf": small(
-        ["--set", "inc=inf"], f"error: {SCN}: increase (inc) must be finite and > 0, got inf"
-    ),
-    "override-inc-nan": small(
-        ["--set", "inc=nan"], f"error: {SCN}: increase (inc) must be finite and > 0, got nan"
-    ),
-    "override-dec-nan": small(
-        ["--set", "dec=nan"], f"error: {SCN}: decay (dec) must be in (0, 1), got nan"
-    ),
-    "override-threshold-inf": small(
-        ["--set", "threshold=inf"], f"error: {SCN}: threshold must be finite and > 0, got inf"
-    ),
-    # sweep's own flags
-    "sweep-seed-repeated": sweep(["--seeds", "1", "1"], "error: seeds given more than once: [1]"),
-    "sweep-seed-repeated-by-a-range": sweep(
-        ["--seeds", "1..2", "2"], "error: seeds given more than once: [2]"
-    ),
-    "sweep-seed-not-a-number": sweep(["--seeds", "x"], "error: bad seed 'x'"),
-    **{
-        f"sweep-seed-range-{name}": sweep(["--seeds", token], f"error: bad seed range {token!r}")
-        for name, token in [
-            ("not-numbers", "a..b"),
-            ("without-start", "..5"),
-            ("without-end", "5.."),
-            ("of-three", "1..2..3"),
-            ("descending", "5..3"),
+    "test_override_failing_a_check_names_the_scenario": {
+        "": small(["--set", "max_ticks=0"], f"error: {SCN}: max_ticks must be > 0, got 0"),
+    },
+    "test_non_finite_parameter_rejected": {
+        f"{key}={value}-{key}": small(
+            ["--set", f"{key}={value}"], f"error: {SCN}: {message}, got {value}"
+        )
+        for key, value, message in [
+            ("inc", "inf", "increase (inc) must be finite and > 0"),
+            ("inc", "nan", "increase (inc) must be finite and > 0"),
+            ("dec", "nan", "decay (dec) must be in (0, 1)"),
+            ("threshold", "inf", "threshold must be finite and > 0"),
         ]
     },
-    "sweep-jobs-0": sweep(["--seeds", "1..2", "--jobs", "0"], "error: --jobs must be >= 1, got 0"),
-    "sweep-jobs-negative": sweep(
-        ["--seeds", "1..2", "--jobs", "-3"], "error: --jobs must be >= 1, got -3"
-    ),
+    # sweep's own flags
+    "test_sweep_repeated_seed_rejected": {
+        "1-1": sweep(["--seeds", "1", "1"], "error: seeds given more than once: [1]"),
+        "1..2-2": sweep(["--seeds", "1..2", "2"], "error: seeds given more than once: [2]"),
+    },
+    "test_sweep_seed_token_error_line": {
+        "not-a-number": sweep(["--seeds", "x"], "error: bad seed 'x'"),
+        **{
+            f"range-{name}": sweep(["--seeds", token], f"error: bad seed range {token!r}")
+            for name, token in [
+                ("not-numbers", "a..b"),
+                ("without-start", "..5"),
+                ("without-end", "5.."),
+                ("of-three", "1..2..3"),
+                ("descending", "5..3"),
+            ]
+        },
+    },
+    "test_sweep_jobs_below_one_rejected": {
+        jobs: sweep(["--seeds", "1..2", "--jobs", jobs], f"error: --jobs must be >= 1, got {jobs}")
+        for jobs in ["0", "-3"]
+    },
     # trace's own flags
-    "trace-packets-0": (
-        {}, ["trace", "--mode", "fig2", "--packets", "0"], 2, "error: --packets must be >= 1, got 0"
-    ),
-    "trace-packets-negative": (
-        {}, ["trace", "--mode", "fig2", "--packets", "-5"], 2, "error: --packets must be >= 1, got -5"
-    ),
-    "trace-events-not-g-or-b": (
-        {}, ["trace", "--mode", "custom", "--events", "GXB"], 2,
-        "error: event string may only contain G and B, got 'X'",
-    ),
-    "trace-custom-without-events": (
-        {}, ["trace", "--mode", "custom"], 2, "error: custom mode needs --events"
-    ),
-    "trace-dec-past-1": (
-        {}, ["trace", "--mode", "custom", "--events", "B", "--dec", "1.5"], 2,
-        "error: decay (dec) must be in (0, 1), got 1.5",
-    ),
+    "test_trace_packets_must_be_positive": {
+        packets: (
+            {}, ["trace", "--mode", "fig2", "--packets", packets], 2,
+            f"error: --packets must be >= 1, got {packets}",
+        )
+        for packets in ["0", "-5"]
+    },
+    "test_trace_custom_refuses_bad_input": {
+        "events-not-g-or-b": (
+            {}, ["trace", "--mode", "custom", "--events", "GXB"], 2,
+            "error: event string may only contain G and B, got 'X'",
+        ),
+        "no-events": ({}, ["trace", "--mode", "custom"], 2, "error: custom mode needs --events"),
+        "dec-past-1": (
+            {}, ["trace", "--mode", "custom", "--events", "B", "--dec", "1.5"], 2,
+            "error: decay (dec) must be in (0, 1), got 1.5",
+        ),
+    },
+}
+
+# The tests whose rows ran under run alone before they also ran under
+# sweep: their run cases keep the bare case id.
+RUN_ALONE_BEFORE = {
+    "test_repeated_key_names_it", "test_repeated_infected_node_names_it",
+    "test_topology_file_malformed", "test_non_utf8_file_names_it",
+    "test_huge_count_exits_2_at_once_naming_its_key",
+    "test_huge_topology_exits_2_at_once_naming_its_size",
+    "test_override_of_a_structural_key_names_it", "test_non_finite_parameter_rejected",
 }
 
 
-def refused_command_lines():
-    for name, (files, args, code, line) in REFUSED.items():
-        if args[0] == "--scenario":
-            yield pytest.param(files, ["run", *args], code, line, id=f"{name}-run")
-            sweep_args = ["sweep", "--seeds", "1..2", *args]
-            yield pytest.param(files, sweep_args, code, line, id=f"{name}-sweep")
-        else:
-            yield pytest.param(files, args, code, line, id=name)
+def refusal_test(rows: dict[str, tuple], suffix_run: bool):
+    """A test of the refused command lines ``rows``.  A scenario row runs
+    as run under its case id, "-run" appended if ``suffix_run``, and as
+    sweep with "-sweep" appended; a case id "" drops the "-"."""
+    params = []
+    for case, (files, args, code, line) in rows.items():
+        if args[0] != "--scenario":
+            params.append(pytest.param(files, args, code, line, id=case))
+            continue
+        run_id = f"{case}-run".removeprefix("-") if suffix_run else case
+        sweep_id = f"{case}-sweep".removeprefix("-")
+        for command, case_id in [(["run"], run_id), (["sweep", "--seeds", "1..2"], sweep_id)]:
+            params.append(pytest.param(files, [*command, *args], code, line, id=case_id))
+
+    @pytest.mark.parametrize("files, argv, code, line", params)
+    def test(tmp_path, monkeypatch, capsys, files, argv, code, line):
+        """Each refused command line exits with its code and its one stderr
+        line within a second, runs no simulation, and leaves no temp file
+        and no part of its nested --out directory."""
+        runs = []
+        monkeypatch.setattr(cli.engine, "run", runs.append)
+        write_files(tmp_path, files)
+        tmp = str(tmp_path)
+        start = time.perf_counter()
+        exit_code = main([arg.replace("{tmp}", tmp) for arg in argv] + ["--out", f"{tmp}/a/b"])
+        elapsed = time.perf_counter() - start
+        assert (exit_code, capsys.readouterr().err) == (code, line.replace("{tmp}", tmp) + "\n")
+        assert runs == []
+        # the row's own files are all that is left: no --out, no *.tmp
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+        assert elapsed < 1.0
+
+    return test
 
 
-@pytest.mark.parametrize("files, argv, code, line", refused_command_lines())
-def test_refused_command_line(tmp_path, monkeypatch, capsys, files, argv, code, line):
-    """Each refused command line exits with its code and its one stderr line
-    within a second, runs no simulation, and leaves no temp file and no part
-    of its nested --out directory."""
-    runs = []
-    monkeypatch.setattr(cli.engine, "run", runs.append)
-    write_files(tmp_path, files)
-    tmp = str(tmp_path)
-    start = time.perf_counter()
-    exit_code = main([arg.replace("{tmp}", tmp) for arg in argv] + ["--out", f"{tmp}/a/b"])
-    elapsed = time.perf_counter() - start
-    assert (exit_code, capsys.readouterr().err) == (code, line.replace("{tmp}", tmp) + "\n")
-    assert runs == []
-    # the row's own files are all that is left: no --out, no *.tmp
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
-    assert elapsed < 1.0
+# Each entry of REFUSED is a test of its name.
+globals().update(
+    (name, refusal_test(rows, suffix_run=name not in RUN_ALONE_BEFORE))
+    for name, rows in REFUSED.items()
+)
 
 
 @pytest.mark.parametrize("key", sorted(COUNT_BOUNDS))
