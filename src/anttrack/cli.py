@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_trace = sub.add_parser("trace", help="emit a pheromone value trace as CSV")
-    p_trace.add_argument("--mode", choices=["fig1", "fig2", "custom"], required=True)
+    p_trace.add_argument("--mode", required=True, help="fig1, fig2 or custom")
     p_trace.add_argument("--events", default=None, help="event string of G/B for custom mode")
     p_trace.add_argument("--inc", type=float, default=PheromoneParams.increase)
     p_trace.add_argument("--dec", type=float, default=PheromoneParams.decay)

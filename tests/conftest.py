@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from anttrack import cli
 from anttrack.engine import Metrics, SimulationConfig, event_log, run
@@ -11,6 +12,7 @@ from anttrack.pheromone import PheromoneField
 from anttrack.topology import NetworkTopology, Route
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED_SCENARIOS = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
 
 
 def scenario_config(name: str, overrides=(), seed: int | None = None) -> SimulationConfig:
@@ -58,11 +60,6 @@ def pairwise_random_edges(node_count: int, extra_edge_prob: float, rng: random.R
     return edges
 
 
-def reverse_route(route: Route) -> Route:
-    """Reversed hop sequence; valid because edges are undirected."""
-    return tuple(reversed(route))
-
-
 def confirmation_path(conf) -> Route:
     """The hops a confirmation has still to visit, from where it is now back
     to its packet's source."""
@@ -75,11 +72,15 @@ def directions(topo: NetworkTopology) -> list[tuple[int, int]]:
     return [(u, v) for u, ns in enumerate(topo.adjacency) for v in ns]
 
 
-def is_valid_route(topo: NetworkTopology, route: Route) -> bool:
-    """True if route is a simple path over existing connections."""
-    if len(route) < 2 or len(set(route)) != len(route):
-        return False
-    return set(zip(route, route[1:])) <= set(directions(topo))
+@st.composite
+def connected_graphs(draw):
+    """A connected graph of at most 12 nodes: a random spanning tree plus
+    extra edges."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges |= draw(st.sets(pair, max_size=20))
+    return NetworkTopology.from_edges(n, sorted(edges))
 
 
 class RecordingField(PheromoneField):

@@ -22,7 +22,7 @@ from anttrack.engine import SimulationConfig
 from anttrack.pheromone import PheromoneParams, closed_form_value
 from anttrack.topology import InvalidConfig, NetworkTopology
 
-from conftest import SCENARIOS, grid_topology, path_topology, star_topology
+from conftest import SCENARIOS, SHIPPED_SCENARIOS, grid_topology, path_topology, star_topology
 
 
 def write_scenario(tmp_path: Path, body: str) -> Path:
@@ -106,8 +106,6 @@ COUNT_BOUNDS = {
     "good_packets_per_tick": traffic.MAX_GOOD_PACKETS_PER_TICK,
     "attack_packets_per_infected_per_tick": traffic.MAX_ATTACK_PACKETS_PER_INFECTED_PER_TICK,
 }
-
-SHIPPED_SCENARIOS = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
 
 
 def write_files(tmp_path: Path, files: dict[str, str | bytes]) -> None:
@@ -362,6 +360,10 @@ REFUSED = {
         for jobs in ["0", "-3"]
     },
     # trace's own flags
+    "test_trace_rejects_unknown_mode": {
+        "fig3": ({}, ["trace", "--mode", "fig3"], 2,
+                 "error: unknown trace mode 'fig3': expected fig1, fig2 or custom"),
+    },
     "test_trace_packets_must_be_positive": {
         packets: (
             {}, ["trace", "--mode", "fig2", "--packets", packets], 2,
@@ -484,30 +486,18 @@ def test_random_topology_edge_bound_far_above_every_shipped_graph():
     assert engine.MAX_RANDOM_TOPOLOGY_EDGES >= 100 * max(n * (n - 1) / 2 * p for n, p in drawn)
 
 
-def test_sweep_in_a_pool_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
-    """The refusal crosses the process pool.  Its workers are forked from
-    this process, so they build configs under the lowered budget: a 300-node
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
+def test_sweep_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys, jobs):
+    """Serial or in a pool, the sweep is refused by name; in a pool the
+    refusal crosses the process boundary.  The workers are forked from this
+    process, so they build configs under the lowered budget: a 300-node
     ring's 151 levels of 11,400 bytes pass 1 MiB after 91."""
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     write_files(tmp_path, ring_files(300))
     scenario = tmp_path / "scenario.scn"
     out = tmp_path / "o"
-    argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2", "--jobs", "2"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"error: {scenario}: routing on 300 nodes needs more than 91 reach levels, "
-        "past the 1 MiB budget\n"
-    )
-    assert not out.exists()
-
-
-def test_serial_sweep_past_the_reach_level_budget_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 1 << 20)
-    write_files(tmp_path, ring_files(300))
-    scenario = tmp_path / "scenario.scn"
-    out = tmp_path / "o"
-    argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2"]
+    argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seeds", "1..2", "--jobs", jobs]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"error: {scenario}: routing on 300 nodes needs more than 91 reach levels, "
@@ -1434,17 +1424,3 @@ def test_default_scenario_file_runs(tmp_path):
     assert code == 0
     summary = (out / "summary.txt").read_text()
     assert "nodes: 75" in summary
-
-
-def test_trace_rejects_unknown_mode(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "--mode", "fig3", "--out", str(tmp_path / "fig3.csv")])
-    assert exc.value.code == 2
-    assert "'fig3'" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-def test_trace_events_rejects_unknown_mode_by_name():
-    """The library function checks the mode itself, not only argparse."""
-    with pytest.raises(InvalidConfig, match="unknown trace mode 'fig3'"):
-        cli.trace_events("fig3", 100, "GB")

@@ -9,7 +9,7 @@ from anttrack.ant import AntMode, AntState, ant_step
 from anttrack.pheromone import PheromoneField, PheromoneParams, closed_form_value
 from anttrack.topology import InvalidConfig, NetworkTopology
 
-from conftest import RecordingField, directions
+from conftest import RecordingField, connected_graphs, directions
 
 GOOD, BAD = False, True
 
@@ -160,16 +160,6 @@ def test_incremental_equals_closed_form_random():
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-300)
 
 
-def test_history_mode_matches_literal_sum():
-    # the running value equals the sum written out from the event history:
-    # increase * decay**(goods after that bad) over every bad event
-    rng = random.Random(7)
-    events = [BAD if rng.random() < 0.3 else GOOD for _ in range(300)]
-    goods_since = [events[i + 1:].count(GOOD) for i, ev in enumerate(events) if ev is BAD]
-    literal = sum(DEFAULTS.increase * DEFAULTS.decay**g for g in goods_since)
-    assert math.isclose(level(fold(events, DEFAULTS)), literal, rel_tol=1e-9)
-
-
 def test_monotonicity():
     rng = random.Random(11)
     field = fold([BAD if rng.random() < 0.4 else GOOD for _ in range(100)], DEFAULTS)
@@ -299,20 +289,16 @@ def test_threshold_is_strict():
 def field_scripts(draw):
     """A small connected graph, update parameters, and a sequence of
     good/bad writes and reads over its directed connections."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
-    edges |= draw(st.sets(pair, max_size=8))
-    directions = sorted(edges | {(b, a) for a, b in edges})
+    topo = draw(connected_graphs())
     params = PheromoneParams(
         increase=draw(st.floats(min_value=0.5, max_value=100.0)),
         decay=draw(st.floats(min_value=0.05, max_value=0.99)),
     )
     ops = draw(st.lists(
-        st.tuples(st.sampled_from(["good", "bad", "read"]), st.sampled_from(directions)),
+        st.tuples(st.sampled_from(["good", "bad", "read"]), st.sampled_from(directions(topo))),
         max_size=60,
     ))
-    return NetworkTopology.from_edges(n, sorted(edges)), params, ops
+    return topo, params, ops
 
 
 @given(field_scripts())

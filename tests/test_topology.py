@@ -4,19 +4,20 @@ import pickle
 import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
 
 from anttrack import cli, topology
-from anttrack.topology import InvalidConfig, NetworkTopology, Route, shortest_route
+from anttrack.topology import InvalidConfig, NetworkTopology, shortest_route
 from anttrack.traffic import TrafficRates, route_cache
 from anttrack.engine import SimulationConfig, derive_rng, generate_random_topology
 from anttrack.pheromone import PheromoneParams
 from anttrack.transport import DetectorModel
 
 from conftest import (
-    SCENARIOS, directions, grid_topology, is_valid_route, pairwise_random_edges, path_topology,
-    reverse_route,
+    SHIPPED_SCENARIOS, connected_graphs, directions, grid_topology, pairwise_random_edges,
+    path_topology,
 )
 
 
@@ -25,19 +26,15 @@ def undirected_edges(topo: NetworkTopology) -> set[tuple[int, int]]:
     return {(a, b) for a, b in directions(topo) if a < b}
 
 
-def bfs_distance(topo: NetworkTopology, src: int, dst: int) -> int:
-    """Independent breadth-first distance used as the routing oracle."""
-    seen = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in topo.adjacency[u]:
-                if v not in seen:
-                    seen[v] = seen[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return seen[dst]
+def assert_routes_match_the_oracle(topo: NetworkTopology, pairs=None) -> None:
+    """The routing oracle: each route of ``pairs``, every ordered pair of
+    distinct nodes by default, is the least of networkx's shortest paths,
+    and so a path of minimum length from its source to its destination."""
+    graph = nx.Graph(directions(topo))
+    n = topo.node_count
+    for src, dst in pairs or [(s, d) for s in range(n) for d in range(n) if s != d]:
+        oracle = min(map(tuple, nx.all_shortest_paths(graph, src, dst)))
+        assert shortest_route(topo, src, dst) == oracle
 
 
 def test_smallest_connected_graph():
@@ -128,6 +125,12 @@ def test_route_invalid_endpoint_rejected(path3):
         pytest.param(lambda: PheromoneParams(decay=1), id="PheromoneParams"),
         pytest.param(lambda: TrafficRates(-1, 1), id="TrafficRates"),
         pytest.param(lambda: DetectorModel(2.0), id="DetectorModel"),
+        pytest.param(lambda: DetectorModel(detect_prob=-0.1), id="DetectorModel-detect_prob=-0.1"),
+        pytest.param(lambda: DetectorModel(detect_prob=1.1), id="DetectorModel-detect_prob=1.1"),
+        pytest.param(lambda: DetectorModel(false_positive_prob=-0.1),
+                     id="DetectorModel-false_positive_prob=-0.1"),
+        pytest.param(lambda: DetectorModel(false_positive_prob=1.1),
+                     id="DetectorModel-false_positive_prob=1.1"),
         pytest.param(lambda: SimulationConfig(path_topology(2), max_ticks=0), id="SimulationConfig"),
         pytest.param(lambda: NetworkTopology.from_edges(0, []), id="from_edges"),
         pytest.param(lambda: shortest_route(path_topology(3), 1, 1), id="shortest_route"),
@@ -139,6 +142,10 @@ def test_route_invalid_endpoint_rejected(path3):
         pytest.param(
             lambda: generate_random_topology(5, 1.5, random.Random(0)),
             id="generate_random_topology",
+        ),
+        pytest.param(
+            lambda: generate_random_topology(1, 0.5, random.Random(0)),
+            id="generate_random_topology-one-node",
         ),
     ],
 )
@@ -174,8 +181,7 @@ def test_config_builds_the_reach_levels_and_is_refused_past_their_budget(monkeyp
 
 
 def test_reach_level_budget_far_above_every_shipped_topology():
-    shipped = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
-    for path in shipped:
+    for path in SHIPPED_SCENARIOS:
         topo = cli.build_config(cli.parse_scenario(path)).topology
         n = topo.node_count
         assert 100 * (len(topo.levels) + 1) * n * -(-n // 8) <= topology.REACH_LEVEL_BUDGET
@@ -188,7 +194,8 @@ def test_reach_level_budget_far_above_every_shipped_topology():
 )
 # a pair's draw is settled by its top byte t, in [t/256, (t+1)/256), unless
 # p falls inside that range: none does at 1/256 and 2/256; t = 0 does just
-# below 1/256 and t = 1 just above; then the extremes, and sparse1000's size
+# below 1/256 and t = 1 just above; then the extremes, the smallest graph, a
+# complete one, and sparse1000's size
 @example(80, 1 / 256, 11)
 @example(80, 2 / 256, 12)
 @example(80, math.nextafter(1 / 256, 0), 13)
@@ -196,6 +203,8 @@ def test_reach_level_budget_far_above_every_shipped_topology():
 @example(80, 5e-324, 15)
 @example(80, 1 - 2**-53, 16)
 @example(80, 1.0, 17)
+@example(2, 0.0, 0)
+@example(8, 1.0, 0)
 @example(1000, 0.001, 18)
 def test_random_topology_draws_as_the_pairwise_oracle(node_count, extra_edge_prob, seed):
     rng, oracle_rng = random.Random(seed), random.Random(seed)
@@ -222,21 +231,6 @@ def test_random_topology_1000_nodes_pinned(seed, edge_count, digest):
     assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == digest
 
 
-def test_route_length_matches_bfs_oracle():
-    rng = random.Random(1234)
-    for _ in range(30):
-        n = rng.randrange(2, 25)
-        topo = generate_random_topology(n, rng.random() * 0.3, rng)
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                route = shortest_route(topo, src, dst)
-                assert len(route) - 1 == bfs_distance(topo, src, dst)
-                assert is_valid_route(topo, route)
-                assert route[0] == src and route[-1] == dst
-
-
 def test_route_deterministic():
     rng = random.Random(99)
     topo = generate_random_topology(20, 0.2, rng)
@@ -244,35 +238,6 @@ def test_route_deterministic():
     twin = NetworkTopology(topo.node_count, topo.adjacency)
     for src, dst in [(0, 19), (3, 7), (15, 2)]:
         assert shortest_route(topo, src, dst) == shortest_route(twin, src, dst)
-
-
-def all_min_paths(topo: NetworkTopology, src: int, dst: int) -> list[Route]:
-    """Brute-force enumeration of every minimum-hop path: the tie-break
-    oracle."""
-    target = bfs_distance(topo, src, dst)
-    paths = []
-    stack = [(src, (src,))]
-    while stack:
-        node, path = stack.pop()
-        if node == dst:
-            if len(path) - 1 == target:
-                paths.append(path)
-            continue
-        if len(path) - 1 >= target:
-            continue
-        for v in topo.adjacency[node]:
-            if v not in path:
-                stack.append((v, path + (v,)))
-    return paths
-
-
-def test_route_lexicographically_smallest():
-    rng = random.Random(7)
-    topo = generate_random_topology(9, 0.35, rng)
-    for src in range(topo.node_count):
-        for dst in range(topo.node_count):
-            if src != dst:
-                assert shortest_route(topo, src, dst) == min(all_min_paths(topo, src, dst))
 
 
 def test_edge_ids_number_directions_in_sorted_order():
@@ -301,10 +266,8 @@ def test_route_levels_are_built_once_and_kept_with_the_topology():
     assert vars(topo)["out_pairs"] is pairs and topo.out_pairs is pairs
     assert shortest_route(topo, 0, 15) == (0, 1, 2, 3, 7, 11, 15)
     built = topo.levels
-    diameter = max(bfs_distance(topo, a, b) for a in range(16) for b in range(16))
-    assert len(built) == diameter + 1 == 7
-    for src, dst in [(3, 15), (15, 0), (5, 6)]:
-        assert shortest_route(topo, src, dst) == min(all_min_paths(topo, src, dst))
+    assert len(built) == nx.diameter(nx.Graph(directions(topo))) + 1 == 7
+    assert_routes_match_the_oracle(topo, [(3, 15), (15, 0), (5, 6)])
     assert topo.levels is built
     # the derived tables are not fields: equality and repr see the graph only
     assert topo == grid_topology(4, 4) and repr(topo) == repr(grid_topology(4, 4))
@@ -336,56 +299,29 @@ def test_route_along_a_long_path():
 
 def test_route_across_a_grid_takes_the_smallest_of_its_ties():
     topo = grid_topology(6, 6)
+    graph = nx.Graph(directions(topo))
     for src, dst in [(0, 35), (35, 0), (5, 30), (30, 5)]:
-        paths = all_min_paths(topo, src, dst)
+        paths = list(map(tuple, nx.all_shortest_paths(graph, src, dst)))
         assert len(paths) == 252
         assert shortest_route(topo, src, dst) == min(paths)
 
 
 def test_route_on_a_sparse_random_graph_matches_networkx_oracle():
-    nx = pytest.importorskip("networkx")
     topo = generate_random_topology(300, 0.005, random.Random(5))
-    graph = nx.Graph(directions(topo))
     rng = random.Random(6)
-    for _ in range(200):
-        src, dst = rng.sample(range(topo.node_count), 2)
-        oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
-        assert shortest_route(topo, src, dst) == oracle
+    assert_routes_match_the_oracle(topo, [rng.sample(range(topo.node_count), 2) for _ in range(200)])
 
 
-def test_reverse_route_examples():
-    assert reverse_route((0, 1, 2)) == (2, 1, 0)
-    assert reverse_route((0, 1)) == (1, 0)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=12))
-def test_reverse_route_involution(hops):
-    route = tuple(hops)
-    assert reverse_route(reverse_route(route)) == route
-
-
-def test_reversed_route_still_valid(path10):
-    route = shortest_route(path10, 0, 9)
-    assert is_valid_route(path10, reverse_route(route))
-
-
-@st.composite
-def connected_graphs(draw):
-    """A connected graph of at most 12 nodes: a random spanning tree plus
-    extra edges."""
-    n = draw(st.integers(min_value=2, max_value=12))
-    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
-    edges |= draw(st.sets(pair, max_size=20))
-    return NetworkTopology.from_edges(n, sorted(edges))
+def test_route_matches_networkx_oracle_on_seeded_graphs():
+    """Every pair of thirty graphs of 2 to 24 nodes drawn from one seeded
+    generator, and of one denser 9-node graph."""
+    rng = random.Random(1234)
+    for _ in range(30):
+        assert_routes_match_the_oracle(
+            generate_random_topology(rng.randrange(2, 25), rng.random() * 0.3, rng))
+    assert_routes_match_the_oracle(generate_random_topology(9, 0.35, random.Random(7)))
 
 
 @given(connected_graphs())
 def test_route_matches_networkx_oracle(topo):
-    nx = pytest.importorskip("networkx")
-    graph = nx.Graph(directions(topo))
-    for src in range(topo.node_count):
-        for dst in range(topo.node_count):
-            if src != dst:
-                oracle = min(tuple(p) for p in nx.all_shortest_paths(graph, src, dst))
-                assert shortest_route(topo, src, dst) == oracle
+    assert_routes_match_the_oracle(topo)

@@ -126,15 +126,21 @@ def test_false_positive_spawns_bad_confirm_full_route():
     assert outcomes[0].event == "detected"
 
 
-@pytest.mark.parametrize("malicious, inspected_at", [
-    (False, [3]), (True, [1, 2, 3]), (False, [1]), (True, [1]),
+# Each case names its id, so that adding a case renames no other case.
+@pytest.mark.parametrize("malicious, inspected_at, detect_prob", [
+    pytest.param(False, [3], 0.0, id="False-inspected_at0"),
+    pytest.param(True, [1, 2, 3], 0.0, id="True-inspected_at1"),
+    pytest.param(False, [1], 0.0, id="False-inspected_at2"),
+    pytest.param(True, [1], 0.0, id="True-inspected_at3"),
+    pytest.param(True, [1], 1.0, id="True-certain"),
 ])
-def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected_at):
+def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected_at, detect_prob):
     """A clean packet meets the detector only at its destination; a
-    malicious one at every hop after its source.  Each meeting is one draw:
-    on the one-hop route (0, 1) both kinds draw once, at node 1.  The route
-    runs from 0 to the last node inspected, the destination, since a
-    detector that never detects ends no packet early."""
+    malicious one at every hop after its source.  Each meeting is one draw,
+    even where ``detect_prob`` makes its outcome certain: on the one-hop
+    route (0, 1) both kinds draw once, at node 1.  The route runs from 0 to
+    the last node inspected, the destination, since the detector ends no
+    packet before it."""
     nodes = []
     real_inspect = transport.inspect_at_hop
 
@@ -146,7 +152,7 @@ def test_detector_is_asked_only_where_it_draws(monkeypatch, malicious, inspected
     rng, reference = random.Random(9), random.Random(9)
     state = InFlight(packets=[Packet(0, malicious, tuple(range(inspected_at[-1] + 1)))])
     while state.packets:
-        advance_packets(state, DetectorModel(detect_prob=0.0), rng)
+        advance_packets(state, DetectorModel(detect_prob=detect_prob), rng)
     assert nodes == inspected_at
     for _ in inspected_at:
         reference.random()
