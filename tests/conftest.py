@@ -60,6 +60,11 @@ def pairwise_random_edges(node_count: int, extra_edge_prob: float, rng: random.R
     return edges
 
 
+def reverse_route(route: Route) -> Route:
+    """Reversed hop sequence; valid because edges are undirected."""
+    return tuple(reversed(route))
+
+
 def confirmation_path(conf) -> Route:
     """The hops a confirmation has still to visit, from where it is now back
     to its packet's source."""

@@ -154,6 +154,36 @@ def test_no_backtrack_while_tracking_over_long_runs(grid4x4):
             prev_move = None
 
 
+def test_ants_never_modify_pheromones(grid4x4):
+    field = PheromoneField(grid4x4)
+    pairs, levels = grid4x4.out_pairs, field.values
+    field.apply_bad(5, 6, PARAMS)
+    field.apply_bad(9, 5, PARAMS)
+    before = {key: field.read_level(*key) for key in directions(grid4x4)}
+    ant = AntState(0, location=2)
+    rng = random.Random(4)
+    for _ in range(200):
+        ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits)
+    assert {key: field.read_level(*key) for key in directions(grid4x4)} == before
+
+
+def test_trajectory_deterministic(grid4x4):
+    field = PheromoneField(grid4x4)
+    pairs, levels = grid4x4.out_pairs, field.values
+    field.apply_bad(10, 9, PARAMS)
+
+    def trajectory(seed):
+        ant = AntState(0, location=0)
+        rng = random.Random(seed)
+        return [
+            (ant_step(ant, pairs, levels, THRESHOLD, rng.getrandbits), ant.location, ant.mode)
+            for _ in range(100)
+        ]
+
+    assert trajectory(5) == trajectory(5)
+    assert trajectory(5) != trajectory(6)
+
+
 def set_level(field, u, v, level):
     """Bring a fresh direction to ``level`` (0, a finite positive value, or
     inf) through boosts alone."""

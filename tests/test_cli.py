@@ -1424,3 +1424,10 @@ def test_default_scenario_file_runs(tmp_path):
     assert code == 0
     summary = (out / "summary.txt").read_text()
     assert "nodes: 75" in summary
+
+
+def test_trace_events_rejects_unknown_mode_by_name():
+    """The library function checks the mode itself: the command line has no
+    check of its own."""
+    with pytest.raises(InvalidConfig, match="unknown trace mode 'fig3'"):
+        cli.trace_events("fig3", 100, "GB")

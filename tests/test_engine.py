@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 import struct
 import tracemalloc
 from collections import Counter
@@ -12,11 +13,14 @@ from anttrack.engine import (
     SimulationConfig,
     derive_rng,
     event_log,
+    generate_random_topology,
     metrics_to_csv,
     run,
 )
+from anttrack.pheromone import PheromoneParams
 from anttrack.topology import InvalidConfig, NetworkTopology
 from anttrack.traffic import TrafficRates, route_cache
+from anttrack.transport import DetectorModel
 
 from conftest import (
     SCENARIOS,
@@ -98,12 +102,29 @@ def test_declarations_filed_by_infection_at_their_tick():
     assert list(metrics.first_declaration_tick.items()) == list(first.items())
 
 
+def test_run_is_deterministic():
+    m1, log1 = logged_run(small_config())
+    m2, log2 = logged_run(small_config())
+    assert log1 == log2
+    assert metrics_to_csv(m1) == metrics_to_csv(m2)
+    _, log3 = logged_run(small_config(seed=43))
+    assert log1 != log3
+
+
 def test_zero_ants_no_declarations_field_still_evolves():
     metrics, log = logged_run(small_config(ant_count=0, max_ticks=50))
     assert metrics.first_declaration_tick == {}
     assert metrics.all_identified_tick is None
     assert any(line.startswith("PHERO,") for line in log)
     assert not any(line.startswith("ANT,") for line in log)
+
+
+def test_field_evolution_independent_of_ants():
+    def field_lines(ant_count):
+        _, log = logged_run(small_config(ant_count=ant_count, max_ticks=60))
+        return [line for line in log if line.startswith("FIELD,")]
+
+    assert field_lines(0) == field_lines(3)
 
 
 def test_declaration_never_precedes_infection():
@@ -414,6 +435,40 @@ def test_derive_rng_streams_are_stable_and_independent():
     assert a1 == a2
     assert a1 != b
     assert a1 != c
+
+
+def test_random_topology_two_nodes():
+    topo = generate_random_topology(2, 0.0, random.Random(0))
+    assert topo == NetworkTopology.from_edges(2, [(0, 1)])
+
+
+def test_random_topology_complete():
+    n = 8
+    topo = generate_random_topology(n, 1.0, random.Random(0))
+    assert len(directions(topo)) == n * (n - 1)
+
+
+def test_random_topology_connected_and_reproducible():
+    for seed in range(10):
+        topo1 = generate_random_topology(75, 0.02, random.Random(seed))
+        topo2 = generate_random_topology(75, 0.02, random.Random(seed))
+        assert topo1 == topo2
+        # connectivity oracle: breadth-first reach from node 0
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            frontier = [
+                v for u in frontier for v in topo1.adjacency[u] if v not in seen
+            ]
+            seen.update(frontier)
+        assert seen == set(range(75))
+
+
+def test_random_topology_validation():
+    with pytest.raises(InvalidConfig):
+        generate_random_topology(1, 0.5, random.Random(0))
+    with pytest.raises(InvalidConfig):
+        generate_random_topology(5, 1.5, random.Random(0))
 
 
 def test_repeated_declarations_deduplicate_to_earliest():

@@ -160,6 +160,16 @@ def test_incremental_equals_closed_form_random():
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-300)
 
 
+def test_history_mode_matches_literal_sum():
+    # the running value equals the sum written out from the event history:
+    # increase * decay**(goods after that bad) over every bad event
+    rng = random.Random(7)
+    events = [BAD if rng.random() < 0.3 else GOOD for _ in range(300)]
+    goods_since = [events[i + 1:].count(GOOD) for i, ev in enumerate(events) if ev is BAD]
+    literal = sum(DEFAULTS.increase * DEFAULTS.decay**g for g in goods_since)
+    assert math.isclose(level(fold(events, DEFAULTS)), literal, rel_tol=1e-9)
+
+
 def test_monotonicity():
     rng = random.Random(11)
     field = fold([BAD if rng.random() < 0.4 else GOOD for _ in range(100)], DEFAULTS)

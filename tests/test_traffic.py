@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from anttrack.engine import generate_random_topology
 from anttrack.topology import InvalidConfig, shortest_route
 from anttrack.traffic import TrafficRates, generate_tick_traffic, route_cache
 
@@ -63,6 +64,17 @@ def test_route_memo_keeps_traffic_unchanged(grid4x4):
         )
     route = routes(0, 15)
     assert routes(0, 15) is route == shortest_route(grid4x4, 0, 15)
+
+
+def test_identical_seeds_identical_traffic():
+    rng = random.Random(17)
+    topo = generate_random_topology(12, 0.2, rng)
+    rates = TrafficRates(good_packets_per_tick=8, attack_packets_per_infected_per_tick=2)
+    a = fresh_traffic(topo, {3}, rates, random.Random(77), 0)
+    b = fresh_traffic(topo, {3}, rates, random.Random(77), 0)
+    assert a == b
+    c = fresh_traffic(topo, {3}, rates, random.Random(78), 0)
+    assert a != c
 
 
 def test_good_packets_never_malicious(path10):
