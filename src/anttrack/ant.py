@@ -15,6 +15,13 @@ leaving a just-declared node must not be recaptured by the trail it walked
 down, or it would orbit one infected node forever while others go
 unvisited.  The uniform random move of a wandering agent that sees no
 trail does allow stepping back.
+
+The rule misses one case: two adjacent infected nodes.  Each one's attack
+packets are detected at the other, so each holds a trail toward the other.
+An agent that declares one resumes with nothing banned, follows the trail
+to the other, declares it and comes back: the pair holds every agent that
+reaches it.  On default75 with seed 16, all three agents orbit the pair 23
+and 61 from tick 9 on, and node 5 is never declared (ROADMAP item 21).
 """
 
 from __future__ import annotations
@@ -61,8 +68,8 @@ def ant_step(
     id.  With a trail the agent tracks and follows it.  Without one, a
     tracking agent declares its current node infected and resumes
     wandering, staying put for this step; a wandering agent moves to a
-    uniform random neighbor.  A node without neighbors, only possible in a
-    one-node topology, raises ``ValueError``.
+    uniform random neighbor: every node has one, since ``engine.run``'s
+    config refuses a one-node topology and ``from_edges`` a disconnected one.
     """
     here = ant.location
     banned = ant.came_from
@@ -84,8 +91,6 @@ def ant_step(
         # Random.randrange(n) without its calls: the same words, so the
         # same neighbor and the same generator state
         n = len(row)
-        if not n:
-            raise ValueError(f"node {here} has no neighbors to move to")
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:

@@ -119,16 +119,21 @@ class NetworkTopology:
         bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD 2013): for
         k = 0 .. diameter, bit w of ``levels[k][v]`` is set iff dist(v, w) <= k.
         Each level counts as n * ceil(n / 8) bytes; a graph whose levels would
-        pass ``REACH_LEVEL_BUDGET`` is refused as soon as the next one would."""
+        pass ``REACH_LEVEL_BUDGET`` is refused as soon as the next one would.
+        Where n + 1 levels would pass it, one BFS first finds node 0's
+        eccentricity, which is at most the diameter: if that many levels, the
+        one before them and the one that finds the last would pass, the loop
+        would refuse with the same count, so the graph is refused before any
+        level is built.  No graph of 1000 nodes or fewer needs the BFS."""
         n = self.node_count
         level_bytes = n * -(-n // 8)
+        if ((n + 1) * level_bytes > REACH_LEVEL_BUDGET
+                and (self._eccentricity_of_0() + 2) * level_bytes > REACH_LEVEL_BUDGET):
+            raise _past_budget(n, max(1, REACH_LEVEL_BUDGET // level_bytes))
         levels = [[1 << v for v in range(n)]]
         while True:
             if (len(levels) + 1) * level_bytes > REACH_LEVEL_BUDGET:
-                raise InvalidConfig(
-                    f"routing on {n} nodes needs more than {len(levels)} reach levels, "
-                    f"past the {REACH_LEVEL_BUDGET / 2**20:g} MiB budget"
-                )
+                raise _past_budget(n, len(levels))
             level = levels[-1]
             nxt = []
             for v, ns in enumerate(self.adjacency):
@@ -139,6 +144,29 @@ class NetworkTopology:
             if nxt == level:
                 return levels
             levels.append(nxt)
+
+    def _eccentricity_of_0(self) -> int:
+        """The hop distance from node 0 to the node farthest from it."""
+        seen = bytearray(self.node_count)
+        seen[0] = 1
+        frontier, eccentricity = [0], -1
+        while frontier:
+            eccentricity += 1
+            nxt = []
+            for v in frontier:
+                for w in self.adjacency[v]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        nxt.append(w)
+            frontier = nxt
+        return eccentricity
+
+
+def _past_budget(n: int, count: int) -> InvalidConfig:
+    return InvalidConfig(
+        f"routing on {n} nodes needs more than {count} reach levels, "
+        f"past the {REACH_LEVEL_BUDGET / 2**20:g} MiB budget"
+    )
 
 
 # The reach levels' budget: each level holds n ints of n bits, and there are

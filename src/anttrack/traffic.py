@@ -66,11 +66,10 @@ def generate_tick_traffic(
     each node of ``infected`` (ascending id) emits its attack packets toward
     uniform random other nodes.  Every packet starts at position 0 on its
     minimum-hop route, taken from ``routes``, which the caller keeps across
-    ticks.  Ids are assigned sequentially from first_id.
+    ticks.  Ids are assigned sequentially from first_id.  The topology has
+    two nodes at least: ``engine.run``'s config refuses fewer.
     """
     n = topology.node_count
-    if n < 2:
-        raise ValueError(f"traffic needs two nodes for distinct endpoints, got {n}")
     # Random.randrange(n) and Random.randrange(n - 1) without their calls,
     # as ant_step draws: the same words, so the same endpoints and the same
     # generator state

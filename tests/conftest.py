@@ -2,14 +2,17 @@ import io
 import random
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from anttrack import cli
+from anttrack import cli, engine
 from anttrack.engine import Metrics, SimulationConfig, event_log, run
-from anttrack.pheromone import PheromoneField
-from anttrack.topology import NetworkTopology, Route
+from anttrack.topology import NetworkTopology, Route, shortest_route
+from anttrack.traffic import TrafficRates
+from anttrack.transport import DetectorModel
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED_SCENARIOS = [*SCENARIOS.glob("*.scn"), SCENARIOS.parent / "perfbench" / "sparse1000.scn"]
@@ -65,12 +68,6 @@ def reverse_route(route: Route) -> Route:
     return tuple(reversed(route))
 
 
-def confirmation_path(conf) -> Route:
-    """The hops a confirmation has still to visit, from where it is now back
-    to its packet's source."""
-    return conf.route[conf.position::-1]
-
-
 def directions(topo: NetworkTopology) -> list[tuple[int, int]]:
     """Every directed connection (u, v) in edge-id order, read from the
     adjacency lists alone: u ascending, then u's sorted neighbours."""
@@ -88,29 +85,112 @@ def connected_graphs(draw):
     return NetworkTopology.from_edges(n, sorted(edges))
 
 
-class RecordingField(PheromoneField):
-    """A field that also records as the keys of ``written`` every direction a
-    write crossed, in the order of each direction's first write."""
-
-    def __init__(self, topology: NetworkTopology):
-        super().__init__(topology)
-        self.written: dict[tuple[int, int], None] = {}
-
-    def apply_good(self, from_node, to_node, params):
-        self.written[from_node, to_node] = None
-        return super().apply_good(from_node, to_node, params)
-
-    def apply_bad(self, from_node, to_node, params):
-        self.written[from_node, to_node] = None
-        return super().apply_bad(from_node, to_node, params)
-
-
 def logged_run(config: SimulationConfig) -> tuple[Metrics, list[str]]:
     """Run with the event log streamed into memory; the metrics and the
     log's record lines."""
     log = io.StringIO()
     metrics = run(replace(config, sink=event_log(config.topology, log.write)))
     return metrics, log.getvalue().splitlines()
+
+
+def packet_config(topology, *, good=0, attack=1, infected=(), detect=1.0, fp=0.0, ticks=4, seed=0):
+    """A run without agents: ``good`` clean packets a tick, and ``attack``
+    malicious ones a tick from each node of ``infected``, infected at tick 0."""
+    return SimulationConfig(
+        topology, rates=TrafficRates(good, attack), detector=DetectorModel(detect, fp), ant_count=0,
+        infections=tuple((0, node) for node in infected), max_ticks=ticks, seed=seed,
+    )
+
+
+class Tick(NamedTuple):
+    """One tick as the event log shows it, each list in log order: the
+    spawns, as (id, src, dst, malicious); the ends, as (id, event, node);
+    and the confirmation writes, as (u, v, kind, value)."""
+
+    spawns: list[tuple[int, int, int, bool]]
+    ends: list[tuple[int, str, int]]
+    writes: list[tuple[int, int, str, float]]
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its ``random()`` calls in ``draws``."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def run_records(config: SimulationConfig) -> tuple[list[Tick], int]:
+    """Run ``config`` through ``logged_run``; its records, one ``Tick`` per
+    tick read from the log's PKT and PHERO lines, and the number of draws
+    the detector made, counted on the run's ``"detect"`` substream."""
+    detect, derive_rng = CountingRandom(), engine.derive_rng
+
+    def counting_derive_rng(seed, tag):
+        rng = derive_rng(seed, tag)
+        if tag != "detect":
+            return rng
+        detect.setstate(rng.getstate())
+        return detect
+
+    with mock.patch.object(engine, "derive_rng", counting_derive_rng):
+        _, lines = logged_run(config)
+    ticks = [Tick([], [], []) for _ in range(config.max_ticks)]
+    for line in lines:
+        record, tick, *fields = line.split(",")
+        if record == "PHERO":
+            u, v, kind, value = fields
+            ticks[int(tick)].writes.append((int(u), int(v), kind, float(value)))
+        elif record == "PKT" and fields[0] == "spawn":
+            pid, src, dst, malicious = map(int, fields[1:])
+            ticks[int(tick)].spawns.append((pid, src, dst, malicious == 1))
+        elif record == "PKT":
+            event, pid, node = fields
+            ticks[int(tick)].ends.append((int(pid), event, int(node)))
+    return ticks, detect.draws
+
+
+def expected_writes(config: SimulationConfig, ticks: list[Tick]) -> list[list[tuple]]:
+    """Each tick's confirmation writes, derived from the PKT records alone.
+    A packet that ended at tick T at position p of ``shortest_route(src,
+    dst)`` writes ``route[p] -> route[p - 1]`` at tick T + 1, then the next
+    hop back on each tick after, down to position 0: bad if it was
+    detected, good if it was delivered.  Within a tick the writes come in
+    (end tick, end order).  Each write's value is the direction's last one
+    boosted by a bad write or decayed by a good one, as the log prints it."""
+    routes = {pid: shortest_route(config.topology, src, dst)
+              for tick in ticks for pid, src, dst, _ in tick.spawns}
+    expected = [[] for _ in ticks]
+    for t, tick in enumerate(ticks):
+        for pid, event, node in tick.ends:
+            route = routes[pid]
+            back = route[route.index(node)::-1]
+            kind = "bad" if event == "detected" else "good"
+            for writes, u, v in zip(expected[t + 1:], back, back[1:]):
+                writes.append((u, v, kind))
+    levels, params = {}, config.params
+    for writes in expected:
+        for i, (u, v, kind) in enumerate(writes):
+            old = levels.get((u, v), 0.0)
+            value = levels[u, v] = old + params.increase if kind == "bad" else old * params.decay
+            writes[i] = (u, v, kind, float(f"{value:.9g}"))
+    return expected
+
+
+def expected_draws(ticks: list[Tick]) -> int:
+    """The detector draws a run makes, from the PKT records alone: one for
+    each tick a malicious packet moves, from its spawn tick to its end tick
+    or the last tick, and one for each clean packet that reached its
+    destination."""
+    ends = {pid: (t, node) for t, tick in enumerate(ticks) for pid, _, node in tick.ends}
+    draws = 0
+    for t, tick in enumerate(ticks):
+        for pid, _, dst, malicious in tick.spawns:
+            end_tick, node = ends.get(pid, (len(ticks) - 1, None))
+            draws += end_tick - t + 1 if malicious else node == dst
+    return draws
 
 
 @pytest.fixture

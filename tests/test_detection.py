@@ -1,14 +1,18 @@
 import math
-import random
 
 import pytest
 
 from anttrack.topology import InvalidConfig
-from anttrack.transport import DetectorModel, Packet, inspect_at_hop
+from anttrack.transport import DetectorModel
+
+from conftest import packet_config, path_topology, run_records
 
 
-def make_packet(malicious: bool) -> Packet:
-    return Packet(0, malicious=malicious, route=(0, 1, 2))
+def ends_of(config):
+    """Each end of the run, as (id, event, node, destination)."""
+    ticks, _ = run_records(config)
+    dsts = {pid: dst for tick in ticks for pid, _, dst, _ in tick.spawns}
+    return [(pid, event, node, dsts[pid]) for tick in ticks for pid, event, node in tick.ends]
 
 
 @pytest.mark.parametrize("prob", [-0.1, 1.1])
@@ -19,52 +23,39 @@ def test_detector_validation(prob):
         DetectorModel(false_positive_prob=prob)
 
 
-def test_certain_detection_at_first_hop():
-    detector = DetectorModel(detect_prob=1.0)
-    assert inspect_at_hop(make_packet(True), detector, random.Random(0)) is True
+def test_certain_detection_at_first_hop(path3):
+    # one malicious packet a tick from node 0, each detected at node 1 at once
+    ticks, _ = run_records(packet_config(path3, infected=[0], ticks=20))
+    assert [tick.ends for tick in ticks] == [[(t, "detected", 1)] for t in range(20)]
 
 
-def test_clean_packet_delivered():
-    detector = DetectorModel(false_positive_prob=0.0)
-    pkt = make_packet(False)
-    assert inspect_at_hop(pkt, detector, random.Random(0)) is False
+def test_clean_packet_delivered(path3):
+    ends = ends_of(packet_config(path3, good=1, ticks=20))
+    assert ends and all(event == "delivered" and node == dst for _, event, node, dst in ends)
 
 
-def test_zero_detect_prob_always_misses():
-    detector = DetectorModel(detect_prob=0.0)
-    pkt = make_packet(True)
+def test_zero_detect_prob_always_misses(path3):
     for seed in (0, 1):
-        assert inspect_at_hop(pkt, detector, random.Random(seed)) is False
+        ends = ends_of(packet_config(path3, infected=[0], detect=0.0, ticks=20, seed=seed))
+        assert ends and all(event == "delivered" and node == dst for _, event, node, dst in ends)
 
 
-def test_false_positive_flags_at_delivery():
-    detector = DetectorModel(false_positive_prob=1.0)
-    assert inspect_at_hop(make_packet(False), detector, random.Random(0)) is True
+def test_false_positive_flags_at_delivery(path3):
+    ends = ends_of(packet_config(path3, good=1, fp=1.0, ticks=20))
+    assert ends and all(event == "detected" and node == dst for _, event, node, dst in ends)
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0])
 def test_malicious_hop_consumes_one_draw(prob):
-    rng, reference = random.Random(42), random.Random(42)
-    inspect_at_hop(make_packet(True), DetectorModel(detect_prob=prob), rng)
-    reference.random()
-    assert rng.getstate() == reference.getstate()
+    # one malicious packet a tick on the one hop 0 -> 1: one draw each
+    ticks, draws = run_records(packet_config(path_topology(2), infected=[0], detect=prob, ticks=10))
+    assert [len(tick.ends) for tick in ticks] == [1] * 10
+    assert draws == 10
 
 
-def test_detection_hop_deterministic_per_seed():
-    detector = DetectorModel(detect_prob=0.5)
-
+def test_detection_hop_deterministic_per_seed(path3):
     def detection_hops(seed):
-        rng = random.Random(seed)
-        hops = []
-        for _ in range(50):
-            pkt = make_packet(True)
-            for node in (1, 2):
-                if inspect_at_hop(pkt, detector, rng):
-                    hops.append(node)
-                    break
-            else:
-                hops.append(None)
-        return hops
+        return ends_of(packet_config(path3, infected=[0], detect=0.5, ticks=50, seed=seed))
 
     assert detection_hops(7) == detection_hops(7)
     assert detection_hops(7) != detection_hops(8)
@@ -74,11 +65,9 @@ def test_detected_fraction_matches_probability():
     # single-hop deliveries: one draw each; seeded binomial check
     q = 0.37
     n = 20_000
-    detector = DetectorModel(detect_prob=q)
-    rng = random.Random(123)
-    pkt = Packet(0, malicious=True, route=(0, 1))
-    detected = sum(
-        inspect_at_hop(pkt, detector, rng) for _ in range(n)
-    )
+    config = packet_config(path_topology(2), attack=1000, infected=[0], detect=q, ticks=20, seed=123)
+    ends = ends_of(config)
+    assert len(ends) == n
+    detected = sum(event == "detected" for _, event, _, _ in ends)
     bound = 3 * math.sqrt(q * (1 - q) / n)
     assert abs(detected / n - q) <= bound

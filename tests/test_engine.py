@@ -437,6 +437,15 @@ def test_derive_rng_streams_are_stable_and_independent():
     assert a1 != c
 
 
+def test_run_draws_nothing_from_the_global_generator():
+    # every draw comes from a substream of the seed; a draw from the module's
+    # generator would make a run depend on what ran before it
+    state = random.getstate()
+    run(scenario_config("star10"))
+    run(scenario_config("default75", ["max_ticks=100"]))
+    assert random.getstate() == state
+
+
 def test_random_topology_two_nodes():
     topo = generate_random_topology(2, 0.0, random.Random(0))
     assert topo == NetworkTopology.from_edges(2, [(0, 1)])

@@ -146,7 +146,8 @@ def test_input_check_raises_invalid_config(check):
 
 def test_reach_levels_stop_at_the_byte_budget(monkeypatch):
     # a 10-node path has 10 levels of 10 * 2 bytes, and an 11th is built to
-    # find that the 10th is the last
+    # find that the 10th is the last; a byte less, and the BFS from node 0,
+    # an end of the path, refuses it before any level is built
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20)
     assert len(path_topology(10).levels) == 10
     monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", 11 * 20 - 1)
@@ -155,6 +156,33 @@ def test_reach_levels_stop_at_the_byte_budget(monkeypatch):
     assert str(exc.value) == (
         f"routing on 10 nodes needs more than 10 reach levels, past the {219 / 2**20:g} MiB budget"
     )
+
+
+@pytest.mark.parametrize("edges", [
+    pytest.param([(0, i) for i in range(1, 10)], id="star10"),
+    pytest.param([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)], id="node0-mid-path7"),
+    pytest.param([(i, (i + 1) % 8) for i in range(8)], id="cycle8"),
+])
+def test_early_refusal_agrees_with_the_level_loop(monkeypatch, edges):
+    # the loop refuses at the first count c of levels for which c + 1 would
+    # pass the budget, if c <= diameter + 1; node 0's eccentricity is the
+    # diameter on cycle8, and half of it on the other two
+    n = 1 + max(map(max, edges))
+    topo = NetworkTopology.from_edges(n, edges)
+    level_bytes = n * -(-n // 8)
+    diameter = nx.diameter(nx.Graph(directions(topo)))
+    for k in range(1, n + 3):
+        for budget in (k * level_bytes - 1, k * level_bytes):
+            monkeypatch.setattr(topology, "REACH_LEVEL_BUDGET", budget)
+            fresh = NetworkTopology(n, topo.adjacency)
+            count = next((c for c in range(1, diameter + 2) if (c + 1) * level_bytes > budget), None)
+            if count is None:
+                assert len(fresh.levels) == diameter + 1
+                continue
+            with pytest.raises(InvalidConfig) as exc:
+                fresh.levels
+            assert str(exc.value) == (f"routing on {n} nodes needs more than {count} reach levels, "
+                                      f"past the {budget / 2**20:g} MiB budget")
 
 
 def test_config_builds_the_reach_levels_and_is_refused_past_their_budget(monkeypatch):

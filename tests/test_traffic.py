@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from anttrack.engine import generate_random_topology
+from anttrack.engine import SimulationConfig, generate_random_topology
 from anttrack.topology import InvalidConfig, shortest_route
 from anttrack.traffic import TrafficRates, generate_tick_traffic, route_cache
 
@@ -127,7 +127,9 @@ def test_endpoints_draw_as_the_stdlib_randrange(n, seed):
 
 
 def test_one_node_topology_is_refused():
-    # an inline draw below n - 1 = 0 would never end
+    # an inline draw below n - 1 = 0 would never end, so a one-node topology
+    # never reaches the draws: the config of engine.run, their one caller,
+    # refuses it
     rates = TrafficRates(good_packets_per_tick=1, attack_packets_per_infected_per_tick=1)
-    with pytest.raises(ValueError, match="got 1"):
-        fresh_traffic(star_topology(1), set(), rates, random.Random(0), 0)
+    with pytest.raises(InvalidConfig, match="node_count must be >= 2, got 1"):
+        SimulationConfig(star_topology(1), rates=rates)
