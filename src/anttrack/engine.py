@@ -186,7 +186,7 @@ def run(config: SimulationConfig) -> Metrics:
 
     pheromones = PheromoneField(topo)
     routes = route_cache(topo)
-    inflight = InFlight()
+    inflight = InFlight(len(topo.levels) - 1)  # levels k = 0 .. diameter
     ants = [AntState(i, r.randrange(topo.node_count)) for i, r in enumerate(ant_rngs)]
     # each step's tables, fetched once: the field writes its array in place
     agents = [(ant, rng.getrandbits) for ant, rng in zip(ants, ant_rngs)]
@@ -202,7 +202,7 @@ def run(config: SimulationConfig) -> Metrics:
             topo, infected, config.rates, traffic_rng, next_packet_id, routes
         )
         next_packet_id += len(new_packets)
-        inflight.packets.extend(new_packets)
+        inflight.send(new_packets)
 
         moved = inflight.confirmations
         values = advance_confirmations(inflight, pheromones, config.params)

@@ -6,7 +6,8 @@ states.  It shares only ``derive_rng`` with the package: its graph, routing,
 traffic, detector, confirmations, field, agents, metrics and log
 formatting are written out here from the rules, with plain dicts and lists.
 On random small scenarios both must write the same event log, line for line,
-and the same metrics.
+and the same metrics; on each golden scenario the reference's log must hash
+to the pin in ``tests/test_golden.py``.
 """
 
 import hashlib
@@ -14,16 +15,19 @@ import heapq
 import struct
 from dataclasses import asdict
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anttrack.engine import SimulationConfig, derive_rng
+from anttrack import cli
+from anttrack.engine import SimulationConfig, derive_rng, run
 from anttrack.pheromone import PheromoneParams
 from anttrack.topology import NetworkTopology
 from anttrack.traffic import TrafficRates
 from anttrack.transport import DetectorModel
 
-from conftest import logged_run
+from conftest import SCENARIOS, logged_run
+from test_golden import GOLDEN
 
 
 def reference_route(adj, src, dst):
@@ -303,5 +307,40 @@ def test_engine_matches_reference(s):
     assert len(log) == len(ref_log)
     assert asdict(metrics) == ref_metrics
     # dict equality ignores order; the map keeps first-declaration order
+    want = ref_metrics["false_declaration_tick"]
+    assert list(metrics.false_declaration_tick.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reference_reproduces_golden_run(name):
+    """The reference runs each golden scenario at full scale: its parameters
+    read from the scenario file, its graph the package's topology edges,
+    since the graph generator has an oracle of its own.  Its log, joined,
+    hashes to the pinned ``events.log``, and its metrics are the engine's."""
+    data = cli.parse_scenario(SCENARIOS / f"{name}.scn")
+    config = cli.build_config(data)
+    topo = config.topology
+    s = {
+        "nodes": topo.node_count,
+        "edges": [(u, v) for u, ns in enumerate(topo.adjacency) for v in ns if u < v],
+        "seed": data["seed"],
+        "ticks": data["max_ticks"],
+        "ants": data["ant_count"],
+        "good": data["good_packets_per_tick"],
+        "attack": data["attack_packets_per_infected_per_tick"],
+        "infected": set(data["infected"]),
+        "scripted": data["infect_at"],
+        "detect_prob": data["detect_prob"],
+        "false_positive_prob": data["false_positive_prob"],
+        "inc": data["inc"],
+        "dec": data["dec"],
+        "threshold": data["threshold"],
+    }
+    ref_metrics, ref_log = reference_run(s)
+    events_hash, _, log_lines = GOLDEN[name]
+    assert len(ref_log) == log_lines
+    assert hashlib.sha256(("\n".join(ref_log) + "\n").encode()).hexdigest() == events_hash
+    metrics = run(config)
+    assert asdict(metrics) == ref_metrics
     want = ref_metrics["false_declaration_tick"]
     assert list(metrics.false_declaration_tick.items()) == list(want.items())

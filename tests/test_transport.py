@@ -59,6 +59,12 @@ def test_packet_travelling_forward_has_no_kind(path10):
     assert ticks[0].spawns == [(0, 1, 6, False), (1, 0, 5, True)]
     assert not {0, 1} & {pid for tick in ticks for pid, _, _ in tick.ends}
     assert [tick.writes for tick in ticks] == expected_writes(config, ticks)
+    # nor does a clean packet on the longest route, 0 to 9, before it ends
+    # delivered at 9 eight ticks after it spawns
+    ticks, _ = run_records(packet_config(path10, good=1, ticks=9, seed=25))
+    assert ticks[0].spawns[0] == (0, 0, 9, False)
+    assert [(t, event, node) for t, tick in enumerate(ticks)
+            for pid, event, node in tick.ends if pid == 0] == [(8, "delivered", 9)]
 
 
 def test_malicious_detected_at_first_hop(path3):
@@ -154,6 +160,13 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
         for pid, *_ in tick.spawns:
             if t + len(routes[pid]) - 2 < len(ticks):
                 assert pid in ended
+    # a clean packet meets the detector only at its destination, so it ends
+    # there, detected or not, on the tick it arrives
+    arrival = {pid: (t + len(routes[pid]) - 2, dst)
+               for t, tick in enumerate(ticks) for pid, _, dst, malicious in tick.spawns
+               if not malicious}
+    assert all((t, node) == arrival[pid]
+               for t, tick in enumerate(ticks) for pid, _, node in tick.ends if pid in arrival)
     # each end walks back one confirmation, bad exactly when detected, from
     # the node where it ended
     assert [tick.writes for tick in ticks] == expected_writes(config, ticks)
