@@ -186,7 +186,7 @@ def run(config: SimulationConfig) -> Metrics:
 
     pheromones = PheromoneField(topo)
     routes = route_cache(topo)
-    inflight = InFlight(len(topo.levels) - 1)  # levels k = 0 .. diameter
+    inflight = InFlight(topo)
     ants = [AntState(i, r.randrange(topo.node_count)) for i, r in enumerate(ant_rngs)]
     # each step's tables, fetched once: the field writes its array in place
     agents = [(ant, rng.getrandbits) for ant, rng in zip(ants, ant_rngs)]
@@ -207,8 +207,7 @@ def run(config: SimulationConfig) -> Metrics:
         moved = inflight.confirmations
         values = advance_confirmations(inflight, pheromones, config.params)
 
-        spawned, outcomes = advance_packets(inflight, config.detector, detect_rng)
-        inflight.confirmations.extend(spawned)
+        _, outcomes = advance_packets(inflight, config.detector, detect_rng)
 
         declared: list[tuple[int, int]] = []
         for ant, getrandbits in agents:

@@ -1,18 +1,14 @@
 """A packet's life: its record, the detector that judges it, and its
 movement out and back.
 
-A packet travels forward from ``route[0]``.  The detector is asked only
+A packet travels forward from ``route[0]`` and meets the detector only
 where it draws: at every hop of a malicious packet, and at a clean packet's
-destination.  So a malicious packet moves one hop per tick, but a clean
-packet's intermediate hops, which change nothing, are not simulated: it is
-filed at spawn under the tick it reaches its destination (a timing wheel:
-Varghese & Lauck, "Hashed and hierarchical timing wheels", SOSP 1987), its
-``position`` stays 0 until then and jumps to its last index when it ends.
-When a packet is detected or delivered it ends, and the same record is both
-its outcome and its confirmation: ``bad`` becomes True if it was detected
-and False if it was delivered, ``event`` names that outcome, and
-``route[position]`` is the node where it ended until it walks back toward
-its source along its own route, one hop per tick, as PAPER.md says.
+destination.  So forward packets wait in a calendar, ``InFlight`` (a timing
+wheel: Varghese & Lauck, "Hashed and hierarchical timing wheels", SOSP
+1987), and a clean packet's intermediate hops, which change nothing, are
+not simulated.  When a packet is detected or delivered it ends, and the
+same record is both its outcome and its confirmation, which walks back
+toward its source along its own route, one hop per tick, as PAPER.md says.
 Confirmations update the directed pheromone state of every connection they
 traverse: bad confirmations boost it, clean confirmations decay it.  That
 direction of travel is what makes the resulting trails point at attack
@@ -27,17 +23,17 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .pheromone import PheromoneField, PheromoneParams
-from .topology import InvalidConfig, Route
+from .topology import InvalidConfig, NetworkTopology, Route
 
 
 @dataclass(slots=True)
 class Packet:
     """A packet at ``route[position]``.  While ``bad`` is None it travels
-    from ``route[0]`` to ``route[-1]``: a malicious packet one hop per tick,
-    while a clean one stays at position 0 until it ends at its destination,
-    its intermediate hops not simulated.  Once it ends, ``bad`` is True if
-    it was detected and False if it was delivered, and it walks back toward
-    ``route[0]`` as its own confirmation, one hop per tick."""
+    from ``route[0]`` to ``route[-1]``, and ``route[position]`` is where it
+    last met the detector, ``route[0]`` before it first does.  Once it ends,
+    ``bad`` is True if it was detected and False if it was delivered,
+    ``event`` names that outcome, and it walks back toward ``route[0]`` as
+    its own confirmation."""
 
     id: int
     malicious: bool
@@ -87,70 +83,63 @@ class InFlight:
     """Everything currently traveling through the network: packets moving
     forward, and ended packets walking back as confirmations.
 
-    Forward packets are kept where they next meet the detector.  Malicious
-    packets, which meet it at every hop, are in ``malicious`` in id order.
-    A clean packet meets it only at its destination, so its intermediate
-    hops are not simulated: ``send`` files it in ``wheel``, one list per
-    tick to come, under the tick it arrives.  A minimum-hop route has at
-    most ``diameter`` hops, so ``diameter`` slots hold every arrival."""
+    ``wheel`` is the calendar of forward packets, one list per tick to come,
+    this tick's first: a packet waits under the tick it next meets the
+    detector.  ``send`` files a malicious packet under this tick, and a
+    clean one on a route of h hops under its arrival, h - 1 ticks on;
+    ``advance_packets`` re-files a malicious packet that survives under the
+    next tick.  A minimum-hop route has at most diameter hops, and the
+    topology has diameter + 1 reach levels, so diameter lists hold every
+    arrival."""
 
-    def __init__(self, diameter: int):
-        self.malicious: list[Packet] = []
+    def __init__(self, topology: NetworkTopology):
+        diameter = len(topology.levels) - 1
         self.wheel: deque[list[Packet]] = deque([] for _ in range(diameter))
+        self.refiled = False
         self.confirmations: list[Packet] = []
 
     @property
     def packets(self) -> list[Packet]:
-        """The forward packets in id order, built on each read.  No run reads
-        it; ``perfbench/tracer.py`` counts it."""
-        return sorted([*self.malicious, *(pkt for due in self.wheel for pkt in due)],
-                      key=_packet_id)
+        """The forward packets, in no set order, built on each read.  No run
+        reads it; ``perfbench/tracer.py`` counts it."""
+        return [pkt for due in self.wheel for pkt in due]
 
     def send(self, new_packets: list[Packet]) -> None:
-        """Put the tick's new packets, in id order, on their way: a clean one
-        on a route of h hops arrives h - 1 ticks after this one."""
-        wheel, malicious = self.wheel, self.malicious
+        """File the tick's new packets, in id order, in the calendar."""
+        wheel = self.wheel
         for pkt in new_packets:
-            if pkt.malicious:
-                malicious.append(pkt)
-            else:
-                wheel[len(pkt.route) - 2].append(pkt)
+            wheel[0 if pkt.malicious else len(pkt.route) - 2].append(pkt)
 
 
 def advance_packets(
     state: InFlight, detector: DetectorModel, rng: random.Random
 ) -> tuple[list[Packet], list[Packet]]:
-    """Advance every malicious packet one hop, bring the clean packets due
-    this tick to their destination, and run the detector once on each, in
-    id order: so it draws at every hop of a malicious packet and at a clean
-    one's destination, whose intermediate hops are not simulated.
+    """Run the detector once on each packet due this tick, in id order, and
+    end or re-file it.
 
-    A due clean packet's position jumps from 0 to its last index, and its
-    one draw is its outcome.  A malicious packet is delivered when it evades
-    the draw at ``route[-1]``.  The due packets and the malicious ones are
-    each in id order; when every due id comes first, as it does when the
-    detector catches every attack at its first hop, the two lists are
-    joined, otherwise sorted by id.  Detection ends the packet as a bad
-    confirmation at the detecting node.  Delivery (including a malicious
-    packet that evaded every check: the destination believes it is clean)
-    ends it as a clean confirmation at the destination.  Ended packets are
-    returned in end order, not inserted, so they start walking back only on
-    the next tick; until then each is its own outcome record, through
-    ``id``, ``event`` and ``route[position]``.  The one list is returned as
+    A due slot is filed in id order, tick by tick, unless a malicious packet
+    was re-filed into it last tick (``state.refiled``); only then is it
+    sorted.  A malicious packet moves one hop and draws: it is detected,
+    delivered when it evades the draw at ``route[-1]`` (the destination
+    believes it is clean), or re-filed.  A clean packet's position jumps to
+    its last index, and its one draw is its outcome.  Detection ends the
+    packet as a bad confirmation at the detecting node, delivery as a clean
+    one at the destination.  Ended packets join ``state.confirmations`` in
+    end order, after those that moved this tick, so they start walking back
+    only on the next tick; until then each is its own outcome record,
+    through ``id``, ``event`` and ``route[position]``.  They are returned as
     both elements of the ``(spawned, outcomes)`` pair, kept only because
     ``perfbench/tracer.py`` unpacks it: once the benchmark stops wrapping
     library names, the list alone will do.
     """
-    wheel, malicious = state.wheel, state.malicious
+    wheel = state.wheel
     due = wheel.popleft()
     wheel.append([])
-    moving = due + malicious
-    if due and malicious and due[-1].id > malicious[0].id:
-        moving.sort(key=_packet_id)
-    survivors: list[Packet] = []
+    if state.refiled:
+        due.sort(key=_packet_id)
+    refile = wheel[0].append
     ended: list[Packet] = []
-    keep = survivors.append
-    for pkt in moving:
+    for pkt in due:
         route = pkt.route
         if pkt.malicious:
             position = pkt.position = pkt.position + 1
@@ -159,13 +148,14 @@ def advance_packets(
             elif route[position] == route[-1]:
                 pkt.bad = False
             else:
-                keep(pkt)
+                refile(pkt)
                 continue
         else:
             pkt.position = len(route) - 1
             pkt.bad = inspect_at_hop(pkt, detector, rng)
         ended.append(pkt)
-    state.malicious = survivors
+    state.refiled = len(ended) < len(due)
+    state.confirmations.extend(ended)
     return ended, ended
 
 

@@ -3,9 +3,10 @@
 Each test prints a single PASS line with the measured quantity (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them).  Expected values are
 computed by independent oracles: the literal event-list sum for the
-incremental pheromone updates, recurrence iteration for the periodic-trace
-limits, and breadth-first search for routing.  Criteria 5, 6 and 8-10 run
-the shipped ``default75`` and ``reinfection75`` scenario files.
+incremental pheromone updates, and recurrence iteration for the
+periodic-trace limits.  No criterion checks routes: networkx, in
+``tests/test_topology.py``, is the one route oracle.  Criteria 5, 6 and
+8-10 run the shipped ``default75`` and ``reinfection75`` scenario files.
 """
 
 import io

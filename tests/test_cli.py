@@ -710,23 +710,28 @@ def test_directory_target_replaces_no_output(tmp_path, monkeypatch, capsys, comm
     assert list((out / blocked).iterdir()) == []
 
 
-def fail_150th_ant_step(monkeypatch, out: Path) -> tuple[list, list[str]]:
-    """Make the 150th agent step raise OSError: with the small scenario's
-    two agents, that is tick 74 of 120, with the log streaming.  Returns the
-    list of steps taken and the list that gets the names of the temp files
-    in ``out`` when the step fails."""
-    real_step = cli.engine.ant_step
-    calls, temps_seen = [], []
+def fail_at_tick_74(monkeypatch, out: Path) -> tuple[list[int], list[str]]:
+    """Make the event log's sink raise OSError at tick 74 of 120, after the
+    small scenario's two agents have taken their 150th step, with the log
+    streaming.  Returns the list of ticks the sink was called at and the
+    list that gets the names of the temp files in ``out`` when it fails."""
+    real_event_log = cli.engine.event_log
+    ticks, temps_seen = [], []
 
-    def fail_150th_step(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 150:
-            temps_seen.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
-            raise OSError("disk went away")
-        return real_step(*args, **kwargs)
+    def failing_event_log(topology, write):
+        real_sink = real_event_log(topology, write)
 
-    monkeypatch.setattr(cli.engine, "ant_step", fail_150th_step)
-    return calls, temps_seen
+        def sink(tick, *args):
+            ticks.append(tick)
+            if tick == 74:
+                temps_seen.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
+                raise OSError("disk went away")
+            real_sink(tick, *args)
+
+        return sink
+
+    monkeypatch.setattr(cli.engine, "event_log", failing_event_log)
+    return ticks, temps_seen
 
 
 def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch):
@@ -735,9 +740,9 @@ def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     assert sorted(before) == ["events.log", "metrics.csv", "summary.txt"]
-    calls, temps_seen = fail_150th_ant_step(monkeypatch, out)
+    ticks, temps_seen = fail_at_tick_74(monkeypatch, out)
     assert main(["run", "--scenario", str(scenario), "--out", str(out), "--seed", "8"]) == 3
-    assert len(calls) == 150
+    assert ticks == list(range(75))
     assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
@@ -745,7 +750,7 @@ def test_run_failing_mid_simulation_keeps_existing_outputs(tmp_path, monkeypatch
 def test_run_failing_mid_simulation_removes_the_directories_it_made(tmp_path, monkeypatch):
     scenario = small_scenario(tmp_path)
     out = tmp_path / "a" / "b" / "c"
-    _, temps_seen = fail_150th_ant_step(monkeypatch, out)
+    _, temps_seen = fail_at_tick_74(monkeypatch, out)
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 3
     assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
     assert not (tmp_path / "a").exists()
@@ -759,7 +764,7 @@ def test_run_failing_mid_simulation_keeps_an_existing_out_directory(tmp_path, mo
     out.mkdir()
     for name, text in held.items():
         (out / name).write_text(text)
-    _, temps_seen = fail_150th_ant_step(monkeypatch, out)
+    _, temps_seen = fail_at_tick_74(monkeypatch, out)
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 3
     assert temps_seen == [f".events.log.{os.getpid()}.tmp"]
     assert {path.name: path.read_text() for path in out.iterdir()} == held

@@ -306,14 +306,15 @@ def test_log_free_run_memory_stays_flat():
     Beyond its inputs, a log-free run holds three things. The route cache
     holds at most one route per ordered node pair (75 x 74 here), and the
     topology its reach levels, built in full with the config. The
-    in-flight set holds only packets and confirmations younger than the
-    network's diameter, since each moves
-    one hop per tick and traffic enters at a fixed rate. The metrics hold at
-    most one entry per node. Between N and 4N ticks, then, the peak can grow
-    by no more than the part of the cache still unfilled at N, which is less
-    than a full cache (about 1.2 MB, measured below; the run grows by about
-    0.4 MB). A logged run adds only one tick's record lines, which
-    test_logged_run_memory_stays_flat checks.
+    in-flight set holds only packets and confirmations younger than twice
+    the network's diameter in ticks, since traffic enters at a fixed rate, a
+    forward packet waits in one of at most diameter calendar slots, and a
+    confirmation walks back at most diameter hops, one per tick. The
+    metrics hold at most one entry per node. Between N and 4N ticks, then,
+    the peak can grow by no more than the part of the cache still unfilled
+    at N, which is less than a full cache (about 1.2 MB, measured below;
+    the run grows by about 0.4 MB). A logged run adds only one tick's
+    record lines, which test_logged_run_memory_stays_flat checks.
     """
     n = 200
     # each run, and the full cache, on a topology of its own, since the reach

@@ -155,6 +155,10 @@ def test_every_packet_produces_exactly_one_confirmation(grid4x4):
     # packet that was not detected ended there
     ended = {pid for pid, _, _ in ends}
     assert len(ended) == len(ends)
+    # the detector draws in packet-id order, so each tick's ends are in it
+    for tick in ticks:
+        ids = [pid for pid, _, _ in tick.ends]
+        assert ids == sorted(ids)
     assert all(node == routes[pid][-1] for pid, event, node in ends if event == "delivered")
     for t, tick in enumerate(ticks):
         for pid, *_ in tick.spawns:
